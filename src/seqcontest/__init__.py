@@ -9,7 +9,6 @@ from .core import (
     NegativeInvestment,
     draw_winner,
     round_payoffs,
-    validate_sequence,
     win_probabilities,
 )
 from .equilibrium import (

@@ -319,12 +319,15 @@ def _cached_preemption(
 
 def _observation_inputs(
     sequence: MoveSequence, stage: int, observed: Sequence[float]
-) -> tuple[float, float | None]:
+) -> tuple[float | None, float | None]:
     """Map raw prior investments to the (m1, m2) inputs of a response model.
 
     m1 averages the first-stage investments (a single value in one-leader
     treatments); m2 is the second-stage investment, present only at stage 3.
+    Stage-1 players observe nothing: both are None.
     """
+    if stage < 2:
+        return None, None
     k1 = sequence.stages[0]
     m1 = fmean(observed[:k1])
     m2 = observed[k1] if stage >= 3 else None

@@ -16,12 +16,16 @@ import json
 import os
 import sys
 import time
-from importlib import metadata, resources
+from dataclasses import replace
+from importlib import resources
 
+from . import __version__
 from .core import ContestError, ContestSpec, MoveSequence
 from .equilibrium import calibrate_jow, solve_spne
 from .simulate import (
+    NotASessionLog,
     SessionLog,
+    atomic_write_text,
     export_log,
     load_log,
     run_batch,
@@ -33,31 +37,23 @@ _EXIT_BAD_INPUT = 2
 _EXIT_IO = 3
 
 
-def _version() -> str:
-    try:
-        return metadata.version("seqcontest")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_manifest(out_dir: str, command: str, config: str | None, seed, outputs, t0: float) -> None:
     manifest = {
         "schema": 1,
         "command": command,
         "config": config,
         "master_seed": seed,
-        "package_version": _version(),
+        "package_version": __version__,
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "wall_clock_seconds": round(time.time() - t0, 3),
     }
-    _atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1) + "\n")
+    atomic_write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1) + "\n")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
 
 
 def _parse_sequence(text: str) -> MoveSequence:
@@ -105,7 +101,7 @@ def cmd_solve(args) -> int:
         print(banner)
     if args.out:
         try:
-            _atomic_write(args.out, text)
+            atomic_write_text(args.out, text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return _EXIT_IO
@@ -130,14 +126,6 @@ def _resolve_config(name: str) -> tuple[dict, str]:
     raise ContestError(f"config {name!r} is neither a file nor a bundled preset")
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("SEQCONTEST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _log_basename(log: SessionLog, index: int) -> str:
     label = "-".join(str(k) for k in log.sequence.stages)
     return f"session{index:02d}_seq{label}"
@@ -154,17 +142,7 @@ def cmd_simulate(args) -> int:
             raise ContestError("config needs a nonempty 'sessions' list")
         configs = [session_config_from_dict(entry) for entry in sessions]
         if args.seed is not None:
-            configs = [
-                type(cfg)(
-                    spec=cfg.spec,
-                    policies=cfg.policies,
-                    groups=cfg.groups,
-                    rounds=cfg.rounds,
-                    integer_rounding=cfg.integer_rounding,
-                    seed=args.seed + i,
-                )
-                for i, cfg in enumerate(configs)
-            ]
+            configs = [replace(cfg, seed=args.seed + i) for i, cfg in enumerate(configs)]
         replications = int(raw.get("replications", 1))
     except (ContestError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
@@ -173,7 +151,7 @@ def cmd_simulate(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return _EXIT_IO
 
-    logs = run_batch(configs, replications=replications, threads=_threads_cap())
+    logs = run_batch(configs, replications=replications)
 
     formats = ["csv", "json"] if args.format == "both" else [args.format]
     try:
@@ -240,8 +218,13 @@ def _summary_text(summaries) -> list[str]:
 
 def cmd_analyze(args) -> int:
     t0 = time.time()
+    logs, notes = [], []
     try:
-        logs = [load_log(path) for path in args.logs]
+        for path in args.logs:
+            try:
+                logs.append(load_log(path))
+            except NotASessionLog:
+                notes.append(f"note: skipped {path}, a run manifest")
     except OSError as exc:
         print(f"error: cannot read log: {exc}", file=sys.stderr)
         return _EXIT_IO
@@ -256,18 +239,20 @@ def cmd_analyze(args) -> int:
         return _EXIT_BAD_INPUT
 
     last_k = args.last_rounds
+    if last_k:
+        logs = [replace(log, records=st._filter_last_rounds(log.records, last_k)) for log in logs]
     report: list[str] = [
         f"analysis of {len(logs)} log(s)"
         + (f", last {last_k} rounds" if last_k else ", all rounds")
-    ]
+    ] + notes
     outputs = []
     try:
         os.makedirs(args.out, exist_ok=True)
 
         if "summary" in tests:
-            summaries = st.treatment_summary(logs, last_k_rounds=last_k)
+            summaries = st.treatment_summary(logs)
             path = os.path.join(args.out, "summary.csv")
-            _atomic_write(path, _summary_csv(summaries))
+            atomic_write_text(path, _summary_csv(summaries))
             outputs.append(path)
             report.extend([""] + _summary_text(summaries))
 
@@ -275,8 +260,7 @@ def cmd_analyze(args) -> int:
             lines = ["treatment,slope,se,n_obs,clusters"]
             report += ["", "Round trend (investment on round, clustered SEs)"]
             for log in logs:
-                records = log.records
-                fit = st.trend_by_round(records)
+                fit = st.trend_by_round(log.records)
                 lines.append(
                     f"{_csv_label(log.sequence)},{fit.params[1]:.6f},"
                     f"{fit.se[1]:.6f},{fit.nobs},{fit.n_clusters}"
@@ -286,7 +270,7 @@ def cmd_analyze(args) -> int:
                     f"  (se {fit.se[1]:.4f})"
                 )
             path = os.path.join(args.out, "trend.csv")
-            _atomic_write(path, "\n".join(lines) + "\n")
+            atomic_write_text(path, "\n".join(lines) + "\n")
             outputs.append(path)
 
         test_lines = ["test,treatment,quantity,statistic,pvalue,detail"]
@@ -296,19 +280,8 @@ def cmd_analyze(args) -> int:
                 solution = solve_spne(
                     ContestSpec(log.sequence, log.spec.prize, log.spec.endowment, 0.0)
                 )
-                records = st._filter_last_rounds(log.records, last_k)
-                totals: dict[tuple[int, int, int], float] = {}
-                groups_of: dict[tuple[int, int, int], int] = {}
-                for r in records:
-                    key = (r.group, r.round, r.triad)
-                    totals[key] = totals.get(key, 0.0) + r.investment
-                    groups_of[key] = r.group
-                keys = sorted(totals)
-                res = st.wald_mean(
-                    [totals[k] for k in keys],
-                    [groups_of[k] for k in keys],
-                    solution.scaled_aggregate,
-                )
+                totals, groups = st.triad_totals(log.records)
+                res = st.wald_mean(totals, groups, solution.scaled_aggregate)
                 test_lines.append(
                     f"wald,{_csv_label(log.sequence)},X,{res.statistic:.6g},"
                     f"{res.pvalue:.6g},h0={solution.scaled_aggregate:.4f}"
@@ -323,7 +296,7 @@ def cmd_analyze(args) -> int:
             if len(logs) < 3:
                 print("error: the JT test needs at least 3 logs", file=sys.stderr)
                 return _EXIT_BAD_INPUT
-            group_means = [st.group_aggregate_means(log, last_k) for log in logs]
+            group_means = [st.group_aggregate_means(log) for log in logs]
             res = st.jonckheere_terpstra(group_means)
             test_lines.append(
                 f"jt,all,X,{res.statistic:.6g},{res.pvalue:.6g},z={res.zscore:.4f}"
@@ -339,11 +312,11 @@ def cmd_analyze(args) -> int:
 
         if "wald" in tests or "jt" in tests:
             path = os.path.join(args.out, "tests.csv")
-            _atomic_write(path, "\n".join(test_lines) + "\n")
+            atomic_write_text(path, "\n".join(test_lines) + "\n")
             outputs.append(path)
 
         report_path = os.path.join(args.out, "report.txt")
-        _atomic_write(report_path, "\n".join(report) + "\n")
+        atomic_write_text(report_path, "\n".join(report) + "\n")
         outputs.append(report_path)
         _write_manifest(args.out, "analyze", None, None, outputs, t0)
     except st.EmptyLog as exc:
@@ -396,13 +369,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="summaries and tests over session logs")
     p_an.add_argument("logs", nargs="+", help="log files (CSV or JSON)")
-    p_an.add_argument("--last-rounds", type=int, default=None, metavar="K")
+    p_an.add_argument("--last-rounds", type=_positive_int, default=None, metavar="K")
     p_an.add_argument(
         "--tests", default="summary,trend,jt,wald", help="comma list of tests to run"
     )
     p_an.add_argument("--alpha", type=float, default=0.05)
     p_an.add_argument("--out", default="analysis", help="output directory")
-    p_an.add_argument("--format", choices=["csv"], default="csv")
     p_an.set_defaults(func=cmd_analyze)
     return parser
 

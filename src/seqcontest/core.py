@@ -22,7 +22,6 @@ __all__ = [
     "InvestmentExceedsEndowment",
     "MoveSequence",
     "ContestSpec",
-    "validate_sequence",
     "win_probabilities",
     "draw_winner",
     "round_payoffs",
@@ -96,11 +95,6 @@ class MoveSequence:
 
     def label(self) -> str:
         return "(" + ",".join(str(k) for k in self.stages) + ")"
-
-
-def validate_sequence(stages: Sequence[int]) -> MoveSequence:
-    """Build a MoveSequence from raw stage counts, rejecting bad input."""
-    return MoveSequence(tuple(stages))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ of scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -20,10 +22,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ContestError, ContestSpec, MoveSequence, draw_winner, round_payoffs
-from .behavior import BehaviorPolicy, act, policy_from_config
+from .behavior import BehaviorPolicy, _observation_inputs, act, policy_from_config
 
 __all__ = [
     "BadGroupComposition",
+    "NotASessionLog",
     "RoundRecord",
     "SessionConfig",
     "SessionLog",
@@ -36,23 +39,36 @@ __all__ = [
 ]
 
 SUBJECTS_PER_ROLE = 3
-CSV_COLUMNS = (
-    "group",
-    "round",
-    "triad",
-    "subject",
-    "stage",
-    "slot",
-    "m1",
-    "m2",
-    "investment",
-    "won",
-    "payoff",
-)
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None or value == "" else float(value)
+
+
+# The log columns in file order, each with the parser that reads it back from
+# a JSON value or a CSV cell. RoundRecord has the same fields.
+_COLUMN_PARSERS = {
+    "group": int,
+    "round": int,
+    "triad": int,
+    "subject": int,
+    "stage": int,
+    "slot": int,
+    "m1": _optional_float,
+    "m2": _optional_float,
+    "investment": float,
+    "won": lambda value: bool(int(value)),
+    "payoff": float,
+}
+CSV_COLUMNS = tuple(_COLUMN_PARSERS)
 
 
 class BadGroupComposition(ContestError):
     """Matching groups cannot be formed for this configuration."""
+
+
+class NotASessionLog(ContestError):
+    """The file is a run manifest, not a session log."""
 
 
 @dataclass(frozen=True)
@@ -125,18 +141,6 @@ def _role_layout(sequence: MoveSequence) -> list[tuple[int, int]]:
     return layout
 
 
-def _observed_inputs(
-    sequence: MoveSequence, stage: int, investments: Sequence[float]
-) -> tuple[float | None, float | None]:
-    """(m1, m2) revealed to a player deciding at ``stage``."""
-    if stage < 2:
-        return None, None
-    k1 = sequence.stages[0]
-    m1 = float(np.mean(investments[:k1]))
-    m2 = float(investments[k1]) if stage >= 3 else None
-    return m1, m2
-
-
 def play_round(
     policies: Sequence[BehaviorPolicy],
     spec: ContestSpec,
@@ -176,7 +180,7 @@ def play_round(
     layout = _role_layout(seq)
     records = []
     for player, (stage, slot) in enumerate(layout):
-        m1, m2 = _observed_inputs(seq, stage, investments)
+        m1, m2 = _observation_inputs(seq, stage, investments)
         records.append(
             RoundRecord(
                 group=group,
@@ -262,11 +266,9 @@ def _derived_seed(seed: int, replication: int) -> int:
 def run_batch(
     configs: Sequence[SessionConfig],
     replications: int = 1,
-    threads: int = 1,
 ) -> list[SessionLog]:
     """Run each config ``replications`` times with independently derived
-    seeds. Results come back in (config, replication) order regardless of
-    ``threads``.
+    seeds. Results come back in (config, replication) order.
     """
     if replications < 1:
         raise ContestError("replications must be at least 1")
@@ -275,11 +277,6 @@ def run_batch(
         for config in configs
         for rep in range(replications)
     ]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_session, jobs))
     return [run_session(job) for job in jobs]
 
 
@@ -287,17 +284,27 @@ def run_batch(
 # Log serialization
 # ---------------------------------------------------------------------------
 
+# first line of a CSV log; the session meta follows it as one line of JSON
+CSV_META_PREFIX = "# seqcontest-log "
 
-def _float_cell(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
 
-
-def _atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a rename, so readers never see a
+    partial file. The temp file is a uniquely named sibling opened for
+    exclusive creation (so concurrent writers never share one, and its mode
+    follows the umask like any new file); it is removed on any error.
+    """
     path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _log_meta(log: SessionLog) -> dict:
@@ -314,77 +321,75 @@ def _log_meta(log: SessionLog) -> dict:
     }
 
 
-def export_log(log: SessionLog, format: str, path) -> None:
-    """Write a session log as CSV or JSON (atomically: temp file + rename)."""
-    if format == "csv":
-        import io
+def _log_from_meta(meta: Mapping, records: list[RoundRecord]) -> SessionLog:
+    if meta.get("schema") != 1:
+        raise ContestError(f"unsupported log schema {meta.get('schema')!r}")
+    spec = ContestSpec(
+        MoveSequence(tuple(meta["sequence"])),
+        prize=float(meta["prize"]),
+        endowment=float(meta["endowment"]),
+        joy_of_winning=float(meta["joy_of_winning"]),
+    )
+    return SessionLog(
+        spec=spec,
+        groups=int(meta["groups"]),
+        rounds=int(meta["rounds"]),
+        integer_rounding=bool(meta["integer_rounding"]),
+        seed=int(meta["seed"]),
+        records=records,
+    )
 
+
+def _record_from_row(row: Mapping) -> RoundRecord:
+    return RoundRecord(
+        **{column: parse(row[column]) for column, parse in _COLUMN_PARSERS.items()}
+    )
+
+
+def _csv_cell(value):
+    # csv writes None as an empty cell and floats as repr; bools become 0/1
+    return int(value) if isinstance(value, bool) else value
+
+
+def export_log(log: SessionLog, format: str, path) -> None:
+    """Write a session log as CSV or JSON (atomically: temp file + rename).
+
+    Both formats hold the same meta block and records. A CSV log starts with
+    one ``# seqcontest-log {meta JSON}`` line, then the header and one row
+    per record.
+    """
+    meta = _log_meta(log)
+    if format == "csv":
         buf = io.StringIO()
+        buf.write(CSV_META_PREFIX + json.dumps(meta) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for r in log.records:
-            writer.writerow(
-                [
-                    r.group,
-                    r.round,
-                    r.triad,
-                    r.subject,
-                    r.stage,
-                    r.slot,
-                    _float_cell(r.m1),
-                    _float_cell(r.m2),
-                    repr(float(r.investment)),
-                    int(r.won),
-                    repr(float(r.payoff)),
-                ]
-            )
-        _atomic_write_text(path, buf.getvalue())
+        writer.writerows(
+            [_csv_cell(getattr(r, column)) for column in CSV_COLUMNS]
+            for r in log.records
+        )
+        atomic_write_text(path, buf.getvalue())
     elif format == "json":
         payload = {
-            "meta": _log_meta(log),
+            "meta": meta,
             "records": [
-                {
-                    "group": r.group,
-                    "round": r.round,
-                    "triad": r.triad,
-                    "subject": r.subject,
-                    "stage": r.stage,
-                    "slot": r.slot,
-                    "m1": r.m1,
-                    "m2": r.m2,
-                    "investment": r.investment,
-                    "won": r.won,
-                    "payoff": r.payoff,
-                }
-            for r in log.records],
+                {column: getattr(r, column) for column in CSV_COLUMNS}
+                for r in log.records
+            ],
         }
-        _atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+        atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
     else:
         raise ContestError(f"unknown export format {format!r}")
-
-
-def _record_from_json(entry: Mapping) -> RoundRecord:
-    return RoundRecord(
-        group=int(entry["group"]),
-        round=int(entry["round"]),
-        triad=int(entry["triad"]),
-        subject=int(entry["subject"]),
-        stage=int(entry["stage"]),
-        slot=int(entry["slot"]),
-        m1=None if entry["m1"] is None else float(entry["m1"]),
-        m2=None if entry["m2"] is None else float(entry["m2"]),
-        investment=float(entry["investment"]),
-        won=bool(entry["won"]),
-        payoff=float(entry["payoff"]),
-    )
 
 
 def load_log(path, format: str | None = None) -> SessionLog:
     """Read back a log written by :func:`export_log`.
 
-    CSV files carry no session metadata, so the contest parameters are rebuilt with
-    defaults where the file is silent (sequence comes from the stage/slot
-    columns, prize and endowment default to 240).
+    The format follows the file name (``.json`` or else CSV) unless given.
+    Both formats go through the same meta and record parsing, so a log reads
+    back with its full session parameters whichever format it was saved in.
+    A CSV without its leading meta line raises :class:`ContestError`, and a
+    run manifest raises :class:`NotASessionLog`.
     """
     path = os.fspath(path)
     if format is None:
@@ -392,63 +397,25 @@ def load_log(path, format: str | None = None) -> SessionLog:
     if format == "json":
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        meta = payload["meta"]
-        if meta.get("schema") != 1:
-            raise ContestError(f"unsupported log schema {meta.get('schema')!r}")
-        spec = ContestSpec(
-            MoveSequence(tuple(meta["sequence"])),
-            prize=float(meta["prize"]),
-            endowment=float(meta["endowment"]),
-            joy_of_winning=float(meta["joy_of_winning"]),
-        )
-        log = SessionLog(
-            spec=spec,
-            groups=int(meta["groups"]),
-            rounds=int(meta["rounds"]),
-            integer_rounding=bool(meta["integer_rounding"]),
-            seed=int(meta["seed"]),
-        )
-        log.records = [_record_from_json(entry) for entry in payload["records"]]
-        return log
+        if "meta" not in payload and {"command", "outputs"} <= payload.keys():
+            raise NotASessionLog(f"{path} is a run manifest")
+        records = [_record_from_row(entry) for entry in payload["records"]]
+        return _log_from_meta(payload["meta"], records)
     if format == "csv":
-        records = []
         with open(path, encoding="utf-8", newline="") as fh:
+            first = fh.readline()
+            if not first.startswith(CSV_META_PREFIX):
+                raise ContestError(
+                    f"{path} has no {CSV_META_PREFIX.strip()!r} meta line"
+                )
+            meta = json.loads(first[len(CSV_META_PREFIX):])
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
                 raise ContestError(
                     f"unexpected CSV columns {reader.fieldnames!r} in {path}"
                 )
-            for row in reader:
-                records.append(
-                    RoundRecord(
-                        group=int(row["group"]),
-                        round=int(row["round"]),
-                        triad=int(row["triad"]),
-                        subject=int(row["subject"]),
-                        stage=int(row["stage"]),
-                        slot=int(row["slot"]),
-                        m1=float(row["m1"]) if row["m1"] else None,
-                        m2=float(row["m2"]) if row["m2"] else None,
-                        investment=float(row["investment"]),
-                        won=row["won"] == "1",
-                        payoff=float(row["payoff"]),
-                    )
-                )
-        stages: dict[int, int] = {}
-        for r in records:
-            stages[r.stage] = max(stages.get(r.stage, 0), r.slot)
-        sequence = MoveSequence(tuple(stages[t] for t in sorted(stages)))
-        groups = max((r.group for r in records), default=1)
-        rounds = max((r.round for r in records), default=1)
-        log = SessionLog(
-            spec=ContestSpec(sequence),
-            groups=groups,
-            rounds=rounds,
-            integer_rounding=False,
-            seed=0,
-        )
-        log.records = records
-        return log
+            records = [_record_from_row(row) for row in reader]
+        return _log_from_meta(meta, records)
     raise ContestError(f"unknown log format {format!r}")
 
 

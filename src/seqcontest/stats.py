@@ -39,6 +39,7 @@ __all__ = [
     "trend_by_round",
     "treatment_summary",
     "group_aggregate_means",
+    "triad_totals",
 ]
 
 
@@ -271,8 +272,19 @@ def _as_records(log_or_records) -> list[RoundRecord]:
 def _filter_last_rounds(records: list[RoundRecord], last_k: int | None):
     if last_k is None:
         return records
-    cutoff = max(r.round for r in records) - last_k
+    cutoff = max((r.round for r in records), default=0) - last_k
     return [r for r in records if r.round > cutoff]
+
+
+def triad_totals(records: Iterable[RoundRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Total investment of each triad-round, sorted by (group, round, triad),
+    and the matching group each total belongs to."""
+    totals: dict[tuple[int, int, int], float] = {}
+    for r in records:
+        key = (r.group, r.round, r.triad)
+        totals[key] = totals.get(key, 0.0) + r.investment
+    keys = sorted(totals)
+    return np.array([totals[k] for k in keys]), np.array([k[0] for k in keys])
 
 
 def trend_by_round(log_or_records, sequence: MoveSequence | None = None) -> OLSFit:
@@ -357,15 +369,7 @@ def treatment_summary(
             role_means.extend([mean] * count)
             role_ses.extend([se] * count)
 
-        triad_totals: dict[tuple[int, int, int], float] = {}
-        triad_groups: dict[tuple[int, int, int], int] = {}
-        for r in records:
-            key = (r.group, r.round, r.triad)
-            triad_totals[key] = triad_totals.get(key, 0.0) + r.investment
-            triad_groups[key] = r.group
-        keys = sorted(triad_totals)
-        totals = np.array([triad_totals[k] for k in keys])
-        groups = np.array([triad_groups[k] for k in keys])
+        totals, groups = triad_totals(records)
         out.append(
             TreatmentSummary(
                 sequence=seq,
@@ -389,11 +393,5 @@ def group_aggregate_means(
     records = _filter_last_rounds(log.records, last_k_rounds)
     if not records:
         raise EmptyLog(f"log for {log.sequence.label()} has no records")
-    totals: dict[tuple[int, int, int], float] = {}
-    for r in records:
-        key = (r.group, r.round, r.triad)
-        totals[key] = totals.get(key, 0.0) + r.investment
-    by_group: dict[int, list[float]] = {}
-    for (group, _, _), total in totals.items():
-        by_group.setdefault(group, []).append(total)
-    return np.array([float(np.mean(by_group[g])) for g in sorted(by_group)])
+    totals, groups = triad_totals(records)
+    return np.array([float(np.mean(totals[groups == g])) for g in np.unique(groups)])

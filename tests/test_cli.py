@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+import seqcontest
+from seqcontest import stats
 from seqcontest.cli import main
 from seqcontest.simulate import load_log
 
@@ -184,33 +186,13 @@ class TestSimulate:
         assert code == 3
         assert "error" in err
 
-    def test_threads_env_var_keeps_determinism(self, capsys, tmp_path, monkeypatch):
-        config = write_config(
-            tmp_path / "cfg.json",
-            [
-                {
-                    "treatment": [1, 1, 1],
-                    "groups": 2,
-                    "rounds": 3,
-                    "seed": 5,
-                    "policies": SPNE_POLICIES,
-                }
-            ],
-            replications=3,
-        )
-        outputs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("SEQCONTEST_THREADS", threads)
-            out_dir = tmp_path / f"t{threads}"
-            code, _, _ = run_cli(
-                capsys, "simulate", "--config", config, "--out", str(out_dir),
-                "--format", "csv",
-            )
-            assert code == 0
-            outputs[threads] = [
-                p.read_bytes() for p in sorted(out_dir.glob("session*.csv"))
-            ]
-        assert outputs["1"] == outputs["4"]
+    def test_failed_write_leaves_no_temp_file(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        code, _, err = run_cli(capsys, "solve", "--seq", "1,2", "--out", str(taken))
+        assert code == 3
+        assert "error" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 @pytest.fixture(scope="module")
@@ -327,3 +309,102 @@ class TestAnalyze:
         assert (out_dir / "report.txt").exists()
         assert (out_dir / "manifest.json").exists()
         assert not list(out_dir.glob("*.tmp"))
+
+    def test_last_rounds_below_one_exits_2(self, capsys, spne_run, tmp_path):
+        for k in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "analyze", str(spne_run[0]), "--last-rounds", k,
+                    "--out", str(tmp_path / "x"),
+                ])
+            assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_glob_over_output_dir_skips_manifest(self, capsys, spne_run, tmp_path):
+        # the README's `analyze runs/*.json` also matches manifest.json
+        paths = sorted(spne_run[0].parent.glob("*.json"))
+        assert "manifest.json" in [p.name for p in paths]
+        out_dir = tmp_path / "glob"
+        code, out, _ = run_cli(
+            capsys, "analyze", *[str(p) for p in paths], "--out", str(out_dir)
+        )
+        assert code == 0
+        assert out.startswith("analysis of 4 log(s)")
+        assert "run manifest" in (out_dir / "report.txt").read_text()
+
+    def test_csv_and_json_logs_give_same_tests(self, capsys, tmp_path):
+        config = write_config(
+            tmp_path / "cfg.json",
+            [
+                {
+                    "treatment": [1, 2],
+                    "prize": 100,
+                    "groups": 2,
+                    "rounds": 3,
+                    "seed": 4,
+                    "policies": SPNE_POLICIES,
+                }
+            ],
+        )
+        runs = tmp_path / "runs"
+        code, _, _ = run_cli(capsys, "simulate", "--config", config, "--out", str(runs))
+        assert code == 0
+        tests = {}
+        for fmt in ("csv", "json"):
+            out_dir = tmp_path / fmt
+            code, _, _ = run_cli(
+                capsys, "analyze", str(next(runs.glob(f"session*.{fmt}"))),
+                "--tests", "wald", "--out", str(out_dir),
+            )
+            assert code == 0
+            tests[fmt] = (out_dir / "tests.csv").read_text()
+        assert tests["csv"] == tests["json"]
+        assert tests["csv"].split("\n")[1] == "wald,1-2,X,0,1,h0=75.0000"
+
+    def test_last_rounds_applies_to_trend(self, capsys, tmp_path):
+        noisy = {"kind": "responder", "noise_sd": 25.0}
+        config = write_config(
+            tmp_path / "cfg.json",
+            [
+                {
+                    "treatment": [1, 2],
+                    "groups": 3,
+                    "rounds": 8,
+                    "seed": 9,
+                    "policies": [{"kind": "spne"}, noisy, noisy],
+                }
+            ],
+        )
+        runs = tmp_path / "runs"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", config, "--out", str(runs),
+            "--format", "json",
+        )
+        assert code == 0
+        path = next(runs.glob("session*.json"))
+        out_dir = tmp_path / "trend"
+        code, out, _ = run_cli(
+            capsys, "analyze", str(path), "--tests", "trend",
+            "--last-rounds", "5", "--out", str(out_dir),
+        )
+        assert code == 0
+        assert "last 5 rounds" in out
+        fit = stats.trend_by_round(
+            [r for r in load_log(path).records if r.round > 3]
+        )
+        assert fit.nobs == 3 * 5 * 9
+        expected = (
+            f"1-2,{fit.params[1]:.6f},{fit.se[1]:.6f},{fit.nobs},{fit.n_clusters}"
+        )
+        assert (out_dir / "trend.csv").read_text().split("\n")[1] == expected
+
+    def test_manifests_carry_package_version(self, capsys, spne_run, tmp_path):
+        out_dir = tmp_path / "an"
+        code, _, _ = run_cli(
+            capsys, "analyze", str(spne_run[0]), "--tests", "summary",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        for manifest in (spne_run[0].parent / "manifest.json", out_dir / "manifest.json"):
+            record = json.loads(manifest.read_text())
+            assert record["package_version"] == seqcontest.__version__

@@ -13,37 +13,36 @@ from seqcontest.core import (
     NonPositiveStageCount,
     draw_winner,
     round_payoffs,
-    validate_sequence,
     win_probabilities,
 )
 
 
 class TestMoveSequence:
     def test_two_stage_stackelberg(self):
-        seq = validate_sequence([1, 2])
+        seq = MoveSequence([1, 2])
         assert seq.n_stages == 2
         assert seq.n_players == 3
 
     def test_simultaneous(self):
-        seq = validate_sequence([3])
+        seq = MoveSequence([3])
         assert seq.n_stages == 1
         assert seq.n_players == 3
 
     def test_zero_stage_count_rejected(self):
         with pytest.raises(NonPositiveStageCount):
-            validate_sequence([1, 0, 2])
+            MoveSequence([1, 0, 2])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
-            validate_sequence([])
+            MoveSequence([])
 
     def test_stage_of_player(self):
-        seq = validate_sequence([2, 1])
+        seq = MoveSequence([2, 1])
         assert [seq.stage_of_player(i) for i in range(3)] == [1, 1, 2]
         assert seq.players_before_stage(2) == 2
 
     def test_label(self):
-        assert validate_sequence([1, 1, 1]).label() == "(1,1,1)"
+        assert MoveSequence([1, 1, 1]).label() == "(1,1,1)"
 
 
 class TestContestSpec:

@@ -18,6 +18,7 @@ from seqcontest.behavior import (
 from seqcontest.equilibrium import solve_spne
 from seqcontest.simulate import (
     BadGroupComposition,
+    NotASessionLog,
     SessionConfig,
     export_log,
     load_log,
@@ -228,12 +229,6 @@ class TestRunBatch:
         b = run_batch([spne_config((3,), groups=1, rounds=2, seed=5)], 2)
         assert [log.records for log in a] == [log.records for log in b]
 
-    def test_threaded_matches_sequential(self):
-        configs = [spne_config((1, 2), groups=2, rounds=3, seed=s) for s in (1, 2)]
-        seq_logs = run_batch(configs, 2, threads=1)
-        par_logs = run_batch(configs, 2, threads=4)
-        assert [log.records for log in seq_logs] == [log.records for log in par_logs]
-
     def test_deterministic_policies_hit_solver_means(self):
         logs = run_batch([spne_config((2, 1), groups=1, rounds=1, seed=3)], 5)
         for log in logs:
@@ -247,15 +242,21 @@ class TestExportImport:
         log = run_session(spne_config((1, 2), groups=1, rounds=1))
         path = tmp_path / "log.csv"
         export_log(log, "csv", path)
+        export_log(log, "json", tmp_path / "log.json")
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "group,round,triad,subject,stage,slot,m1,m2,investment,won,payoff"
-        assert len(lines) == 10  # header + 9 records
+        prefix = "# seqcontest-log "
+        assert lines[0].startswith(prefix)
+        json_meta = json.loads((tmp_path / "log.json").read_text())["meta"]
+        assert json.loads(lines[0][len(prefix):]) == json_meta
+        assert lines[1] == "group,round,triad,subject,stage,slot,m1,m2,investment,won,payoff"
+        assert len(lines) == 11  # meta line + header + 9 records
 
     def test_csv_empty_cells_convention(self, tmp_path):
         log = run_session(spne_config((1, 1, 1), groups=1, rounds=1))
         path = tmp_path / "log.csv"
         export_log(log, "csv", path)
-        rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+        rows = [line.split(",") for line in path.read_text().strip().split("\n")[2:]]
+        assert len(rows) == 9
         for row in rows:
             stage = int(row[4])
             assert (row[6] == "") == (stage == 1)
@@ -277,6 +278,50 @@ class TestExportImport:
         back = load_log(path)
         assert back.records == log.records
         assert back.sequence == log.sequence
+
+    def test_csv_keeps_session_parameters(self, tmp_path):
+        spec = ContestSpec(SEQ_12, prize=100.0, endowment=120.0, joy_of_winning=7.5)
+        log = run_session(
+            SessionConfig(
+                spec=spec, policies=(EquilibriumPolicy(),) * 3, groups=2,
+                rounds=3, integer_rounding=True, seed=21,
+            )
+        )
+        export_log(log, "csv", tmp_path / "log.csv")
+        export_log(log, "json", tmp_path / "log.json")
+        from_csv = load_log(tmp_path / "log.csv")
+        assert from_csv == log
+        assert from_csv == load_log(tmp_path / "log.json")
+
+    def test_csv_without_meta_line_rejected(self, tmp_path):
+        log = run_session(spne_config((1, 2), groups=1, rounds=1))
+        path = tmp_path / "log.csv"
+        export_log(log, "csv", path)
+        path.write_text(path.read_text().split("\n", 1)[1])
+        with pytest.raises(ContestError, match="meta line"):
+            load_log(path)
+
+    def test_manifest_is_not_a_log(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"schema": 1, "command": "simulate", "outputs": []}))
+        with pytest.raises(NotASessionLog):
+            load_log(path)
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        log = run_session(spne_config((3,), groups=1, rounds=1))
+        target = tmp_path / "taken"
+        target.mkdir()
+        for fmt in ("csv", "json"):
+            with pytest.raises(OSError):
+                export_log(log, fmt, target)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_written_file_mode_follows_umask(self, tmp_path):
+        log = run_session(spne_config((3,), groups=1, rounds=1))
+        export_log(log, "json", tmp_path / "log.json")
+        (tmp_path / "plain.txt").write_text("")
+        mode = (tmp_path / "log.json").stat().st_mode
+        assert mode == (tmp_path / "plain.txt").stat().st_mode
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
