@@ -19,10 +19,8 @@ from importlib import resources
 from statistics import fmean
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from scipy.optimize import brentq
-
 from .core import ContestError, ContestSpec, MoveSequence
-from .equilibrium import solve_spne
+from .equilibrium import bisect, solve_spne
 
 __all__ = [
     "InputOutOfRange",
@@ -240,20 +238,14 @@ def optimal_first_mover(
 
         xs = [i * 0.5 for i in range(int(endowment / 0.5) + 1)]
         vals = [foc(x) for x in xs]
-        bracket = None
+        x = endowment if vals[0] > 0.0 else 0.0
         for i in range(len(xs) - 1):
             if vals[i] == 0.0:
-                bracket = (xs[i], xs[i])
+                x = xs[i]
                 break
             if vals[i] * vals[i + 1] < 0.0:
-                bracket = (xs[i], xs[i + 1])
+                x = bisect(foc, xs[i], xs[i + 1], vals[i], tol=1e-12)
                 break
-        if bracket is None:
-            x = endowment if vals[0] > 0.0 else 0.0
-        elif bracket[0] == bracket[1]:
-            x = bracket[0]
-        else:
-            x = float(brentq(foc, bracket[0], bracket[1], xtol=1e-12))
     else:
         raise ContestError(
             f"optimal preemption is defined for (1,2), (2,1), (1,1,1); "

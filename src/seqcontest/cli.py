@@ -237,6 +237,9 @@ def cmd_analyze(args) -> int:
     if unknown:
         print(f"error: unknown tests {sorted(unknown)}", file=sys.stderr)
         return _EXIT_BAD_INPUT
+    if "jt" in tests and len(logs) < 3:
+        print("error: the JT test needs at least 3 logs", file=sys.stderr)
+        return _EXIT_BAD_INPUT
 
     last_k = args.last_rounds
     if last_k:
@@ -293,9 +296,6 @@ def cmd_analyze(args) -> int:
                 )
 
         if "jt" in tests:
-            if len(logs) < 3:
-                print("error: the JT test needs at least 3 logs", file=sys.stderr)
-                return _EXIT_BAD_INPUT
             group_means = [st.group_aggregate_means(log) for log in logs]
             res = st.jonckheere_terpstra(group_means)
             test_lines.append(

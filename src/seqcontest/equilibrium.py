@@ -121,6 +121,24 @@ def build_ladder(sequence: MoveSequence) -> RecursionLadder:
     return RecursionLadder(sequence=sequence, polys=tuple(polys))
 
 
+def bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+    """Root of ``f`` in a sign-change bracket [lo, hi] with ``f_lo = f(lo)``.
+
+    Halves the bracket until it is no wider than ``tol`` and returns its
+    midpoint, or returns a midpoint at once if ``f`` is exactly zero there.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0) == (f_mid < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def largest_root(
     f0: Polynomial, grid_points: int = 10_000, tol: float = 1e-13
 ) -> float:
@@ -143,19 +161,7 @@ def largest_root(
     best_bracket = None
     if crossing.size:
         i = int(crossing.max())
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        flo = float(vals[i])
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fmid = f0(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if (flo < 0) == (fmid < 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        best_bracket = 0.5 * (lo + hi)
+        best_bracket = bisect(f0, float(xs[i]), float(xs[i + 1]), float(vals[i]), tol)
 
     candidates = [c for c in (best_exact, best_bracket) if c is not None]
     if not candidates:

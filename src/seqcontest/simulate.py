@@ -388,20 +388,25 @@ def load_log(path, format: str | None = None) -> SessionLog:
     The format follows the file name (``.json`` or else CSV) unless given.
     Both formats go through the same meta and record parsing, so a log reads
     back with its full session parameters whichever format it was saved in.
-    A CSV without its leading meta line raises :class:`ContestError`, and a
-    run manifest raises :class:`NotASessionLog`.
+    A CSV without its leading meta line, or a log whose meta or records have
+    the wrong shape, raises :class:`ContestError` naming the file, and a run
+    manifest raises :class:`NotASessionLog`.
     """
     path = os.fspath(path)
     if format is None:
         format = "json" if path.endswith(".json") else "csv"
-    if format == "json":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if "meta" not in payload and {"command", "outputs"} <= payload.keys():
-            raise NotASessionLog(f"{path} is a run manifest")
-        records = [_record_from_row(entry) for entry in payload["records"]]
-        return _log_from_meta(payload["meta"], records)
-    if format == "csv":
+    if format not in ("json", "csv"):
+        raise ContestError(f"unknown log format {format!r}")
+    try:
+        if format == "json":
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise ContestError(f"{path} does not hold a JSON object")
+            if "meta" not in payload and {"command", "outputs"} <= payload.keys():
+                raise NotASessionLog(f"{path} is a run manifest")
+            records = [_record_from_row(entry) for entry in payload["records"]]
+            return _log_from_meta(payload["meta"], records)
         with open(path, encoding="utf-8", newline="") as fh:
             first = fh.readline()
             if not first.startswith(CSV_META_PREFIX):
@@ -416,7 +421,9 @@ def load_log(path, format: str | None = None) -> SessionLog:
                 )
             records = [_record_from_row(row) for row in reader]
         return _log_from_meta(meta, records)
-    raise ContestError(f"unknown log format {format!r}")
+    except (AttributeError, KeyError, TypeError) as exc:
+        # a record or meta of the wrong type, a null cell, a short CSV row
+        raise ContestError(f"malformed log {path}: {exc!r}") from exc
 
 
 def session_config_from_dict(raw: Mapping) -> SessionConfig:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import (
@@ -93,6 +94,18 @@ class TestTurningPoint:
             turning_point(ResponseModel(intercept=1.0), "m3")
 
 
+def two_leader_foc(model, p_eff):
+    """First-order condition of the (2,1) leaders against a rescaled responder."""
+    c = p_eff / model.fit_effective_prize
+
+    def foc(x):
+        resp = c * model.mean_response(x / c)
+        slope = model.m1_coef + 2.0 * model.m1_sq_coef * (x / c)
+        return p_eff * (x + resp - 0.5 * x * slope) - (2 * x + resp) ** 2
+
+    return foc
+
+
 class TestOptimalFirstMover:
     @pytest.mark.parametrize(
         "stages, expected",
@@ -142,14 +155,17 @@ class TestOptimalFirstMover:
     def test_two_leader_foc_residual(self, jow):
         models = default_response_models(SEQ_21)
         res = optimal_first_mover(SEQ_21, models, 240.0, jow)
-        model = models[2]
-        p_eff = 240.0 + jow
-        c = p_eff / model.fit_effective_prize
-        x = res.investment
-        resp = c * model.mean_response(x / c)
-        slope = model.m1_coef + 2.0 * model.m1_sq_coef * (x / c)
-        residual = p_eff * (x + resp - 0.5 * x * slope) - (2 * x + resp) ** 2
-        assert abs(residual) < 1e-6
+        assert abs(two_leader_foc(models[2], 240.0 + jow)(res.investment)) < 1e-6
+
+    @pytest.mark.parametrize("jow", [0.0, 119.73, 400.0])
+    def test_two_leader_optimum_matches_brentq(self, jow):
+        # scipy's brentq, on the same 0.5-point bracket, is the oracle for
+        # the package's own bisection
+        models = default_response_models(SEQ_21)
+        foc = two_leader_foc(models[2], 240.0 + jow)
+        lo = next(x for x in np.arange(0.0, 240.0, 0.5) if foc(x) * foc(x + 0.5) < 0.0)
+        res = optimal_first_mover(SEQ_21, models, 240.0, jow)
+        assert abs(res.investment - brentq(foc, lo, lo + 0.5, xtol=1e-12)) < 1e-9
 
     def test_monotone_in_joy_of_winning(self):
         for stages in [(1, 2), (2, 1), (1, 1, 1)]:

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import seqcontest
 from seqcontest import stats
 from seqcontest.cli import main
-from seqcontest.simulate import load_log
+from seqcontest.simulate import export_log, load_log
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +28,22 @@ def write_config(path, sessions, replications=1):
 
 
 SPNE_POLICIES = [{"kind": "spne"}] * 3
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only oracle: a fresh process importing the package and
+    # its CLI must not load it
+    src = os.path.dirname(os.path.dirname(seqcontest.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import seqcontest, seqcontest.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestSolve:
@@ -208,6 +227,19 @@ def spne_run(tmp_path_factory):
     return sorted(out_dir.glob("session*.json"))
 
 
+def _write_null_investment(log, bad):
+    payload = json.loads(log.read_text())
+    payload["records"][0]["investment"] = None
+    bad.write_text(json.dumps(payload))
+
+
+def _write_short_csv_row(log, bad):
+    export_log(load_log(log), "csv", bad)
+    lines = bad.read_text().split("\n")
+    lines[2] = lines[2].rsplit(",", 2)[0]  # the first row loses "won" and "payoff"
+    bad.write_text("\n".join(lines))
+
+
 class TestAnalyze:
     def test_summary_matches_solver_table(self, capsys, spne_run, tmp_path):
         out_dir = tmp_path / "analysis"
@@ -278,11 +310,18 @@ class TestAnalyze:
         assert code == 2
 
     def test_jt_needs_three_logs(self, capsys, spne_run, tmp_path):
-        code, _, err = run_cli(
-            capsys, "analyze", str(spne_run[0]), "--tests", "jt",
-            "--out", str(tmp_path / "x"),
-        )
-        assert code == 2
+        # the default tests include JT; the check runs before any file is written
+        for n, (logs, tests) in enumerate(
+            [(spne_run[:1], ["--tests", "jt"]), (spne_run[:2], [])]
+        ):
+            out_dir = tmp_path / f"x{n}"
+            code, _, err = run_cli(
+                capsys, "analyze", *[str(p) for p in logs], *tests,
+                "--out", str(out_dir),
+            )
+            assert code == 2
+            assert "at least 3 logs" in err
+            assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_missing_log_exits_3(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -291,13 +330,27 @@ class TestAnalyze:
         )
         assert code == 3
 
-    def test_corrupt_log_exits_2(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"meta\": {\"schema\": 99}, \"records\": []}")
-        code, _, _ = run_cli(
+    @pytest.mark.parametrize(
+        "name, write",
+        [
+            ("schema.json", lambda log, bad: bad.write_text(
+                '{"meta": {"schema": 99}, "records": []}'
+            )),
+            ("list.json", lambda log, bad: bad.write_text("[]")),
+            ("null.json", _write_null_investment),
+            ("short.csv", _write_short_csv_row),
+        ],
+        ids=["schema-99", "top-level-list", "null-cell", "short-csv-row"],
+    )
+    def test_corrupt_log_exits_2(self, capsys, spne_run, tmp_path, name, write):
+        bad = tmp_path / name
+        write(spne_run[0], bad)
+        code, _, err = run_cli(
             capsys, "analyze", str(bad), "--out", str(tmp_path / "x")
         )
         assert code == 2
+        if name != "schema.json":  # the schema check does not name the file
+            assert str(bad) in err
 
     def test_report_written_atomically(self, capsys, spne_run, tmp_path):
         out_dir = tmp_path / "rep"

@@ -139,6 +139,14 @@ class TestWaldMean:
         assert res.statistic == pytest.approx(4.0, abs=1e-10)
         assert res.pvalue == pytest.approx(float(sps.chi2.sf(4.0, 1)), abs=1e-12)
 
+    @pytest.mark.parametrize("w", [0.0, 1e-12, 0.5, 3.84, 50.0, 700.0])
+    def test_pvalue_matches_chi2_oracle(self, w):
+        # the fixture above has mean 2 and clustered SE 1, so W = (2 - h0)**2
+        res = wald_mean([1.0, 1.0, 3.0, 3.0], [1, 1, 2, 2], 2.0 - math.sqrt(w))
+        assert res.statistic == pytest.approx(w, rel=1e-9, abs=1e-15)
+        oracle = float(sps.chi2.sf(res.statistic, 1))
+        assert res.pvalue == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
     def test_degenerate_zero_variance(self):
         exact = solve_spne(ContestSpec(MoveSequence((3,)))).scaled_stage_investments[0]
         values = [exact] * 12
@@ -233,6 +241,23 @@ class TestJonckheereTerpstra:
         exact = jonckheere_terpstra_exact(groups)
         assert approx.statistic == exact.statistic
         assert abs(approx.pvalue - exact.pvalue) < 0.05
+
+    @pytest.mark.parametrize(
+        "z, n, shift",
+        [
+            (0.0, 5, 0.0),
+            (1.0, 8, 0.75),
+            (1.96, 50, 3.0),
+            (5.0, 406, 21.25),
+            (37.0, 406, 406.0),
+        ],
+    )
+    def test_pvalue_matches_normal_oracle(self, z, n, shift):
+        # three groups of n ranks, each shifted up by `shift` from the last
+        res = jonckheere_terpstra([np.arange(n) + j * shift for j in range(3)])
+        assert res.zscore == pytest.approx(z, abs=0.02)
+        oracle = 2.0 * float(sps.norm.sf(abs(res.zscore)))
+        assert res.pvalue == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_too_few_groups(self):
         with pytest.raises(TooFewGroups):
