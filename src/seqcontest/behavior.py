@@ -95,9 +95,10 @@ def eval_response(
     For treatments with two first movers, callers pass ``m1`` as the average
     of the two observed first-stage investments.
     """
-    for name, m in (("m1", m1), ("m2", m2)):
-        if m is not None and not 0.0 <= m <= endowment:
-            raise InputOutOfRange(f"{name}={m} outside [0, {endowment}]")
+    if not 0.0 <= m1 <= endowment:
+        raise InputOutOfRange(f"m1={m1} outside [0, {endowment}]")
+    if m2 is not None and not 0.0 <= m2 <= endowment:
+        raise InputOutOfRange(f"m2={m2} outside [0, {endowment}]")
     value = model.mean_response(m1, m2)
     if rng is not None and model.noise_sd > 0.0:
         value += model.noise_sd * rng.standard_normal()
@@ -321,9 +322,67 @@ def _observation_inputs(
     if stage < 2:
         return None, None
     k1 = sequence.stages[0]
-    m1 = fmean(observed[:k1])
+    m1 = math.fsum(observed[:k1]) / k1  # statistics.fmean, without its overhead
     m2 = observed[k1] if stage >= 3 else None
     return m1, m2
+
+
+def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
+    """What ``policy`` plays at ``stage`` of ``spec``, resolved once.
+
+    Equilibrium and optimizing-leader play, and an imitator at stage 1, do
+    not depend on what the stage observes: they resolve to their investment,
+    a float already clamped to [0, endowment]. Responders and imitators at
+    later stages resolve to a function ``rule(investments, rng) -> float``
+    that reads the prior stages from the first entries of ``investments``
+    (later entries are ignored) and draws responder noise from ``rng``.
+    """
+    seq = spec.sequence
+    if isinstance(policy, EquilibriumPolicy):
+        if policy.use_joy_of_winning:
+            solution = solve_spne(spec)
+        else:
+            solution = solve_spne(
+                ContestSpec(seq, spec.prize, spec.endowment, 0.0)
+            )
+        value = solution.scaled_stage_investments[stage - 1]
+    elif isinstance(policy, EmpiricalResponder):
+        if stage < 2:
+            raise RoleObservationMismatch(
+                "a responder needs at least one earlier stage to respond to"
+            )
+        model, endowment = policy.model, spec.endowment
+
+        def respond(investments, rng):
+            m1, m2 = _observation_inputs(seq, stage, investments)
+            return eval_response(model, m1, m2, endowment=endowment, rng=rng)
+
+        return respond
+    elif isinstance(policy, Imitator):
+        before, endowment = seq.players_before_stage(stage), spec.endowment
+        if before:
+
+            def imitate(investments, rng):
+                return float(min(max(fmean(investments[:before]), 0.0), endowment))
+
+            return imitate
+        value = policy.fallback
+    elif isinstance(policy, OptimizingLeader):
+        if stage != 1:
+            raise RoleObservationMismatch(
+                "an optimizing leader must move at stage 1"
+            )
+        result = _cached_preemption(
+            seq,
+            tuple(sorted(policy.models.items())),
+            spec.prize,
+            policy.joy_of_winning,
+            spec.endowment,
+        )
+        value = result.investment
+    else:
+        raise TypeError(f"unknown policy {policy!r}")
+    return float(min(max(value, 0.0), spec.endowment))
 
 
 def act(
@@ -346,43 +405,8 @@ def act(
             f"stage {stage} of {seq.label()} observes {expected} prior "
             f"investments, got {len(observed)}"
         )
-
-    if isinstance(policy, EquilibriumPolicy):
-        if policy.use_joy_of_winning:
-            solution = solve_spne(spec)
-        else:
-            solution = solve_spne(
-                ContestSpec(seq, spec.prize, spec.endowment, 0.0)
-            )
-        value = solution.scaled_stage_investments[stage - 1]
-    elif isinstance(policy, EmpiricalResponder):
-        if stage < 2:
-            raise RoleObservationMismatch(
-                "a responder needs at least one earlier stage to respond to"
-            )
-        m1, m2 = _observation_inputs(seq, stage, observed)
-        return eval_response(
-            policy.model, m1, m2, endowment=spec.endowment, rng=rng
-        )
-    elif isinstance(policy, Imitator):
-        value = fmean(observed) if observed else policy.fallback
-    elif isinstance(policy, OptimizingLeader):
-        if stage != 1:
-            raise RoleObservationMismatch(
-                "an optimizing leader must move at stage 1"
-            )
-        result = _cached_preemption(
-            seq,
-            tuple(sorted(policy.models.items())),
-            spec.prize,
-            policy.joy_of_winning,
-            spec.endowment,
-        )
-        value = result.investment
-    else:
-        raise TypeError(f"unknown policy {policy!r}")
-
-    return float(min(max(value, 0.0), spec.endowment))
+    rule = _policy_rule(policy, spec, stage)
+    return rule(observed, rng) if callable(rule) else rule
 
 
 # ---------------------------------------------------------------------------

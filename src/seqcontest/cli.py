@@ -228,7 +228,7 @@ def cmd_analyze(args) -> int:
     except OSError as exc:
         print(f"error: cannot read log: {exc}", file=sys.stderr)
         return _EXIT_IO
-    except (ContestError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ContestError as exc:
         print(f"error: bad log file: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
 
@@ -248,80 +248,75 @@ def cmd_analyze(args) -> int:
         f"analysis of {len(logs)} log(s)"
         + (f", last {last_k} rounds" if last_k else ", all rounds")
     ] + notes
+    # every output is computed before the first file is written, so a
+    # statistic that raises leaves the output directory untouched
+    files: dict[str, str] = {}
+    if "summary" in tests:
+        summaries = st.treatment_summary(logs)
+        files["summary.csv"] = _summary_csv(summaries)
+        report.extend([""] + _summary_text(summaries))
+
+    if "trend" in tests:
+        lines = ["treatment,slope,se,n_obs,clusters"]
+        report += ["", "Round trend (investment on round, clustered SEs)"]
+        for log in logs:
+            fit = st.trend_by_round(log.records)
+            lines.append(
+                f"{_csv_label(log.sequence)},{fit.params[1]:.6f},"
+                f"{fit.se[1]:.6f},{fit.nobs},{fit.n_clusters}"
+            )
+            report.append(
+                f"  {log.sequence.label():8s} slope {fit.params[1]:8.4f}"
+                f"  (se {fit.se[1]:.4f})"
+            )
+        files["trend.csv"] = "\n".join(lines) + "\n"
+
+    test_lines = ["test,treatment,quantity,statistic,pvalue,detail"]
+    if "wald" in tests:
+        report += ["", "Wald tests of observed means against the equilibrium"]
+        for log in logs:
+            solution = solve_spne(
+                ContestSpec(log.sequence, log.spec.prize, log.spec.endowment, 0.0)
+            )
+            totals, groups = st.triad_totals(log.records)
+            res = st.wald_mean(totals, groups, solution.scaled_aggregate)
+            test_lines.append(
+                f"wald,{_csv_label(log.sequence)},X,{res.statistic:.6g},"
+                f"{res.pvalue:.6g},h0={solution.scaled_aggregate:.4f}"
+            )
+            report.append(
+                f"  {log.sequence.label():8s} X vs {solution.scaled_aggregate:7.2f}: "
+                f"W = {res.statistic:.3f}, p = {res.pvalue:.4f}"
+                + ("  [degenerate]" if res.degenerate else "")
+            )
+
+    if "jt" in tests:
+        group_means = [st.group_aggregate_means(log) for log in logs]
+        res = st.jonckheere_terpstra(group_means)
+        test_lines.append(
+            f"jt,all,X,{res.statistic:.6g},{res.pvalue:.6g},z={res.zscore:.4f}"
+        )
+        verdict = "yes" if res.pvalue < args.alpha else "no"
+        report += [
+            "",
+            "Jonckheere-Terpstra trend across treatments "
+            "(matching-group means of X, in the order given)",
+            f"  JT = {res.statistic:.1f}, z = {res.zscore:.3f}, "
+            f"p = {res.pvalue:.4f}; significant at alpha={args.alpha:g}: {verdict}",
+        ]
+
+    if "wald" in tests or "jt" in tests:
+        files["tests.csv"] = "\n".join(test_lines) + "\n"
+    files["report.txt"] = "\n".join(report) + "\n"
+
     outputs = []
     try:
         os.makedirs(args.out, exist_ok=True)
-
-        if "summary" in tests:
-            summaries = st.treatment_summary(logs)
-            path = os.path.join(args.out, "summary.csv")
-            atomic_write_text(path, _summary_csv(summaries))
+        for name, text in files.items():
+            path = os.path.join(args.out, name)
+            atomic_write_text(path, text)
             outputs.append(path)
-            report.extend([""] + _summary_text(summaries))
-
-        if "trend" in tests:
-            lines = ["treatment,slope,se,n_obs,clusters"]
-            report += ["", "Round trend (investment on round, clustered SEs)"]
-            for log in logs:
-                fit = st.trend_by_round(log.records)
-                lines.append(
-                    f"{_csv_label(log.sequence)},{fit.params[1]:.6f},"
-                    f"{fit.se[1]:.6f},{fit.nobs},{fit.n_clusters}"
-                )
-                report.append(
-                    f"  {log.sequence.label():8s} slope {fit.params[1]:8.4f}"
-                    f"  (se {fit.se[1]:.4f})"
-                )
-            path = os.path.join(args.out, "trend.csv")
-            atomic_write_text(path, "\n".join(lines) + "\n")
-            outputs.append(path)
-
-        test_lines = ["test,treatment,quantity,statistic,pvalue,detail"]
-        if "wald" in tests:
-            report += ["", "Wald tests of observed means against the equilibrium"]
-            for log in logs:
-                solution = solve_spne(
-                    ContestSpec(log.sequence, log.spec.prize, log.spec.endowment, 0.0)
-                )
-                totals, groups = st.triad_totals(log.records)
-                res = st.wald_mean(totals, groups, solution.scaled_aggregate)
-                test_lines.append(
-                    f"wald,{_csv_label(log.sequence)},X,{res.statistic:.6g},"
-                    f"{res.pvalue:.6g},h0={solution.scaled_aggregate:.4f}"
-                )
-                report.append(
-                    f"  {log.sequence.label():8s} X vs {solution.scaled_aggregate:7.2f}: "
-                    f"W = {res.statistic:.3f}, p = {res.pvalue:.4f}"
-                    + ("  [degenerate]" if res.degenerate else "")
-                )
-
-        if "jt" in tests:
-            group_means = [st.group_aggregate_means(log) for log in logs]
-            res = st.jonckheere_terpstra(group_means)
-            test_lines.append(
-                f"jt,all,X,{res.statistic:.6g},{res.pvalue:.6g},z={res.zscore:.4f}"
-            )
-            verdict = "yes" if res.pvalue < args.alpha else "no"
-            report += [
-                "",
-                "Jonckheere-Terpstra trend across treatments "
-                "(matching-group means of X, in the order given)",
-                f"  JT = {res.statistic:.1f}, z = {res.zscore:.3f}, "
-                f"p = {res.pvalue:.4f}; significant at alpha={args.alpha:g}: {verdict}",
-            ]
-
-        if "wald" in tests or "jt" in tests:
-            path = os.path.join(args.out, "tests.csv")
-            atomic_write_text(path, "\n".join(test_lines) + "\n")
-            outputs.append(path)
-
-        report_path = os.path.join(args.out, "report.txt")
-        atomic_write_text(report_path, "\n".join(report) + "\n")
-        outputs.append(report_path)
         _write_manifest(args.out, "analyze", None, None, outputs, t0)
-    except st.EmptyLog as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BAD_INPUT
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return _EXIT_IO

@@ -146,13 +146,27 @@ def draw_winner(investments: Sequence[float], uniform_draw: float) -> int:
 
     Player i (0-based) wins iff the draw lands in the half-open interval
     [sum(p_0..p_{i-1}), sum(p_0..p_i)), so the outcome is a deterministic
-    function of the draw.
+    function of the draw. The shares are those of :func:`win_probabilities`;
+    here the total and the running sums are added left to right in floats.
     """
     if not 0.0 <= uniform_draw < 1.0:
         raise ContestError(f"uniform draw must lie in [0, 1), got {uniform_draw}")
-    cum = np.cumsum(win_probabilities(investments))
-    winner = int(np.searchsorted(cum, uniform_draw, side="right"))
-    return min(winner, cum.size - 1)
+    x = list(map(float, investments))
+    if not x:
+        raise ContestError("investments must be a nonempty sequence")
+    if min(x) < 0.0:
+        raise NegativeInvestment(f"investments must be nonnegative, got {x}")
+    total = x[0]
+    for value in x[1:]:
+        total += value
+    if not total > 0.0:
+        x, total = [1.0 / len(x)] * len(x), 1.0
+    cumulative = 0.0
+    for i, value in enumerate(x[:-1]):
+        cumulative += value / total
+        if uniform_draw < cumulative:
+            return i
+    return len(x) - 1
 
 
 def round_payoffs(

@@ -7,6 +7,19 @@ revealed in order, one winner is drawn per triad, and payoffs are booked.
 Every (group, session) pair owns its own counter-based random stream derived
 from the master seed, so logs are bit-identical across reruns and independent
 of scheduling.
+
+Draw order. Each group's stream (Philox keyed on the session seed and the
+group index) is consumed in this order, and the order is part of the log
+format: a change to it changes every log written from a given seed.
+
+* Each round, in role order, one shuffle of the three subjects holding that
+  role (the draws of ``rng.permutation(3)``); triad k takes the k-th entry.
+* Then, per triad in order, one ``standard_normal`` per responder with
+  positive ``noise_sd``, in player order, and one ``random()`` that draws
+  the winner (:func:`seqcontest.core.draw_winner`).
+
+Policies are resolved once per session (``behavior._policy_rule``); only
+responder noise and the winner draw touch the stream inside a triad.
 """
 
 from __future__ import annotations
@@ -17,12 +30,12 @@ import io
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ContestError, ContestSpec, MoveSequence, draw_winner, round_payoffs
-from .behavior import BehaviorPolicy, _observation_inputs, act, policy_from_config
+from .core import ContestError, ContestSpec, MoveSequence, draw_winner
+from .behavior import BehaviorPolicy, _observation_inputs, _policy_rule, policy_from_config
 
 __all__ = [
     "BadGroupComposition",
@@ -141,6 +154,62 @@ def _role_layout(sequence: MoveSequence) -> list[tuple[int, int]]:
     return layout
 
 
+def _whole_points(x: float, endowment: int) -> float:
+    # lab rule: whole points only; round half to even, then clamp
+    return float(min(max(round(x), 0), endowment))
+
+
+def _triad_routine(
+    policies: Sequence[BehaviorPolicy], spec: ContestSpec, integer_rounding: bool
+) -> Callable[..., list[RoundRecord]]:
+    """Resolve each player's policy once and return the routine that plays
+    one triad with them: ``play(rng, group, round_number, triad, subjects)``
+    returns the triad's records. Investments that do not depend on what
+    their stage observes are rounded here, once.
+    """
+    seq = spec.sequence
+    roles = _role_layout(seq)
+    cap = int(spec.endowment) if integer_rounding else None
+    rules = []
+    for policy, (stage, _) in zip(policies, roles):
+        rule = _policy_rule(policy, spec, stage)
+        if cap is not None and not callable(rule):
+            rule = _whole_points(rule, cap)
+        rules.append(rule)
+    endowment, prize = spec.endowment, spec.prize
+    stages = range(1, seq.n_stages + 1)
+
+    def play(rng, group, round_number, triad, subjects) -> list[RoundRecord]:
+        investments: list[float] = []
+        for rule in rules:
+            if callable(rule):
+                x = rule(investments, rng)
+                if cap is not None:
+                    x = _whole_points(x, cap)
+            else:
+                x = rule
+            investments.append(x)
+        winner = draw_winner(investments, rng.random())
+        observed = [_observation_inputs(seq, stage, investments) for stage in stages]
+        return [
+            RoundRecord(
+                group,
+                round_number,
+                triad,
+                int(subjects[player]),
+                stage,
+                slot,
+                *observed[stage - 1],
+                x,
+                player == winner,
+                endowment - x + prize if player == winner else endowment - x,
+            )
+            for player, ((stage, slot), x) in enumerate(zip(roles, investments))
+        ]
+
+    return play
+
+
 def play_round(
     policies: Sequence[BehaviorPolicy],
     spec: ContestSpec,
@@ -155,48 +224,13 @@ def play_round(
     """Play one triad through all stages, draw the winner, book payoffs.
 
     Stage t actors observe exactly the investments from stages before t.
-    ``rng`` is consumed in a fixed order: one draw per (possibly noisy)
-    policy in player order, then one uniform draw for the winner.
+    ``rng`` is consumed as the module docstring sets out for one triad.
     """
-    seq = spec.sequence
-    n = seq.n_players
+    n = spec.sequence.n_players
     if len(policies) != n or len(subjects) != n:
         raise BadGroupComposition("one policy and one subject id per player slot")
-
-    investments: list[float] = []
-    for stage, count in enumerate(seq.stages, start=1):
-        observed = list(investments)
-        for _ in range(count):
-            player = len(investments)
-            x = act(policies[player], spec, stage, observed, rng)
-            if integer_rounding:
-                # lab rule: whole points only; round half to even, then clamp
-                x = float(min(max(round(x), 0), int(spec.endowment)))
-            investments.append(x)
-
-    winner = draw_winner(investments, float(rng.random()))
-    payoffs = round_payoffs(spec, investments, winner)
-
-    layout = _role_layout(seq)
-    records = []
-    for player, (stage, slot) in enumerate(layout):
-        m1, m2 = _observation_inputs(seq, stage, investments)
-        records.append(
-            RoundRecord(
-                group=group,
-                round=round_number,
-                triad=triad,
-                subject=int(subjects[player]),
-                stage=stage,
-                slot=slot,
-                m1=m1,
-                m2=m2,
-                investment=investments[player],
-                won=player == winner,
-                payoff=float(payoffs[player]),
-            )
-        )
-    return records
+    play = _triad_routine(policies, spec, integer_rounding)
+    return play(rng, group, round_number, triad, subjects)
 
 
 def _group_rng(seed: int, group_index: int) -> np.random.Generator:
@@ -213,7 +247,8 @@ def run_session(config: SessionConfig) -> SessionLog:
     Subjects are numbered 1..9*groups; within each group the first three hold
     player role 1, the next three role 2, the last three role 3, fixed for
     the whole session. Each round the group's 9 subjects are rematched into
-    3 triads, one subject per role, uniformly at random.
+    3 triads, one subject per role, uniformly at random. Policies are
+    resolved once for the whole session.
     """
     seq = config.spec.sequence
     if seq.n_players != SUBJECTS_PER_ROLE:
@@ -222,6 +257,7 @@ def run_session(config: SessionConfig) -> SessionLog:
             f"{seq.label()} has {seq.n_players} players"
         )
     n = seq.n_players
+    play = _triad_routine(config.policies, config.spec, config.integer_rounding)
     log = SessionLog(
         spec=config.spec,
         groups=config.groups,
@@ -238,23 +274,14 @@ def run_session(config: SessionConfig) -> SessionLog:
             for r in range(n)
         ]
         for round_number in range(1, config.rounds + 1):
-            matching = [rng.permutation(SUBJECTS_PER_ROLE) for _ in range(n)]
+            matching = [list(range(SUBJECTS_PER_ROLE)) for _ in range(n)]
+            for order in matching:
+                rng.shuffle(order)
             for triad in range(1, SUBJECTS_PER_ROLE + 1):
                 subjects = [
                     role_members[r][matching[r][triad - 1]] for r in range(n)
                 ]
-                log.records.extend(
-                    play_round(
-                        config.policies,
-                        config.spec,
-                        rng,
-                        integer_rounding=config.integer_rounding,
-                        group=g + 1,
-                        round_number=round_number,
-                        triad=triad,
-                        subjects=subjects,
-                    )
-                )
+                log.records.extend(play(rng, g + 1, round_number, triad, subjects))
     return log
 
 
@@ -402,7 +429,7 @@ def load_log(path, format: str | None = None) -> SessionLog:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             if not isinstance(payload, dict):
-                raise ContestError(f"{path} does not hold a JSON object")
+                raise ContestError("the top level is not a JSON object")
             if "meta" not in payload and {"command", "outputs"} <= payload.keys():
                 raise NotASessionLog(f"{path} is a run manifest")
             records = [_record_from_row(entry) for entry in payload["records"]]
@@ -410,20 +437,19 @@ def load_log(path, format: str | None = None) -> SessionLog:
         with open(path, encoding="utf-8", newline="") as fh:
             first = fh.readline()
             if not first.startswith(CSV_META_PREFIX):
-                raise ContestError(
-                    f"{path} has no {CSV_META_PREFIX.strip()!r} meta line"
-                )
+                raise ContestError(f"no {CSV_META_PREFIX.strip()!r} meta line")
             meta = json.loads(first[len(CSV_META_PREFIX):])
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-                raise ContestError(
-                    f"unexpected CSV columns {reader.fieldnames!r} in {path}"
-                )
+                raise ContestError(f"unexpected CSV columns {reader.fieldnames!r}")
             records = [_record_from_row(row) for row in reader]
         return _log_from_meta(meta, records)
-    except (AttributeError, KeyError, TypeError) as exc:
-        # a record or meta of the wrong type, a null cell, a short CSV row
-        raise ContestError(f"malformed log {path}: {exc!r}") from exc
+    except NotASessionLog:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # bad JSON, a meta or record of the wrong shape, type or value (a null
+        # or non-numeric cell, a short CSV row), an unsupported schema
+        raise ContestError(f"malformed log {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def session_config_from_dict(raw: Mapping) -> SessionConfig:

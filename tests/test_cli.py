@@ -233,6 +233,12 @@ def _write_null_investment(log, bad):
     bad.write_text(json.dumps(payload))
 
 
+def _write_bad_float(log, bad):
+    payload = json.loads(log.read_text())
+    payload["records"][0]["investment"] = "abc"
+    bad.write_text(json.dumps(payload))
+
+
 def _write_short_csv_row(log, bad):
     export_log(load_log(log), "csv", bad)
     lines = bad.read_text().split("\n")
@@ -339,8 +345,9 @@ class TestAnalyze:
             ("list.json", lambda log, bad: bad.write_text("[]")),
             ("null.json", _write_null_investment),
             ("short.csv", _write_short_csv_row),
+            ("float.json", _write_bad_float),
         ],
-        ids=["schema-99", "top-level-list", "null-cell", "short-csv-row"],
+        ids=["schema-99", "top-level-list", "null-cell", "short-csv-row", "bad-float"],
     )
     def test_corrupt_log_exits_2(self, capsys, spne_run, tmp_path, name, write):
         bad = tmp_path / name
@@ -349,8 +356,34 @@ class TestAnalyze:
             capsys, "analyze", str(bad), "--out", str(tmp_path / "x")
         )
         assert code == 2
-        if name != "schema.json":  # the schema check does not name the file
-            assert str(bad) in err
+        assert str(bad) in err
+
+    @pytest.mark.parametrize(
+        "groups, rounds, tests, message",
+        [(2, 1, "summary,trend", "at least 2 rounds"),
+         (1, 3, "summary,wald", "at least 2 clusters")],
+        ids=["one-round-trend", "one-group-wald"],
+    )
+    def test_failing_statistic_writes_nothing(
+        self, capsys, tmp_path, groups, rounds, tests, message
+    ):
+        session = {"treatment": [1, 2], "groups": groups, "rounds": rounds,
+                   "seed": 3, "policies": SPNE_POLICIES}
+        config = write_config(tmp_path / "config.json", [session])
+        log_dir = tmp_path / "logs"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", config, "--out", str(log_dir),
+            "--format", "json",
+        )
+        assert code == 0
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(
+            capsys, "analyze", *[str(p) for p in log_dir.glob("session*.json")],
+            "--tests", tests, "--out", str(out_dir),
+        )
+        assert code == 2
+        assert message in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_report_written_atomically(self, capsys, spne_run, tmp_path):
         out_dir = tmp_path / "rep"

@@ -101,7 +101,54 @@ class TestWinProbabilities:
             )
 
 
+def oracle_winner(investments, uniform_draw):
+    """The numpy rule draw_winner must reproduce: cumulative shares, and the
+    first interval whose right end lies strictly above the draw."""
+    cum = np.cumsum(win_probabilities(investments))
+    return min(int(np.searchsorted(cum, uniform_draw, side="right")), cum.size - 1)
+
+
 class TestDrawWinner:
+    PROFILES = [
+        [20.0, 30.0, 50.0],
+        [90.0, 45.0, 45.0],
+        [86.18800, 79.94, 0.1],
+        [1.0, 2.0, 3.0],
+        [0.0, 0.0, 0.0],
+        [45.0, 45.0, 45.0],
+        [0.0, 10.0, 10.0],
+        [10.0, 0.0, 10.0],
+        [10.0, 10.0, 0.0],
+        [240.0, 0.0, 0.0],
+        [7.0, 3.0],
+        [3.0, 1.0, 4.0, 1.0, 5.0],
+    ]
+
+    @pytest.mark.parametrize("x", PROFILES, ids=str)
+    def test_matches_oracle_on_interval_boundaries(self, x):
+        cum = np.cumsum(win_probabilities(x))
+        draws = {0.0}
+        for edge in cum[cum < 1.0]:
+            draws |= {float(edge), float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, 1.0))}
+        for u in sorted(d for d in draws if d < 1.0):
+            assert draw_winner(x, u) == oracle_winner(x, u), (x, u)
+
+    def test_zero_and_tied_profiles(self):
+        assert [draw_winner([0, 0, 0], u) for u in (0.0, 1 / 3, 2 / 3)] == [0, 1, 2]
+        # a zero investment has an empty interval: its boundary goes to the next player
+        assert draw_winner([10, 0, 10], 0.5) == 2
+        assert draw_winner([0, 10, 10], 0.0) == 1
+
+    def test_matches_oracle_on_random_draws(self):
+        rng = np.random.default_rng(20240502)
+        for _ in range(10_000):
+            x = rng.uniform(0.0, 240.0, size=3)
+            if rng.random() < 0.3:
+                x = np.round(x)
+            x[rng.random(3) < 0.1] = 0.0
+            u = float(rng.random())
+            assert draw_winner(list(x), u) == oracle_winner(x, u), (x, u)
+
     def test_draw_inside_first_interval(self):
         assert draw_winner([20, 30, 50], 0.15) == 0
 

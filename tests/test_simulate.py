@@ -1,5 +1,6 @@
 """Tests for the session simulator: protocol fidelity, determinism, logs."""
 
+import hashlib
 import json
 from collections import defaultdict
 
@@ -20,6 +21,7 @@ from seqcontest.simulate import (
     BadGroupComposition,
     NotASessionLog,
     SessionConfig,
+    _group_rng,
     export_log,
     load_log,
     play_round,
@@ -215,6 +217,75 @@ class TestRunSession:
         )
         with pytest.raises(BadGroupComposition):
             run_session(config)
+
+
+_NOISY = {"kind": "responder", "noise_sd": 25.0}
+_LEADER = {"kind": "optimizing-leader", "joy_of_winning": 119.73}
+_SPNE = {"kind": "spne"}
+# name: (treatment, policies, extra session keys); 2 groups x 3 rounds, seed 11
+GOLDEN_SESSIONS = {
+    "spne-3": ([3], [_SPNE] * 3, {}),
+    "spne-1-2": ([1, 2], [_SPNE] * 3, {}),
+    "spne-2-1": ([2, 1], [_SPNE] * 3, {}),
+    "spne-1-1-1": ([1, 1, 1], [_SPNE] * 3, {}),
+    "jow-spne-1-2": ([1, 2], [{"kind": "jow-spne"}] * 3, {"joy_of_winning": 119.73}),
+    "imitator-1-1-1": (
+        [1, 1, 1], [{"kind": "imitator", "fallback": 50.0}, _NOISY, {"kind": "imitator"}], {}
+    ),
+    "leader-rounded-1-2": ([1, 2], [_LEADER, _NOISY, _NOISY], {"integer_rounding": True}),
+    "leader-rounded-1-1-1": ([1, 1, 1], [_LEADER, _NOISY, _NOISY], {"integer_rounding": True}),
+    "leaders-rounded-2-1": ([2, 1], [_LEADER, _LEADER, _NOISY], {"integer_rounding": True}),
+    "leader-noisy-1-2": ([1, 2], [_LEADER, _NOISY, _NOISY], {}),
+}
+# sha256 of each session's JSON log; they pin the random stream layout
+# documented in the simulate module (one stream per group; per round one
+# shuffle of three per role; per triad one normal per noisy responder in
+# player order, then one uniform for the winner) and the float arithmetic
+GOLDEN_DIGESTS = {
+    "spne-3": "6a0d7ed0e6d177c522aa68f2e328b7eb05767f7cf99b61ca15493b13ee5e12b5",
+    "spne-1-2": "08cbbfcfe649a833ece7ef601f70b959507cb37b564e95760bfbe4c999f3da62",
+    "spne-2-1": "7d5de51c7df2cc802445ed98b56e3fdef43dc13d39b33005d77c26d0072a0628",
+    "spne-1-1-1": "e07474d2f11839a89d2c08e0dc5e7bf6573b001e3db96b56a5a302764942010c",
+    "jow-spne-1-2": "89c1e8702f01fbf5f397dba9ecc183fa7cc9856d84b2a16914f95f3d7b69c193",
+    "imitator-1-1-1": "e2c2470892401f3d5301a157b701d10a5969065442f720dd9f47fe67c91a908d",
+    "leader-rounded-1-2": "2a13327ae11a55d651ad6168d92e1aca8cc8117e667913ddffb0278293cca338",
+    "leader-rounded-1-1-1": "eb236eeb23acb8ac70f0ca591aa7b774a6c9205e4801c7ee6b2a81ae08e3e760",
+    "leaders-rounded-2-1": "d329457bfeb8ceab458b43741d3200a7b1e4d837faa421f5017427a1667f86f8",
+    "leader-noisy-1-2": "bb5cf33bcf7814496e594958928f2f751c2c898d2c226fc89f894cb9c2400c45",
+}
+
+
+class TestGoldenStream:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SESSIONS))
+    def test_log_digest(self, name, tmp_path):
+        treatment, policies, extra = GOLDEN_SESSIONS[name]
+        entry = {
+            "treatment": treatment, "groups": 2, "rounds": 3, "seed": 11,
+            "policies": policies, **extra,
+        }
+        path = tmp_path / f"{name}.json"
+        export_log(run_session(session_config_from_dict(entry)), "json", path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[name]
+
+    def test_play_round_is_one_triad_of_the_session(self):
+        # play_round on a group's stream, after that round's shuffles, plays
+        # the first triad of the session exactly
+        treatment, policies, extra = GOLDEN_SESSIONS["leader-rounded-1-1-1"]
+        config = session_config_from_dict(
+            {"treatment": treatment, "groups": 1, "rounds": 1, "seed": 11,
+             "policies": policies, **extra}
+        )
+        log = run_session(config)
+        rng = _group_rng(11, 0)
+        orders = [[0, 1, 2] for _ in range(3)]
+        for order in orders:
+            rng.shuffle(order)
+        subjects = [1 + 3 * role + orders[role][0] for role in range(3)]
+        records = play_round(
+            config.policies, config.spec, rng,
+            integer_rounding=True, subjects=subjects,
+        )
+        assert records == log.records[:3]
 
 
 class TestRunBatch:
