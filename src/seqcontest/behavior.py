@@ -333,9 +333,8 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
     Equilibrium and optimizing-leader play, and an imitator at stage 1, do
     not depend on what the stage observes: they resolve to their investment,
     a float already clamped to [0, endowment]. Responders and imitators at
-    later stages resolve to a function ``rule(investments, rng) -> float``
-    that reads the prior stages from the first entries of ``investments``
-    (later entries are ignored) and draws responder noise from ``rng``.
+    later stages resolve to a function ``rule(observed, rng) -> float`` of
+    the prior investments that draws responder noise from ``rng``.
     """
     seq = spec.sequence
     if isinstance(policy, EquilibriumPolicy):
@@ -353,17 +352,17 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
             )
         model, endowment = policy.model, spec.endowment
 
-        def respond(investments, rng):
-            m1, m2 = _observation_inputs(seq, stage, investments)
+        def respond(observed, rng):
+            m1, m2 = _observation_inputs(seq, stage, observed)
             return eval_response(model, m1, m2, endowment=endowment, rng=rng)
 
         return respond
     elif isinstance(policy, Imitator):
-        before, endowment = seq.players_before_stage(stage), spec.endowment
-        if before:
+        endowment = spec.endowment
+        if stage > 1:
 
-            def imitate(investments, rng):
-                return float(min(max(fmean(investments[:before]), 0.0), endowment))
+            def imitate(observed, rng):
+                return float(min(max(fmean(observed), 0.0), endowment))
 
             return imitate
         value = policy.fallback
@@ -385,6 +384,14 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
     return float(min(max(value, 0.0), spec.endowment))
 
 
+# (id(policy), id(spec), stage) -> (policy, spec, number of prior investments,
+# rule). An entry holds its policy and spec, so neither id can pass to another
+# object while the entry exists. Policies and specs are frozen; a models
+# mapping changed after a leader's first act is not seen.
+_RESOLVED: dict[tuple[int, int, int], tuple] = {}
+_RESOLVED_MAX = 256
+
+
 def act(
     policy: BehaviorPolicy,
     spec: ContestSpec,
@@ -396,16 +403,24 @@ def act(
 
     ``observed`` must contain exactly the investments from strictly earlier
     stages, in player order. Any randomness (responder noise) is drawn from
-    ``rng``; deterministic policies never touch it.
+    ``rng``; deterministic policies never touch it. The policy is resolved
+    (:func:`_policy_rule`) on the first call with this policy object, spec
+    object and stage, and reused after that, so a session resolves each of
+    its policies once.
     """
-    seq = spec.sequence
-    expected = seq.players_before_stage(stage)
+    key = (id(policy), id(spec), stage)
+    entry = _RESOLVED.get(key)
+    if entry is None:
+        if len(_RESOLVED) >= _RESOLVED_MAX:
+            _RESOLVED.clear()
+        expected = spec.sequence.players_before_stage(stage)
+        entry = _RESOLVED[key] = (policy, spec, expected, _policy_rule(policy, spec, stage))
+    _, _, expected, rule = entry
     if len(observed) != expected:
         raise RoleObservationMismatch(
-            f"stage {stage} of {seq.label()} observes {expected} prior "
+            f"stage {stage} of {spec.sequence.label()} observes {expected} prior "
             f"investments, got {len(observed)}"
         )
-    rule = _policy_rule(policy, spec, stage)
     return rule(observed, rng) if callable(rule) else rule
 
 

@@ -125,48 +125,51 @@ class ContestSpec:
         return self.prize + self.joy_of_winning
 
 
+def _as_investments(investments: Sequence[float]) -> list[float]:
+    """``investments`` as a nonempty list of nonnegative floats."""
+    try:
+        x = [float(v) for v in investments]
+    except TypeError:
+        raise ContestError("investments must be a nonempty 1-d sequence") from None
+    if not x:
+        raise ContestError("investments must be a nonempty 1-d sequence")
+    if min(x) < 0.0:
+        raise NegativeInvestment(f"investments must be nonnegative, got {x}")
+    return x
+
+
 def win_probabilities(investments: Sequence[float]) -> np.ndarray:
     """Win probability of each player under the lottery success function.
 
-    p_i = x_i / sum(x) when total investment is positive, 1/n otherwise.
+    p_i = x_i / sum(x) when total investment is positive, 1/n otherwise. The
+    total is added left to right in floats.
     """
-    x = np.asarray(investments, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ContestError("investments must be a nonempty 1-d sequence")
-    if np.any(x < 0):
-        raise NegativeInvestment(f"investments must be nonnegative, got {x}")
-    total = x.sum()
-    if total > 0:
-        return x / total
-    return np.full(x.size, 1.0 / x.size)
+    x = _as_investments(investments)
+    total = 0.0
+    for value in x:
+        total += value
+    if total > 0.0:
+        return np.array([value / total for value in x])
+    return np.full(len(x), 1.0 / len(x))
 
 
 def draw_winner(investments: Sequence[float], uniform_draw: float) -> int:
     """Resolve the contest given one uniform draw from [0, 1).
 
     Player i (0-based) wins iff the draw lands in the half-open interval
-    [sum(p_0..p_{i-1}), sum(p_0..p_i)), so the outcome is a deterministic
-    function of the draw. The shares are those of :func:`win_probabilities`;
-    here the total and the running sums are added left to right in floats.
+    [sum(p_0..p_{i-1}), sum(p_0..p_i)) of the shares p of
+    :func:`win_probabilities`, summed left to right, so the outcome is a
+    deterministic function of the draw.
     """
     if not 0.0 <= uniform_draw < 1.0:
         raise ContestError(f"uniform draw must lie in [0, 1), got {uniform_draw}")
-    x = list(map(float, investments))
-    if not x:
-        raise ContestError("investments must be a nonempty sequence")
-    if min(x) < 0.0:
-        raise NegativeInvestment(f"investments must be nonnegative, got {x}")
-    total = x[0]
-    for value in x[1:]:
-        total += value
-    if not total > 0.0:
-        x, total = [1.0 / len(x)] * len(x), 1.0
+    shares = win_probabilities(investments).tolist()
     cumulative = 0.0
-    for i, value in enumerate(x[:-1]):
-        cumulative += value / total
+    for i, share in enumerate(shares[:-1]):
+        cumulative += share
         if uniform_draw < cumulative:
             return i
-    return len(x) - 1
+    return len(shares) - 1
 
 
 def round_payoffs(
@@ -175,15 +178,13 @@ def round_payoffs(
     """Monetary payoffs for one round: endowment - own investment, plus the
     prize for the winner. Joy of winning is a preference term and is not paid.
     """
-    x = np.asarray(investments, dtype=float)
-    if np.any(x < 0):
-        raise NegativeInvestment(f"investments must be nonnegative, got {x}")
-    if np.any(x > spec.endowment + 1e-9):
+    x = _as_investments(investments)
+    if max(x) > spec.endowment + 1e-9:
         raise InvestmentExceedsEndowment(
             f"investments must not exceed the endowment {spec.endowment}, got {x}"
         )
-    if not 0 <= winner < x.size:
-        raise ContestError(f"winner index {winner} out of range for {x.size} players")
-    payoffs = spec.endowment - x
+    if not 0 <= winner < len(x):
+        raise ContestError(f"winner index {winner} out of range for {len(x)} players")
+    payoffs = [spec.endowment - value for value in x]
     payoffs[winner] += spec.prize
-    return payoffs
+    return np.array(payoffs)

@@ -18,8 +18,10 @@ format: a change to it changes every log written from a given seed.
   positive ``noise_sd``, in player order, and one ``random()`` that draws
   the winner (:func:`seqcontest.core.draw_winner`).
 
-Policies are resolved once per session (``behavior._policy_rule``); only
-responder noise and the winner draw touch the stream inside a triad.
+Each triad is one :func:`play_round`. Its ``act`` calls resolve a policy
+(``behavior._policy_rule``) only on the first call for that policy, spec and
+stage, so a session resolves its policies once; only responder noise and the
+winner draw touch the stream inside a triad.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ import io
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ContestError, ContestSpec, MoveSequence, draw_winner
-from .behavior import BehaviorPolicy, _observation_inputs, _policy_rule, policy_from_config
+from .core import ContestError, ContestSpec, MoveSequence, draw_winner, round_payoffs
+from .behavior import BehaviorPolicy, _observation_inputs, act, policy_from_config
 
 __all__ = [
     "BadGroupComposition",
@@ -145,71 +147,6 @@ class SessionLog:
         return self.spec.sequence
 
 
-def _role_layout(sequence: MoveSequence) -> list[tuple[int, int]]:
-    """(stage, slot) for each player index, both 1-based."""
-    layout = []
-    for stage, count in enumerate(sequence.stages, start=1):
-        for slot in range(1, count + 1):
-            layout.append((stage, slot))
-    return layout
-
-
-def _whole_points(x: float, endowment: int) -> float:
-    # lab rule: whole points only; round half to even, then clamp
-    return float(min(max(round(x), 0), endowment))
-
-
-def _triad_routine(
-    policies: Sequence[BehaviorPolicy], spec: ContestSpec, integer_rounding: bool
-) -> Callable[..., list[RoundRecord]]:
-    """Resolve each player's policy once and return the routine that plays
-    one triad with them: ``play(rng, group, round_number, triad, subjects)``
-    returns the triad's records. Investments that do not depend on what
-    their stage observes are rounded here, once.
-    """
-    seq = spec.sequence
-    roles = _role_layout(seq)
-    cap = int(spec.endowment) if integer_rounding else None
-    rules = []
-    for policy, (stage, _) in zip(policies, roles):
-        rule = _policy_rule(policy, spec, stage)
-        if cap is not None and not callable(rule):
-            rule = _whole_points(rule, cap)
-        rules.append(rule)
-    endowment, prize = spec.endowment, spec.prize
-    stages = range(1, seq.n_stages + 1)
-
-    def play(rng, group, round_number, triad, subjects) -> list[RoundRecord]:
-        investments: list[float] = []
-        for rule in rules:
-            if callable(rule):
-                x = rule(investments, rng)
-                if cap is not None:
-                    x = _whole_points(x, cap)
-            else:
-                x = rule
-            investments.append(x)
-        winner = draw_winner(investments, rng.random())
-        observed = [_observation_inputs(seq, stage, investments) for stage in stages]
-        return [
-            RoundRecord(
-                group,
-                round_number,
-                triad,
-                int(subjects[player]),
-                stage,
-                slot,
-                *observed[stage - 1],
-                x,
-                player == winner,
-                endowment - x + prize if player == winner else endowment - x,
-            )
-            for player, ((stage, slot), x) in enumerate(zip(roles, investments))
-        ]
-
-    return play
-
-
 def play_round(
     policies: Sequence[BehaviorPolicy],
     spec: ContestSpec,
@@ -226,11 +163,46 @@ def play_round(
     Stage t actors observe exactly the investments from stages before t.
     ``rng`` is consumed as the module docstring sets out for one triad.
     """
-    n = spec.sequence.n_players
+    seq = spec.sequence
+    n = seq.n_players
     if len(policies) != n or len(subjects) != n:
         raise BadGroupComposition("one policy and one subject id per player slot")
-    play = _triad_routine(policies, spec, integer_rounding)
-    return play(rng, group, round_number, triad, subjects)
+
+    investments: list[float] = []
+    for stage, count in enumerate(seq.stages, start=1):
+        observed = list(investments)
+        for _ in range(count):
+            player = len(investments)
+            x = act(policies[player], spec, stage, observed, rng)
+            if integer_rounding:
+                # lab rule: whole points only; round half to even, then clamp
+                x = float(min(max(round(x), 0), int(spec.endowment)))
+            investments.append(x)
+
+    winner = draw_winner(investments, float(rng.random()))
+    payoffs = round_payoffs(spec, investments, winner).tolist()
+
+    records = []
+    for stage, count in enumerate(seq.stages, start=1):
+        m1, m2 = _observation_inputs(seq, stage, investments)
+        for slot in range(1, count + 1):
+            player = len(records)
+            records.append(
+                RoundRecord(
+                    group,
+                    round_number,
+                    triad,
+                    int(subjects[player]),
+                    stage,
+                    slot,
+                    m1,
+                    m2,
+                    investments[player],
+                    player == winner,
+                    payoffs[player],
+                )
+            )
+    return records
 
 
 def _group_rng(seed: int, group_index: int) -> np.random.Generator:
@@ -247,8 +219,7 @@ def run_session(config: SessionConfig) -> SessionLog:
     Subjects are numbered 1..9*groups; within each group the first three hold
     player role 1, the next three role 2, the last three role 3, fixed for
     the whole session. Each round the group's 9 subjects are rematched into
-    3 triads, one subject per role, uniformly at random. Policies are
-    resolved once for the whole session.
+    3 triads, one subject per role, uniformly at random.
     """
     seq = config.spec.sequence
     if seq.n_players != SUBJECTS_PER_ROLE:
@@ -257,7 +228,6 @@ def run_session(config: SessionConfig) -> SessionLog:
             f"{seq.label()} has {seq.n_players} players"
         )
     n = seq.n_players
-    play = _triad_routine(config.policies, config.spec, config.integer_rounding)
     log = SessionLog(
         spec=config.spec,
         groups=config.groups,
@@ -281,7 +251,18 @@ def run_session(config: SessionConfig) -> SessionLog:
                 subjects = [
                     role_members[r][matching[r][triad - 1]] for r in range(n)
                 ]
-                log.records.extend(play(rng, g + 1, round_number, triad, subjects))
+                log.records.extend(
+                    play_round(
+                        config.policies,
+                        config.spec,
+                        rng,
+                        integer_rounding=config.integer_rounding,
+                        group=g + 1,
+                        round_number=round_number,
+                        triad=triad,
+                        subjects=subjects,
+                    )
+                )
     return log
 
 

@@ -240,6 +240,14 @@ class TestAct:
         value = act(EmpiricalResponder(model), spec, 3, [70.0, 60.0])
         assert value == pytest.approx(eval_response(model, 70.0, 60.0))
 
+    def test_same_policy_object_follows_spec_and_stage(self):
+        policy = EquilibriumPolicy()
+        assert act(policy, ContestSpec(SEQ_12), 1, []) == pytest.approx(90.0, abs=1e-9)
+        assert act(policy, ContestSpec(SEQ_111), 1, []) == pytest.approx(86.188, abs=1e-3)
+        assert act(policy, ContestSpec(SEQ_111), 2, [86.188]) == pytest.approx(63.09, abs=0.01)
+        with pytest.raises(RoleObservationMismatch):
+            act(policy, ContestSpec(SEQ_111), 2, [])
+
     def test_observation_count_checked(self):
         spec = ContestSpec(SEQ_111)
         with pytest.raises(RoleObservationMismatch):

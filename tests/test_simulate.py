@@ -287,6 +287,26 @@ class TestGoldenStream:
         )
         assert records == log.records[:3]
 
+    def test_session_resolves_each_policy_once(self, monkeypatch):
+        from seqcontest import behavior
+
+        calls = []
+        resolve = behavior._policy_rule
+
+        def counting(policy, spec, stage):
+            calls.append((policy, stage))
+            return resolve(policy, spec, stage)
+
+        monkeypatch.setattr(behavior, "_policy_rule", counting)
+        treatment, policies, extra = GOLDEN_SESSIONS["leader-rounded-1-1-1"]
+        config = session_config_from_dict(
+            {"treatment": treatment, "groups": 2, "rounds": 3, "seed": 11,
+             "policies": policies, **extra}
+        )
+        log = run_session(config)
+        assert len(log.records) == 54
+        assert calls == [(policy, stage) for stage, policy in enumerate(config.policies, 1)]
+
 
 class TestRunBatch:
     def test_replications_have_distinct_streams(self):
