@@ -7,14 +7,15 @@ pins down aggregate investment, and per-stage individual investments for the
 four possible sequences (3), (1,2), (2,1), (1,1,1) with prize 240.
 """
 
-from seqcontest import ContestSpec, MoveSequence, build_ladder, oracle_grid_spne, solve_spne
+from seqcontest import ContestSpec, MoveSequence, build_ladder, solve_spne
 
 TREATMENTS = [(3,), (1, 2), (2, 1), (1, 1, 1)]
 
 
-def poly_str(poly):
+def poly_str(coeffs):
+    """Render integer coefficients, ascending powers, as a polynomial in x."""
     terms = []
-    for power, coef in enumerate(poly.coeffs):
+    for power, coef in enumerate(coeffs):
         if coef == 0:
             continue
         if power == 0:
@@ -31,7 +32,7 @@ def poly_str(poly):
 print("Polynomial ladders")
 for stages in TREATMENTS:
     ladder = build_ladder(MoveSequence(stages))
-    chain = "  ->  ".join(poly_str(p) for p in reversed(ladder.polys))
+    chain = "  ->  ".join(poly_str(p) for p in reversed(ladder))
     print(f"  {MoveSequence(stages).label():8s} {chain}")
 
 print()
@@ -51,19 +52,3 @@ print(
     f"two-player neutrality: X(1,1) = {two_seq.scaled_aggregate:.4f}, "
     f"X(2) = {two_sim.scaled_aggregate:.4f}"
 )
-
-# An independent cross-check: brute-force backward induction with investments
-# restricted to whole points. For (1,1,1) the discrete game is genuinely
-# different (later movers' integer responses are lumpy and the leader
-# exploits where the lumps fall), a nice illustration of discretization bias.
-print()
-print("Grid oracle (step 1) vs analytic")
-for stages in TREATMENTS:
-    spec = ContestSpec(MoveSequence(stages))
-    grid = oracle_grid_spne(spec, 1.0)
-    exact = solve_spne(spec)
-    print(
-        f"  {spec.sequence.label():8s} grid "
-        f"{[f'{x:.0f}' for x in grid.scaled_stage_investments]}"
-        f" vs analytic {[f'{x:.2f}' for x in exact.scaled_stage_investments]}"
-    )

@@ -13,12 +13,9 @@ from .core import (
 )
 from .equilibrium import (
     EquilibriumSolution,
-    Polynomial,
-    RecursionLadder,
     build_ladder,
     calibrate_jow,
     largest_root,
-    oracle_grid_spne,
     solve_spne,
 )
 from .behavior import (
@@ -50,7 +47,6 @@ from .stats import (
     TreatmentSummary,
     cluster_ols,
     jonckheere_terpstra,
-    jonckheere_terpstra_exact,
     treatment_summary,
     trend_by_round,
     wald_mean,

@@ -446,12 +446,8 @@ def _model_from_dict(entry: Mapping, fit_effective_prize: float | None = None) -
     if "intercept" not in entry:
         raise ContestError("response model needs an 'intercept'")
     fields = {k: float(v) for k, v in entry.items()}
-    fields.setdefault(
-        "fit_effective_prize",
-        fit_effective_prize if fit_effective_prize is None else float(fit_effective_prize),
-    )
-    if fields["fit_effective_prize"] is None:
-        del fields["fit_effective_prize"]
+    if fit_effective_prize is not None:
+        fields.setdefault("fit_effective_prize", float(fit_effective_prize))
     return ResponseModel(**fields)
 
 

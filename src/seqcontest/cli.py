@@ -135,6 +135,8 @@ def cmd_simulate(args) -> int:
     t0 = time.time()
     try:
         raw, config_name = _resolve_config(args.config)
+        if not isinstance(raw, dict):
+            raise ContestError("the top level is not a JSON object")
         if raw.get("schema") != 1:
             raise ContestError(f"unsupported config schema {raw.get('schema')!r}")
         sessions = raw.get("sessions")
@@ -144,7 +146,7 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             configs = [replace(cfg, seed=args.seed + i) for i, cfg in enumerate(configs)]
         replications = int(raw.get("replications", 1))
-    except (ContestError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:  # ContestError and JSONDecodeError are ValueErrors
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
     except OSError as exc:
@@ -243,7 +245,7 @@ def cmd_analyze(args) -> int:
 
     last_k = args.last_rounds
     if last_k:
-        logs = [replace(log, records=st._filter_last_rounds(log.records, last_k)) for log in logs]
+        logs = [st.last_rounds(log, last_k) for log in logs]
     report: list[str] = [
         f"analysis of {len(logs)} log(s)"
         + (f", last {last_k} rounds" if last_k else ", all rounds")

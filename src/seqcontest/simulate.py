@@ -461,5 +461,10 @@ def session_config_from_dict(raw: Mapping) -> SessionConfig:
             integer_rounding=bool(raw.get("integer_rounding", False)),
             seed=int(raw.get("seed", 0)),
         )
+    except ContestError:
+        raise
     except KeyError as exc:
         raise ContestError(f"session config missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        # a session, treatment or policy entry of the wrong shape or type
+        raise ContestError(f"malformed session config: {type(exc).__name__}: {exc}") from exc

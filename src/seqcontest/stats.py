@@ -5,15 +5,12 @@ clustered by matching group with the small-sample factor
 G/(G-1) * (N-1)/(N-K), Wald statistics are referred to chi-square(1), and the
 trend across ordered treatments uses the Jonckheere-Terpstra test on
 matching-group means with the normal approximation (tie-corrected variance).
-An exact-enumeration Jonckheere-Terpstra p-value is available for tiny
-samples as a cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,15 +26,14 @@ __all__ = [
     "OLSFit",
     "WaldResult",
     "JTResult",
-    "JTExactResult",
     "TreatmentSummary",
     "cluster_ols",
     "wald_mean",
     "jonckheere_terpstra",
-    "jonckheere_terpstra_exact",
     "trend_by_round",
     "treatment_summary",
     "group_aggregate_means",
+    "last_rounds",
     "triad_totals",
 ]
 
@@ -204,58 +200,6 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]]) -> JTResult:
     return JTResult(statistic, float(z), math.erfc(abs(z) / math.sqrt(2.0)))
 
 
-class JTExactResult(NamedTuple):
-    statistic: float
-    pvalue_greater: float
-    pvalue_less: float
-    pvalue: float
-
-
-_EXACT_LIMIT = 10
-
-
-def jonckheere_terpstra_exact(groups: Sequence[Sequence[float]]) -> JTExactResult:
-    """Exact Jonckheere-Terpstra p-values by enumerating all assignments of
-    the pooled observations to the group sizes. Limited to 10 observations;
-    meant as a test oracle for the normal approximation.
-    """
-    arrays = [np.asarray(g, dtype=float) for g in groups]
-    if len(arrays) < 3:
-        raise TooFewGroups("the trend test needs at least 3 ordered groups")
-    sizes = [a.size for a in arrays]
-    total = sum(sizes)
-    if total > _EXACT_LIMIT:
-        raise ContestError(
-            f"exact enumeration is limited to {_EXACT_LIMIT} observations, got {total}"
-        )
-    observed = _jt_statistic(arrays)
-    pooled = np.concatenate(arrays)
-
-    def splits(indices: tuple[int, ...], remaining: list[int]):
-        if not remaining:
-            yield ()
-            return
-        head, *tail = remaining
-        for chosen in itertools.combinations(indices, head):
-            rest = tuple(i for i in indices if i not in chosen)
-            for others in splits(rest, tail):
-                yield (chosen,) + others
-
-    n_ge = n_le = count = 0
-    eps = 1e-9
-    for assignment in splits(tuple(range(total)), sizes):
-        stat = _jt_statistic([pooled[list(chosen)] for chosen in assignment])
-        count += 1
-        if stat >= observed - eps:
-            n_ge += 1
-        if stat <= observed + eps:
-            n_le += 1
-    p_ge = n_ge / count
-    p_le = n_le / count
-    two_sided = min(1.0, 2.0 * min(p_ge, p_le))
-    return JTExactResult(observed, p_ge, p_le, two_sided)
-
-
 # ---------------------------------------------------------------------------
 # Record-level summaries
 # ---------------------------------------------------------------------------
@@ -267,11 +211,10 @@ def _as_records(log_or_records) -> list[RoundRecord]:
     return list(log_or_records)
 
 
-def _filter_last_rounds(records: list[RoundRecord], last_k: int | None):
-    if last_k is None:
-        return records
-    cutoff = max((r.round for r in records), default=0) - last_k
-    return [r for r in records if r.round > cutoff]
+def last_rounds(log: SessionLog, k: int) -> SessionLog:
+    """The log cut to its last ``k`` rounds."""
+    cutoff = max((r.round for r in log.records), default=0) - k
+    return replace(log, records=[r for r in log.records if r.round > cutoff])
 
 
 def triad_totals(records: Iterable[RoundRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -334,9 +277,7 @@ def _se_of_mean(values: np.ndarray, clusters: np.ndarray) -> float:
     return float(fit.se[0])
 
 
-def treatment_summary(
-    logs: Iterable[SessionLog] | SessionLog, last_k_rounds: int | None = None
-) -> list[TreatmentSummary]:
+def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[TreatmentSummary]:
     """Per-treatment means of individual investment by role and of aggregate
     triad investment, with standard errors clustered by matching group.
 
@@ -352,7 +293,7 @@ def treatment_summary(
         raise EmptyLog("no logs")
     out = []
     for log in logs:
-        records = _filter_last_rounds(log.records, last_k_rounds)
+        records = log.records
         if not records:
             raise EmptyLog(f"log for {log.sequence.label()} has no records")
         seq = log.sequence
@@ -383,13 +324,10 @@ def treatment_summary(
     return out
 
 
-def group_aggregate_means(
-    log: SessionLog, last_k_rounds: int | None = None
-) -> np.ndarray:
+def group_aggregate_means(log: SessionLog) -> np.ndarray:
     """Mean aggregate (triad total) investment per matching group; the unit
     of observation for nonparametric across-treatment tests."""
-    records = _filter_last_rounds(log.records, last_k_rounds)
-    if not records:
+    if not log.records:
         raise EmptyLog(f"log for {log.sequence.label()} has no records")
-    totals, groups = triad_totals(records)
+    totals, groups = triad_totals(log.records)
     return np.array([float(np.mean(totals[groups == g])) for g in np.unique(groups)])

@@ -1,0 +1,221 @@
+"""Verification oracles: slow, independent solvers and tests that the
+library's results are checked against.
+
+* ``oracle_grid_spne`` solves the contest by exact backward induction on a
+  grid of investments, for up to three players.
+* ``jonckheere_terpstra_exact`` gives exact Jonckheere-Terpstra p-values by
+  enumerating every assignment of the pooled observations to the groups. It
+  counts pairs with its own helper, so it shares no code with the
+  statistic it checks.
+"""
+
+import itertools
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from seqcontest.core import ContestError, ContestSpec
+from seqcontest.equilibrium import EquilibriumSolution
+from seqcontest.stats import TooFewGroups
+
+# ---------------------------------------------------------------------------
+# Discretized backward induction
+# ---------------------------------------------------------------------------
+
+
+class GridTooLarge(ContestError):
+    """Discretized backward induction would exceed its size budget."""
+
+
+_MAX_GRID_POINTS = 481
+
+
+def _expected_payoff(own, others_sum, prize: float, n: int):
+    """Expected payoff of investing ``own`` against opponents totalling
+    ``others_sum``, with the even-split convention at zero total."""
+    own = np.asarray(own, dtype=float)
+    others_sum = np.asarray(others_sum, dtype=float)
+    total = own + others_sum
+    share = np.where(total > 0, own / np.where(total > 0, total, 1.0), 1.0 / n)
+    return prize * share - own
+
+
+def _fixed_point(br: np.ndarray) -> int:
+    """Largest index where a best-response map crosses the diagonal.
+
+    On a grid the map can jump over the diagonal without touching it; in
+    that case the upper point of the jump (the first index where the map
+    falls below the diagonal) is used, so within-stage play is never biased
+    below the crossing.
+    """
+    idx = np.arange(br.size)
+    hits = idx[br == idx]
+    if hits.size:
+        return int(hits.max())
+    below = idx[br < idx]
+    return int(below.min()) if below.size else int(idx[-1])
+
+
+def oracle_grid_spne(spec: ContestSpec, grid_step: float = 1.0) -> EquilibriumSolution:
+    """Solve the contest by exact backward induction on a grid of investments.
+
+    Every player is restricted to multiples of ``grid_step`` in
+    [0, endowment]. Last-stage players best-respond on the grid (ties broken
+    toward the lower investment, which is what argmax-first gives), players
+    within a stage play the symmetric grid fixed point, and earlier stages
+    anticipate the induced continuation play. This solves the step-h
+    discrete game exactly, independently of the polynomial solver.
+
+    Its path is not within O(h) of the continuous equilibrium once two
+    players respond in sequence: each one-cell drop in a later mover's grid
+    response is worth about 0.4*h to an earlier mover, whose continuous
+    objective is very flat, so the path moves by O(sqrt(h)). For (1,1,1)
+    the leader invests 89 at h = 1 and 89.15 at h = 0.05, against the
+    continuous 86.19. Use it to cross-check the discrete game, not as a
+    within-one-step check of ``solve_spne``.
+    """
+    seq = spec.sequence
+    if seq.n_players > 3:
+        raise GridTooLarge("grid backward induction supports at most 3 players")
+    n_cells = spec.endowment / grid_step
+    npts = int(round(n_cells)) + 1
+    if abs(n_cells - round(n_cells)) > 1e-9:
+        raise ContestError("grid step must divide the endowment evenly")
+    if npts > _MAX_GRID_POINTS:
+        raise GridTooLarge(
+            f"{npts} grid points per player exceeds the {_MAX_GRID_POINTS} budget"
+        )
+
+    grid = np.arange(npts) * float(grid_step)
+    prize = spec.effective_prize
+    n = seq.n_players
+
+    def br_to_sum(max_sum_index: int) -> np.ndarray:
+        """Best response (as a grid index) to each possible opponent sum."""
+        sums = np.arange(max_sum_index + 1) * float(grid_step)
+        payoff = _expected_payoff(grid[:, None], sums[None, :], prize, n)
+        return np.argmax(payoff, axis=0)
+
+    stages = seq.stages
+    if len(stages) == 1:
+        k = stages[0]
+        payoff = _expected_payoff(grid[:, None], (k - 1) * grid[None, :], prize, n)
+        br = np.argmax(payoff, axis=0)
+        i = _fixed_point(br)
+        stage_points = [grid[i]]
+    elif stages == (1, 1):
+        follow = br_to_sum(npts - 1)
+        leader_obj = _expected_payoff(grid, grid[follow], prize, n)
+        i = int(np.argmax(leader_obj))
+        stage_points = [grid[i], grid[follow[i]]]
+    elif stages == (1, 2):
+        follow = br_to_sum(2 * (npts - 1))
+        pair = np.empty(npts, dtype=int)
+        for i in range(npts):
+            pair[i] = _fixed_point(follow[i : i + npts])
+        leader_obj = _expected_payoff(grid, 2.0 * grid[pair], prize, n)
+        i = int(np.argmax(leader_obj))
+        stage_points = [grid[i], grid[pair[i]]]
+    elif stages == (2, 1):
+        follow = br_to_sum(2 * (npts - 1))
+        pair_sum = np.arange(npts)[:, None] + np.arange(npts)[None, :]
+        others = grid[None, :] + grid[follow[pair_sum]]
+        payoff = _expected_payoff(grid[:, None], others, prize, n)
+        br = np.argmax(payoff, axis=0)
+        i = _fixed_point(br)
+        stage_points = [grid[i], grid[follow[2 * i]]]
+    elif stages == (1, 1, 1):
+        third = br_to_sum(2 * (npts - 1))
+        second = np.empty(npts, dtype=int)
+        for i in range(npts):
+            reaction = third[i : i + npts]
+            vals = _expected_payoff(grid, grid[i] + grid[reaction], prize, n)
+            second[i] = int(np.argmax(vals))
+        third_on_path = third[np.arange(npts) + second]
+        leader_obj = _expected_payoff(
+            grid, grid[second] + grid[third_on_path], prize, n
+        )
+        i = int(np.argmax(leader_obj))
+        j = int(second[i])
+        stage_points = [grid[i], grid[j], grid[third[i + j]]]
+    else:
+        raise AssertionError(f"unhandled sequence {stages}")
+
+    aggregate = float(sum(k * x for k, x in zip(stages, stage_points)))
+    return EquilibriumSolution(
+        sequence=seq,
+        prize=spec.prize,
+        joy_of_winning=spec.joy_of_winning,
+        aggregate=aggregate / prize,
+        stage_investments=tuple(x / prize for x in stage_points),
+        scaled_aggregate=aggregate,
+        scaled_stage_investments=tuple(float(x) for x in stage_points),
+    )
+
+# ---------------------------------------------------------------------------
+# Exact Jonckheere-Terpstra test
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_count(groups) -> float:
+    """Over every ordered pair of groups, the number of observation pairs
+    that increase, with ties counting one half."""
+    return sum(
+        (a < b) + 0.5 * (a == b)
+        for i, earlier in enumerate(groups)
+        for later in groups[i + 1 :]
+        for a in earlier
+        for b in later
+    )
+
+
+class JTExactResult(NamedTuple):
+    statistic: float
+    pvalue_greater: float
+    pvalue_less: float
+    pvalue: float
+
+
+_EXACT_LIMIT = 10
+
+
+def jonckheere_terpstra_exact(groups: Sequence[Sequence[float]]) -> JTExactResult:
+    """Exact Jonckheere-Terpstra p-values by enumerating all assignments of
+    the pooled observations to the group sizes. Limited to 10 observations;
+    meant as a test oracle for the normal approximation.
+    """
+    groups = [[float(v) for v in g] for g in groups]
+    if len(groups) < 3:
+        raise TooFewGroups("the trend test needs at least 3 ordered groups")
+    sizes = [len(g) for g in groups]
+    total = sum(sizes)
+    if total > _EXACT_LIMIT:
+        raise ContestError(
+            f"exact enumeration is limited to {_EXACT_LIMIT} observations, got {total}"
+        )
+    observed = _pairwise_count(groups)
+    pooled = [v for g in groups for v in g]
+
+    def splits(indices: tuple[int, ...], remaining: list[int]):
+        if not remaining:
+            yield ()
+            return
+        head, *tail = remaining
+        for chosen in itertools.combinations(indices, head):
+            rest = tuple(i for i in indices if i not in chosen)
+            for others in splits(rest, tail):
+                yield (chosen,) + others
+
+    n_ge = n_le = count = 0
+    eps = 1e-9
+    for assignment in splits(tuple(range(total)), sizes):
+        stat = _pairwise_count([[pooled[i] for i in chosen] for chosen in assignment])
+        count += 1
+        if stat >= observed - eps:
+            n_ge += 1
+        if stat <= observed + eps:
+            n_le += 1
+    p_ge = n_ge / count
+    p_le = n_le / count
+    two_sided = min(1.0, 2.0 * min(p_ge, p_le))
+    return JTExactResult(observed, p_ge, p_le, two_sided)

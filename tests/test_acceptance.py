@@ -44,9 +44,10 @@ from seqcontest.behavior import EquilibriumPolicy
 from seqcontest.stats import (
     cluster_ols,
     jonckheere_terpstra,
-    jonckheere_terpstra_exact,
     treatment_summary,
 )
+
+from oracles import jonckheere_terpstra_exact
 
 TREATMENTS = [(3,), (1, 2), (2, 1), (1, 1, 1)]
 

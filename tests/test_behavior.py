@@ -297,6 +297,15 @@ class TestPresets:
         assert models[SEQ_12][2].fit_effective_prize == 300.0
         assert models[SEQ_21][2].fit_effective_prize == 280.0
 
+    def test_model_without_fit_prize_stays_unscaled(self, tmp_path):
+        path = tmp_path / "models.json"
+        path.write_text(
+            json.dumps(
+                {"schema": 1, "models": {"1,2": {"2": {"intercept": 55.0}}}}
+            )
+        )
+        assert load_response_models(path)[SEQ_12][2].fit_effective_prize is None
+
     def test_unknown_model_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(

@@ -177,11 +177,30 @@ class TestSimulate:
         assert code == 2
         assert "error" in err
 
-    def test_invalid_config_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"schema": 1, "sessions": []},
+            [],
+            {"schema": 1, "sessions": [[1]]},
+            {"schema": 1, "sessions": [{"treatment": 3, "policies": SPNE_POLICIES}]},
+            {"schema": 1, "sessions": [{"treatment": [3], "policies": [1, 2, 3]}]},
+            {
+                "schema": 1,
+                "replications": [2],
+                "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}],
+            },
+        ],
+        ids=["empty-sessions", "top-level-list", "session-list", "treatment-int",
+             "policy-int", "replications-list"],
+    )
+    def test_invalid_config_exits_2(self, capsys, tmp_path, raw):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": 1, "sessions": []}))
-        code, _, _ = run_cli(capsys, "simulate", "--config", str(bad))
+        bad.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(bad))
         assert code == 2
+        assert err.startswith("error: invalid config: ")
+        assert not out
 
     def test_unwritable_out_exits_3(self, capsys, tmp_path):
         config = write_config(

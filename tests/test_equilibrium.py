@@ -1,23 +1,24 @@
-"""Tests for the equilibrium solver: polynomial ladder, root finding,
-calibration, and the grid backward-induction oracle."""
+"""Tests for the equilibrium solver: the integer-tuple polynomial ladder,
+root finding and calibration, plus the grid backward-induction oracle from
+``oracles.py`` that the solver is cross-checked against."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.equilibrium import (
-    GridTooLarge,
     NonPositiveMean,
     NoRootInUnitInterval,
-    Polynomial,
     build_ladder,
     calibrate_jow,
     largest_root,
-    oracle_grid_spne,
     solve_spne,
 )
+
+from oracles import GridTooLarge, oracle_grid_spne
 
 SQRT3 = math.sqrt(3.0)
 
@@ -41,58 +42,69 @@ class TestBuildLadder:
     def test_simultaneous_three(self):
         # one recursion step from the identity: x - 3*x*(1-x) = 3x^2 - 2x
         ladder = build_ladder(MoveSequence((3,)))
-        assert ladder.polys[0].coeffs == (0, -2, 3)
-        assert ladder.polys[1].coeffs == (0, 1)
+        assert ladder[0] == (0, -2, 3)
+        assert ladder[1] == (0, 1)
 
     def test_fully_sequential(self):
         # three hand-applied steps: f0 = x^2 (6x^2 - 6x + 1)
         ladder = build_ladder(MoveSequence((1, 1, 1)))
-        assert ladder.polys[0].coeffs == (0, 0, 1, -6, 6)
+        assert ladder[0] == (0, 0, 1, -6, 6)
 
     def test_single_player(self):
         ladder = build_ladder(MoveSequence((1,)))
-        assert ladder.polys[0].coeffs == (0, 0, 1)
+        assert ladder[0] == (0, 0, 1)
 
     def test_terminal_is_identity(self):
         for seq in all_sequences(5):
-            assert build_ladder(seq).polys[-1].coeffs == (0, 1)
+            assert build_ladder(seq)[-1] == (0, 1)
 
     def test_degrees_grow_by_one(self):
         for seq in all_sequences(5):
             ladder = build_ladder(seq)
-            assert ladder.polys[0].degree == seq.n_stages + 1
-            for earlier, later in zip(ladder.polys, ladder.polys[1:]):
-                assert earlier.degree == later.degree + 1
+            assert len(ladder[0]) - 1 == seq.n_stages + 1
+            for earlier, later in zip(ladder, ladder[1:]):
+                assert len(earlier) == len(later) + 1
 
     def test_recursion_identity_coefficientwise(self):
-        # f_{t-1} == f_t - k_t * f_t' * x * (1 - x), exactly
+        # f_{t-1}(q) == f_t(q) - k_t * f_t'(q) * q * (1 - q), exactly, at
+        # rational points; f_t' comes from the coefficients here. Both sides
+        # have degree at most 7 for up to 6 players, so agreement at 8
+        # points makes this a polynomial identity
+        def value(coeffs, q):
+            return sum(c * q**j for j, c in enumerate(coeffs))
+
+        def slope(coeffs, q):
+            return sum(j * c * q ** (j - 1) for j, c in enumerate(coeffs) if j > 0)
+
+        points = [Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(1, 2),
+                  Fraction(5, 7), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
         for seq in all_sequences(6):
             ladder = build_ladder(seq)
             for t, count in enumerate(seq.stages, start=1):
-                f_t = ladder.polys[t]
-                expected = f_t - f_t.derivative().times_x_minus_x_squared().scale(count)
-                assert ladder.polys[t - 1].coeffs == expected.coeffs
+                for q in points:
+                    expected = value(ladder[t], q) - count * slope(ladder[t], q) * q * (1 - q)
+                    assert value(ladder[t - 1], q) == expected
 
 
 class TestLargestRoot:
     def test_simultaneous_three(self):
-        f0 = build_ladder(MoveSequence((3,))).polys[0]
+        f0 = build_ladder(MoveSequence((3,)))[0]
         assert largest_root(f0) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_fully_sequential(self):
-        f0 = build_ladder(MoveSequence((1, 1, 1))).polys[0]
+        f0 = build_ladder(MoveSequence((1, 1, 1)))[0]
         assert largest_root(f0) == pytest.approx((3 + SQRT3) / 6, abs=1e-12)
 
     def test_single_player_degenerate(self):
-        assert largest_root(Polynomial((0, 0, 1))) == 0.0
+        assert largest_root((0, 0, 1)) == 0.0
 
     def test_no_root_raises(self):
         with pytest.raises(NoRootInUnitInterval):
-            largest_root(Polynomial((1, 0, 1)))  # x^2 + 1
+            largest_root((1, 0, 1))  # x^2 + 1
 
     def test_exact_grid_zero(self):
         # 4x^3 - 3x^2 vanishes exactly at the grid point 0.75
-        f0 = build_ladder(MoveSequence((1, 2))).polys[0]
+        f0 = build_ladder(MoveSequence((1, 2)))[0]
         assert largest_root(f0) == pytest.approx(0.75, abs=1e-13)
 
 

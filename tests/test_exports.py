@@ -1,0 +1,52 @@
+"""The package's public names agree with each module's ``__all__``."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import seqcontest
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(seqcontest.__path__) if not m.ispkg)
+
+ORACLE_NAMES = [
+    "oracle_grid_spne",
+    "GridTooLarge",
+    "jonckheere_terpstra_exact",
+    "JTExactResult",
+    "Polynomial",
+    "RecursionLadder",
+]
+
+
+def test_library_modules_found():
+    assert {"core", "equilibrium", "behavior", "simulate", "stats", "cli"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_listed_name_exists(name):
+    module = importlib.import_module(f"seqcontest.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_top_level_exports_are_listed_where_defined():
+    unlisted = []
+    for attr, value in vars(seqcontest).items():
+        defined_in = getattr(value, "__module__", None)
+        if attr.startswith("_") or not (defined_in or "").startswith("seqcontest."):
+            continue
+        if attr not in importlib.import_module(defined_in).__all__:
+            unlisted.append(f"{defined_in}.{attr}")
+    assert not unlisted
+
+
+def test_oracles_are_not_library_names():
+    exposed = [
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in ORACLE_NAMES
+        if hasattr(importlib.import_module(f"seqcontest.{name}"), attr)
+    ]
+    exposed += [attr for attr in ORACLE_NAMES if hasattr(seqcontest, attr)]
+    assert not exposed

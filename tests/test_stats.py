@@ -24,11 +24,13 @@ from seqcontest.stats import (
     cluster_ols,
     group_aggregate_means,
     jonckheere_terpstra,
-    jonckheere_terpstra_exact,
+    last_rounds,
     treatment_summary,
     trend_by_round,
     wald_mean,
 )
+
+from oracles import jonckheere_terpstra_exact
 
 # y = (1, 2, 2, 4) on x = (0, 1, 2, 3), intercept + slope, clusters (0,0,1,1).
 # Exact: beta = (9/10, 9/10), cov = ((27/200, -9/200), (-9/200, 3/200)),
@@ -375,7 +377,7 @@ class TestTreatmentSummary:
 
     def test_last_k_round_filter(self):
         log = spne_log((3,), groups=2, rounds=25)
-        summary = treatment_summary(log, last_k_rounds=5)[0]
+        summary = treatment_summary(last_rounds(log, 5))[0]
         assert summary.n_rounds == 5
         kept = {r.round for r in log.records if r.round > 20}
         assert kept == set(range(21, 26))
