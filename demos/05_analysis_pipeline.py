@@ -28,7 +28,7 @@ from seqcontest import (
     trend_by_round,
     wald_mean,
 )
-from seqcontest.stats import group_aggregate_means
+from seqcontest.stats import group_aggregate_means, triad_totals
 
 JOW = 119.73
 GROUPS = {(3,): 9, (1, 2): 10, (2, 1): 9, (1, 1, 1): 9}
@@ -81,13 +81,8 @@ print()
 print("Wald tests of aggregate investment against the no-correction equilibrium")
 for log in logs:
     target = solve_spne(ContestSpec(log.sequence)).scaled_aggregate
-    totals, groups_of = {}, {}
-    for r in log.records:
-        key = (r.group, r.round, r.triad)
-        totals[key] = totals.get(key, 0.0) + r.investment
-        groups_of[key] = r.group
-    keys = sorted(totals)
-    res = wald_mean([totals[k] for k in keys], [groups_of[k] for k in keys], target)
+    totals, groups_of = triad_totals(log.records)
+    res = wald_mean(totals, groups_of, target)
     flag = " [degenerate]" if res.degenerate else ""
     print(
         f"  {log.sequence.label():8s} observed {res.mean:7.2f} vs {target:7.2f}: "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from importlib import resources
 from statistics import fmean
@@ -135,14 +135,15 @@ class PreemptionResult(NamedTuple):
     at_boundary: bool
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximization of a unimodal function on [lo, hi], down
+    to a bracket of width 1e-6."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-6:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -154,8 +155,9 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     return 0.5 * (a + b)
 
 
-def _maximize_on_interval(f, lo: float, hi: float, coarse_step: float = 0.25):
-    """Coarse grid scan followed by golden-section refinement."""
+def _maximize_on_interval(f, lo: float, hi: float):
+    """Grid scan in steps of 0.25 followed by golden-section refinement."""
+    coarse_step = 0.25
     n = int(round((hi - lo) / coarse_step))
     best_i, best_v = 0, -math.inf
     for i in range(n + 1):
@@ -164,7 +166,7 @@ def _maximize_on_interval(f, lo: float, hi: float, coarse_step: float = 0.25):
             best_i, best_v = i, v
     a = max(lo, lo + (best_i - 1) * coarse_step)
     b = min(hi, lo + (best_i + 1) * coarse_step)
-    return _golden_max(f, a, b, tol=1e-6)
+    return _golden_max(f, a, b)
 
 
 def optimal_first_mover(
@@ -338,13 +340,8 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
     """
     seq = spec.sequence
     if isinstance(policy, EquilibriumPolicy):
-        if policy.use_joy_of_winning:
-            solution = solve_spne(spec)
-        else:
-            solution = solve_spne(
-                ContestSpec(seq, spec.prize, spec.endowment, 0.0)
-            )
-        value = solution.scaled_stage_investments[stage - 1]
+        played = spec if policy.use_joy_of_winning else replace(spec, joy_of_winning=0.0)
+        value = solve_spne(played).scaled_stage_investments[stage - 1]
     elif isinstance(policy, EmpiricalResponder):
         if stage < 2:
             raise RoleObservationMismatch(
@@ -428,27 +425,19 @@ def act(
 # Bundled response-model presets and config parsing
 # ---------------------------------------------------------------------------
 
-_MODEL_FIELDS = (
-    "intercept",
-    "m1_coef",
-    "m1_sq_coef",
-    "m2_coef",
-    "m2_sq_coef",
-    "noise_sd",
-    "fit_effective_prize",
-)
+_MODEL_FIELDS = frozenset(f.name for f in fields(ResponseModel))
 
 
 def _model_from_dict(entry: Mapping, fit_effective_prize: float | None = None) -> ResponseModel:
-    unknown = set(entry) - set(_MODEL_FIELDS)
+    unknown = set(entry) - _MODEL_FIELDS
     if unknown:
         raise ContestError(f"unknown response-model keys: {sorted(unknown)}")
     if "intercept" not in entry:
         raise ContestError("response model needs an 'intercept'")
-    fields = {k: float(v) for k, v in entry.items()}
+    values = {k: float(v) for k, v in entry.items()}
     if fit_effective_prize is not None:
-        fields.setdefault("fit_effective_prize", float(fit_effective_prize))
-    return ResponseModel(**fields)
+        values.setdefault("fit_effective_prize", float(fit_effective_prize))
+    return ResponseModel(**values)
 
 
 def load_response_models(path) -> dict[MoveSequence, dict[int, ResponseModel]]:
@@ -513,7 +502,13 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
         if "model" in entry:
             model = _model_from_dict(entry["model"])
         else:
-            model = default_response_models(seq)[stage]
+            bundled = default_response_models(seq)
+            if stage not in bundled:
+                raise ContestError(
+                    f"no bundled response model for a responder at stage {stage} "
+                    f"of treatment {seq.label()}"
+                )
+            model = bundled[stage]
         if "noise_sd" in entry:
             model = replace(model, noise_sd=float(entry["noise_sd"]))
         return EmpiricalResponder(model)

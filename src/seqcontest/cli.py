@@ -12,11 +12,13 @@ Exit codes: 0 success, 2 invalid input or config, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 
 from . import __version__
@@ -37,17 +39,40 @@ _EXIT_BAD_INPUT = 2
 _EXIT_IO = 3
 
 
-def _write_manifest(out_dir: str, command: str, config: str | None, seed, outputs, t0: float) -> None:
-    manifest = {
-        "schema": 1,
-        "command": command,
-        "config": config,
-        "master_seed": seed,
-        "package_version": __version__,
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-        "wall_clock_seconds": round(time.time() - t0, 3),
-    }
-    atomic_write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1) + "\n")
+def _write_outputs(out_dir: str, writers, t0: float, command: str, config=None, seed=None) -> int:
+    """Write each output, then ``manifest.json``, and return the exit code.
+
+    ``writers`` maps file names to functions that write one file given its
+    path. A failed write removes the files this run already wrote.
+    """
+    written = []
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, write in writers.items():
+            path = os.path.join(out_dir, name)
+            write(path)
+            written.append(path)
+        manifest = {
+            "schema": 1,
+            "command": command,
+            "config": config,
+            "master_seed": seed,
+            "package_version": __version__,
+            "outputs": sorted(writers),
+            "wall_clock_seconds": round(time.time() - t0, 3),
+        }
+        atomic_write_text(
+            os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1) + "\n"
+        )
+    except BaseException as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        if not isinstance(exc, OSError):
+            raise
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return _EXIT_IO
+    return 0
 
 
 def _positive_int(text: str) -> int:
@@ -98,7 +123,8 @@ def cmd_solve(args) -> int:
             )
         text = "\n".join(lines) + "\n"
     if banner and args.format == "json":
-        print(banner)
+        # stdout carries only the JSON, which records joy_of_winning itself
+        print(banner, file=sys.stderr)
     if args.out:
         try:
             atomic_write_text(args.out, text)
@@ -126,9 +152,12 @@ def _resolve_config(name: str) -> tuple[dict, str]:
     raise ContestError(f"config {name!r} is neither a file nor a bundled preset")
 
 
+def _csv_label(sequence) -> str:
+    return "-".join(str(k) for k in sequence.stages)
+
+
 def _log_basename(log: SessionLog, index: int) -> str:
-    label = "-".join(str(k) for k in log.sequence.stages)
-    return f"session{index:02d}_seq{label}"
+    return f"session{index:02d}_seq{_csv_label(log.sequence)}"
 
 
 def cmd_simulate(args) -> int:
@@ -156,31 +185,21 @@ def cmd_simulate(args) -> int:
     logs = run_batch(configs, replications=replications)
 
     formats = ["csv", "json"] if args.format == "both" else [args.format]
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        outputs = []
-        for i, log in enumerate(logs):
-            base = os.path.join(args.out, _log_basename(log, i))
-            for fmt in formats:
-                path = f"{base}.{fmt}"
-                export_log(log, fmt, path)
-                outputs.append(path)
-        seeds = [cfg.seed for cfg in configs]
-        _write_manifest(args.out, "simulate", config_name, seeds, outputs, t0)
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    print(f"wrote {len(outputs)} log file(s) to {args.out}")
-    return 0
+    writers = {
+        f"{_log_basename(log, i)}.{fmt}": partial(export_log, log, fmt)
+        for i, log in enumerate(logs)
+        for fmt in formats
+    }
+    seeds = [cfg.seed for cfg in configs]
+    code = _write_outputs(args.out, writers, t0, "simulate", config_name, seeds)
+    if code == 0:
+        print(f"wrote {len(writers)} log file(s) to {args.out}")
+    return code
 
 
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
-
-
-def _csv_label(sequence) -> str:
-    return "-".join(str(k) for k in sequence.stages)
 
 
 def _summary_csv(summaries) -> str:
@@ -277,9 +296,7 @@ def cmd_analyze(args) -> int:
     if "wald" in tests:
         report += ["", "Wald tests of observed means against the equilibrium"]
         for log in logs:
-            solution = solve_spne(
-                ContestSpec(log.sequence, log.spec.prize, log.spec.endowment, 0.0)
-            )
+            solution = solve_spne(replace(log.spec, joy_of_winning=0.0))
             totals, groups = st.triad_totals(log.records)
             res = st.wald_mean(totals, groups, solution.scaled_aggregate)
             test_lines.append(
@@ -311,20 +328,11 @@ def cmd_analyze(args) -> int:
         files["tests.csv"] = "\n".join(test_lines) + "\n"
     files["report.txt"] = "\n".join(report) + "\n"
 
-    outputs = []
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        for name, text in files.items():
-            path = os.path.join(args.out, name)
-            atomic_write_text(path, text)
-            outputs.append(path)
-        _write_manifest(args.out, "analyze", None, None, outputs, t0)
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return _EXIT_IO
-
-    sys.stdout.write("\n".join(report) + "\n")
-    return 0
+    writers = {name: partial(atomic_write_text, text=text) for name, text in files.items()}
+    code = _write_outputs(args.out, writers, t0, "analyze")
+    if code == 0:
+        sys.stdout.write("\n".join(report) + "\n")
+    return code
 
 
 # ---------------------------------------------------------------------------

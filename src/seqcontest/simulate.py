@@ -390,23 +390,19 @@ def export_log(log: SessionLog, format: str, path) -> None:
         raise ContestError(f"unknown export format {format!r}")
 
 
-def load_log(path, format: str | None = None) -> SessionLog:
+def load_log(path) -> SessionLog:
     """Read back a log written by :func:`export_log`.
 
-    The format follows the file name (``.json`` or else CSV) unless given.
-    Both formats go through the same meta and record parsing, so a log reads
-    back with its full session parameters whichever format it was saved in.
+    The format follows the file name: ``.json`` or else CSV. Both formats go
+    through the same meta and record parsing, so a log reads back with its
+    full session parameters whichever format it was saved in.
     A CSV without its leading meta line, or a log whose meta or records have
     the wrong shape, raises :class:`ContestError` naming the file, and a run
     manifest raises :class:`NotASessionLog`.
     """
     path = os.fspath(path)
-    if format is None:
-        format = "json" if path.endswith(".json") else "csv"
-    if format not in ("json", "csv"):
-        raise ContestError(f"unknown log format {format!r}")
     try:
-        if format == "json":
+        if path.endswith(".json"):
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             if not isinstance(payload, dict):
@@ -463,8 +459,7 @@ def session_config_from_dict(raw: Mapping) -> SessionConfig:
         )
     except ContestError:
         raise
-    except KeyError as exc:
-        raise ContestError(f"session config missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        # a session, treatment or policy entry of the wrong shape or type
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        # a missing key, or a session, treatment or policy entry of the wrong
+        # shape, length or type
         raise ContestError(f"malformed session config: {type(exc).__name__}: {exc}") from exc

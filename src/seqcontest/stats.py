@@ -228,20 +228,9 @@ def triad_totals(records: Iterable[RoundRecord]) -> tuple[np.ndarray, np.ndarray
     return np.array([totals[k] for k in keys]), np.array([k[0] for k in keys])
 
 
-def trend_by_round(log_or_records, sequence: MoveSequence | None = None) -> OLSFit:
+def trend_by_round(log_or_records) -> OLSFit:
     """Pooled OLS of individual investment on the round number, clustered by
-    matching group. Passing ``sequence`` asserts which treatment the records
-    belong to; a mismatch with the log's own treatment is an error.
-    """
-    if (
-        sequence is not None
-        and isinstance(log_or_records, SessionLog)
-        and log_or_records.sequence != sequence
-    ):
-        raise ContestError(
-            f"log holds treatment {log_or_records.sequence.label()}, "
-            f"not {sequence.label()}"
-        )
+    matching group."""
     records = _as_records(log_or_records)
     if not records:
         raise EmptyLog("no records")

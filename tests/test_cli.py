@@ -70,6 +70,15 @@ class TestSolve:
         assert "w = 119.73" in out
         assert "X = 283.7" in out
 
+    def test_json_calibration_banner_goes_to_stderr(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--seq", "1,1,1", "--calibrate-from", "79.94",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["joy_of_winning"] == pytest.approx(119.73, abs=0.005)
+        assert "w = 119.73" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "--seq", "2,1", "--format", "json"
@@ -178,28 +187,42 @@ class TestSimulate:
         assert "error" in err
 
     @pytest.mark.parametrize(
-        "raw",
+        "raw, detail",
         [
-            {"schema": 1, "sessions": []},
-            [],
-            {"schema": 1, "sessions": [[1]]},
-            {"schema": 1, "sessions": [{"treatment": 3, "policies": SPNE_POLICIES}]},
-            {"schema": 1, "sessions": [{"treatment": [3], "policies": [1, 2, 3]}]},
-            {
-                "schema": 1,
-                "replications": [2],
-                "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}],
-            },
+            ({"schema": 1, "sessions": []}, "sessions"),
+            ([], "JSON object"),
+            ({"schema": 1, "sessions": [[1]]}, "malformed session config"),
+            ({"schema": 1, "sessions": [{"treatment": 3, "policies": SPNE_POLICIES}]},
+             "malformed session config"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "policies": [1, 2, 3]}]},
+             "malformed session config"),
+            (
+                {
+                    "schema": 1,
+                    "replications": [2],
+                    "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}],
+                },
+                "",
+            ),
+            ({"schema": 1, "sessions": [{"treatment": [1, 2],
+                                         "policies": [{"kind": "responder"}] * 3}]},
+             "stage 1 of treatment (1,2)"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 2],
+                                         "policies": [{"kind": "spne"}]
+                                         + [{"kind": "responder"}] * 3}]},
+             "player index 3"),
         ],
         ids=["empty-sessions", "top-level-list", "session-list", "treatment-int",
-             "policy-int", "replications-list"],
+             "policy-int", "replications-list", "responder-without-model",
+             "fourth-responder"],
     )
-    def test_invalid_config_exits_2(self, capsys, tmp_path, raw):
+    def test_invalid_config_exits_2(self, capsys, tmp_path, raw, detail):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         code, out, err = run_cli(capsys, "simulate", "--config", str(bad))
         assert code == 2
         assert err.startswith("error: invalid config: ")
+        assert detail in err
         assert not out
 
     def test_unwritable_out_exits_3(self, capsys, tmp_path):
@@ -223,6 +246,25 @@ class TestSimulate:
         )
         assert code == 3
         assert "error" in err
+
+    def test_failed_write_removes_this_runs_logs(self, capsys, tmp_path):
+        # the third session's JSON log cannot be written: the logs of the
+        # first two sessions, already in place, are removed again
+        sessions = [
+            {"treatment": t, "groups": 1, "rounds": 2, "seed": 1,
+             "policies": SPNE_POLICIES}
+            for t in ([3], [1, 2], [2, 1])
+        ]
+        config = write_config(tmp_path / "cfg.json", sessions)
+        out_dir = tmp_path / "runs"
+        (out_dir / "session02_seq2-1.json").mkdir(parents=True)
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", config, "--out", str(out_dir)
+        )
+        assert code == 3
+        assert "error: cannot write outputs" in err
+        assert not out
+        assert [p.name for p in out_dir.iterdir()] == ["session02_seq2-1.json"]
 
     def test_failed_write_leaves_no_temp_file(self, capsys, tmp_path):
         taken = tmp_path / "taken"
@@ -404,6 +446,18 @@ class TestAnalyze:
         assert message in err
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    def test_failed_write_removes_this_runs_outputs(self, capsys, spne_run, tmp_path):
+        # trend.csv cannot be written: summary.csv, written before it, goes too
+        out_dir = tmp_path / "an"
+        (out_dir / "trend.csv").mkdir(parents=True)
+        code, out, err = run_cli(
+            capsys, "analyze", *[str(p) for p in spne_run], "--out", str(out_dir)
+        )
+        assert code == 3
+        assert "error: cannot write outputs" in err
+        assert not out
+        assert [p.name for p in out_dir.iterdir()] == ["trend.csv"]
+
     def test_report_written_atomically(self, capsys, spne_run, tmp_path):
         out_dir = tmp_path / "rep"
         code, _, _ = run_cli(
@@ -513,3 +567,90 @@ class TestAnalyze:
         for manifest in (spne_run[0].parent / "manifest.json", out_dir / "manifest.json"):
             record = json.loads(manifest.read_text())
             assert record["package_version"] == seqcontest.__version__
+
+
+# sha256 of CLI outputs, the presets simulated at --seed 7. A change meant to
+# leave behaviour alone must leave these alone: a change to any number, its
+# formatting, the random stream or a file name shows here.
+SOLVE_JSON_DIGESTS = {
+    "3": "055f5b051fe1762f04b61c2d62aa4a94abcac99b8ead72fa64b225412232d894",
+    "1,2": "c85b347c549ae9e728606887a690e17bdc01186ac6a6cd2c5b68e83d0b81b002",
+    "2,1": "aa71c920d179e5afec0599db839704fd7c12e30ee06e55d03a40c1c356faec74",
+    "1,1,1": "a295abd54635e730706c0760d418f97ff5f375712a8cdef6428d215465a1c467",
+}
+PRESET_DIGESTS = {
+    "spne_all_treatments": {
+        "session00_seq3.csv":
+            "c661c56a41eb11893a86fcf595b57c2b300a93b0e9702fa1023a219f83e99aae",
+        "session00_seq3.json":
+            "628916b81ce5b48fe54eb1df4d40514473f0bf382efd5dd20d383d0901bab25e",
+        "session01_seq1-2.csv":
+            "579c76363ee95e3e5f62d089a7f706c75ad44bf7b0ec076dbf7ea6d6ff2d41c2",
+        "session01_seq1-2.json":
+            "4e3a6512c3c2cfc25a7d6de0cd9887cc2ccbf906be23c348c58673595afa9a88",
+        "session02_seq2-1.csv":
+            "7f48c1868bc905bbb03debcb885e66989222dc312972ef30721b9f88e995ebee",
+        "session02_seq2-1.json":
+            "2e7010add635543e42830b597e0b6a6a1d168f9ae55e5b99e951c5628f7183ad",
+        "session03_seq1-1-1.csv":
+            "9e514d6baf3ae1c32c9ae32274c8dec6b6c663eb07edc23d41a4d75a826c7ff8",
+        "session03_seq1-1-1.json":
+            "d76c899e0286a7cc63e89da605b48e7ee166d0b6db1029719f20878b73e66ee6",
+        "summary.csv":
+            "adc7bcf0f98151751662fbf71510bcb79b7972b955a3fb802931fbf57afe54d2",
+        "trend.csv":
+            "1845828385d9268d780a59294a111915a0d5ad0abfc7cea53d5028e7644792da",
+        "tests.csv":
+            "90a28995de8ad63d7108c970216377850a063a5bfe8ff0e8b82af582f40e787d",
+        "report.txt":
+            "5540c29edd4aca2b0b6e68b1ac554a58efec408d6874595fcb96e5aad23243be",
+    },
+    "empirical_preemption": {
+        "session00_seq1-2.csv":
+            "84133eeebb026ea34dd5fa93b5aedf0db9e2355d6a1bc81b5fb0f586aef007c6",
+        "session00_seq1-2.json":
+            "8b535ae10bbd9aac5c6bf78f52cb361f8fd7b509cb5bde40eeffab37398d09ee",
+        "session01_seq2-1.csv":
+            "07c82cba2e89aafb97edf9dc8609ea69bb4dbcda641f6d5ed0e88bbbc2c0abc3",
+        "session01_seq2-1.json":
+            "bc152bbcd409415a8ed23a8c017a74961c95a99ce89fb329bef7b2d0982808af",
+        "session02_seq1-1-1.csv":
+            "c5cfd18dc9ae5a9e9bcc5e544910fbeb66ae8b29aacb387e451547574bccbe86",
+        "session02_seq1-1-1.json":
+            "52266ce50b86464fe58c754738da9632e1ec0b137f4fdaf307b6579effd54bdd",
+        "summary.csv":
+            "b0fa9395d37f2621b91d486d0cc63bf13e1201ee4c84a5c3709b686ea376f739",
+        "trend.csv":
+            "3ff06d0abb8045736c758f03ed15b2e10583d551841ba56d1f4a813836cbc774",
+        "tests.csv":
+            "43ca9f629ff7b50cb09c617003bb7de4190f04e3b368a35515bd2ed778f343e2",
+        "report.txt":
+            "6e9d3a57d8297335ad4805d88342391699be0fa155f9b256167b1442f7643a64",
+    },
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("seq", sorted(SOLVE_JSON_DIGESTS))
+    def test_solve_json(self, capsys, seq):
+        code, out, _ = run_cli(capsys, "solve", "--seq", seq, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_JSON_DIGESTS[seq]
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+    def test_simulate_then_analyze(self, capsys, tmp_path, preset):
+        runs, analysis = tmp_path / "runs", tmp_path / "analysis"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", preset, "--seed", "7", "--out", str(runs)
+        )
+        assert code == 0
+        logs = sorted(str(p) for p in runs.glob("session*.json"))
+        code, _, _ = run_cli(capsys, "analyze", *logs, "--out", str(analysis))
+        assert code == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for folder in (runs, analysis)
+            for p in folder.iterdir()
+            if p.name != "manifest.json"
+        }
+        assert digests == PRESET_DIGESTS[preset]

@@ -337,11 +337,8 @@ class TestTrendByRound:
             rounds=3,
             seed=1,
         )
-        log = run_session(config)
-        fit = trend_by_round(log, MoveSequence((1, 2)))
+        fit = trend_by_round(run_session(config))
         assert fit.params[1] == pytest.approx(0.0, abs=1e-9)
-        with pytest.raises(ContestError):
-            trend_by_round(log, MoveSequence((2, 1)))
 
 
 def spne_log(stages, groups=3, rounds=25, seed=21):
