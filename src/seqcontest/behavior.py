@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from importlib import resources
-from statistics import fmean
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .core import ContestError, ContestSpec, MoveSequence
@@ -214,20 +213,16 @@ def optimal_first_mover(
             return p_eff / n - own
         return p_eff * own / total - own
 
-    if stages == (1, 2):
-        r2 = models[2]
-
-        def objective(x: float) -> float:
-            return payoff(x, 2.0 * response(r2, x))
-
-        x = _maximize_on_interval(objective, 0.0, endowment)
-    elif stages == (1, 1, 1):
-        r2, r3 = models[2], models[3]
+    if stages in ((1, 2), (1, 1, 1)):
+        # later stages respond in order; stage 3 also sees stage 2's response
+        k2, r2, r3 = stages[1], models[2], (models[3] if stages == (1, 1, 1) else None)
 
         def objective(x: float) -> float:
             second = response(r2, x)
-            third = response(r3, x, second)
-            return payoff(x, second + third)
+            others = k2 * second
+            if r3 is not None:
+                others += response(r3, x, second)
+            return payoff(x, others)
 
         x = _maximize_on_interval(objective, 0.0, endowment)
     elif stages == (2, 1):
@@ -330,15 +325,15 @@ def _observation_inputs(
 
 
 def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
-    """What ``policy`` plays at ``stage`` of ``spec``, resolved once.
+    """What ``policy`` plays at ``stage`` of ``spec``, resolved once into plain
+    data that :func:`act` evaluates.
 
     Equilibrium and optimizing-leader play, and an imitator at stage 1, do
     not depend on what the stage observes: they resolve to their investment,
-    a float already clamped to [0, endowment]. Responders and imitators at
-    later stages resolve to a function ``rule(observed, rng) -> float`` of
-    the prior investments that draws responder noise from ``rng``.
+    a float already clamped to [0, endowment]. A responder resolves to its
+    :class:`ResponseModel`, and an imitator at a later stage to the
+    :class:`Imitator` itself.
     """
-    seq = spec.sequence
     if isinstance(policy, EquilibriumPolicy):
         played = spec if policy.use_joy_of_winning else replace(spec, joy_of_winning=0.0)
         value = solve_spne(played).scaled_stage_investments[stage - 1]
@@ -347,21 +342,10 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
             raise RoleObservationMismatch(
                 "a responder needs at least one earlier stage to respond to"
             )
-        model, endowment = policy.model, spec.endowment
-
-        def respond(observed, rng):
-            m1, m2 = _observation_inputs(seq, stage, observed)
-            return eval_response(model, m1, m2, endowment=endowment, rng=rng)
-
-        return respond
+        return policy.model
     elif isinstance(policy, Imitator):
-        endowment = spec.endowment
         if stage > 1:
-
-            def imitate(observed, rng):
-                return float(min(max(fmean(observed), 0.0), endowment))
-
-            return imitate
+            return policy
         value = policy.fallback
     elif isinstance(policy, OptimizingLeader):
         if stage != 1:
@@ -369,7 +353,7 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
                 "an optimizing leader must move at stage 1"
             )
         result = _cached_preemption(
-            seq,
+            spec.sequence,
             tuple(sorted(policy.models.items())),
             spec.prize,
             policy.joy_of_winning,
@@ -418,7 +402,13 @@ def act(
             f"stage {stage} of {spec.sequence.label()} observes {expected} prior "
             f"investments, got {len(observed)}"
         )
-    return rule(observed, rng) if callable(rule) else rule
+    if isinstance(rule, float):
+        return rule
+    if isinstance(rule, ResponseModel):
+        m1, m2 = _observation_inputs(spec.sequence, stage, observed)
+        return eval_response(rule, m1, m2, endowment=spec.endowment, rng=rng)
+    # an imitator past stage 1: the clamped mean of what it observes
+    return float(min(max(math.fsum(observed) / len(observed), 0.0), spec.endowment))
 
 
 # ---------------------------------------------------------------------------

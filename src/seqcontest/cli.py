@@ -2,9 +2,11 @@
 
 Every run that writes files also writes a ``manifest.json`` next to them
 recording the command, inputs, seed, package version, output paths, and wall
-clock, so any artifact can be traced to exactly one invocation. Output files
-are written to a temp name and renamed on success; a failing run leaves no
-partial outputs.
+clock, so any artifact can be traced to exactly one invocation. Every output
+file, the manifest included, is first written under a temp name; the temp
+files are renamed into place only after all of them are written, so a failed
+``simulate`` or ``analyze`` run leaves the files already in its output
+directory as they were.
 
 Exit codes: 0 success, 2 invalid input or config, 3 I/O failure.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -27,6 +30,7 @@ from .equilibrium import calibrate_jow, solve_spne
 from .simulate import (
     NotASessionLog,
     SessionLog,
+    _whole_number,
     atomic_write_text,
     export_log,
     load_log,
@@ -43,15 +47,12 @@ def _write_outputs(out_dir: str, writers, t0: float, command: str, config=None, 
     """Write each output, then ``manifest.json``, and return the exit code.
 
     ``writers`` maps file names to functions that write one file given its
-    path. A failed write removes the files this run already wrote.
+    path. Every file goes to a temp name first, and the temp files are
+    renamed into place only after all of them are written, so a failed write
+    leaves the files already in ``out_dir`` as they were.
     """
-    written = []
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        for name, write in writers.items():
-            path = os.path.join(out_dir, name)
-            write(path)
-            written.append(path)
+
+    def write_manifest(path):
         manifest = {
             "schema": 1,
             "command": command,
@@ -61,13 +62,24 @@ def _write_outputs(out_dir: str, writers, t0: float, command: str, config=None, 
             "outputs": sorted(writers),
             "wall_clock_seconds": round(time.time() - t0, 3),
         }
-        atomic_write_text(
-            os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1) + "\n"
-        )
+        atomic_write_text(path, json.dumps(manifest, indent=1) + "\n")
+
+    staged = {}
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, write in [*writers.items(), ("manifest.json", write_manifest)]:
+            path = os.path.join(out_dir, name)
+            if os.path.isdir(path):
+                # os.replace would fail only at the rename, after earlier renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            staged[path] = f"{path}.{os.urandom(8).hex()}.tmp"
+            write(staged[path])
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
     except BaseException as exc:
-        for path in written:
+        for tmp in staged.values():
             with contextlib.suppress(OSError):
-                os.unlink(path)
+                os.unlink(tmp)
         if not isinstance(exc, OSError):
             raise
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
@@ -105,6 +117,12 @@ def cmd_solve(args) -> int:
         )
     spec = ContestSpec(sequence, prize=args.prize, endowment=args.endowment, joy_of_winning=jow)
     solution = solve_spne(spec)
+    for t, x in enumerate(solution.scaled_stage_investments, start=1):
+        if x > spec.endowment:
+            raise ContestError(
+                f"stage {t} equilibrium investment {x:.2f} per player exceeds "
+                f"the endowment {spec.endowment:g}"
+            )
 
     if args.format == "json":
         text = json.dumps(solution.to_dict(), indent=1) + "\n"
@@ -174,7 +192,7 @@ def cmd_simulate(args) -> int:
         configs = [session_config_from_dict(entry) for entry in sessions]
         if args.seed is not None:
             configs = [replace(cfg, seed=args.seed + i) for i, cfg in enumerate(configs)]
-        replications = int(raw.get("replications", 1))
+        replications = _whole_number(raw.get("replications", 1), "replications")
     except (TypeError, ValueError) as exc:  # ContestError and JSONDecodeError are ValueErrors
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT

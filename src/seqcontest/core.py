@@ -9,6 +9,7 @@ operate on plain sequences of numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,6 +112,9 @@ class ContestSpec:
     joy_of_winning: float = 0.0
 
     def __post_init__(self):
+        for name in ("prize", "endowment", "joy_of_winning"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContestError(f"{name} must be finite, got {getattr(self, name)}")
         if self.prize <= 0:
             raise ContestError(f"prize must be positive, got {self.prize}")
         if self.endowment < 0:

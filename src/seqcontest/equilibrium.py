@@ -19,6 +19,7 @@ enters only at root finding and evaluation.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -197,8 +198,10 @@ def calibrate_jow(observed_mean: float, n: int, prize: float) -> float:
     with a warning: investment below the equilibrium level is attributed to
     noise, not to displeasure from winning.
     """
-    if observed_mean <= 0:
-        raise NonPositiveMean(f"observed mean must be positive, got {observed_mean}")
+    if not (math.isfinite(observed_mean) and observed_mean > 0):
+        raise NonPositiveMean(
+            f"observed mean must be a finite positive number, got {observed_mean}"
+        )
     if n < 2:
         raise ContestError("calibration needs at least two players")
     w = n * n * observed_mean / (n - 1) - prize

@@ -129,6 +129,8 @@ class SessionConfig:
             )
         if self.groups < 1 or self.rounds < 1:
             raise BadGroupComposition("groups and rounds must be at least 1")
+        if self.seed < 0:
+            raise ContestError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -429,15 +431,26 @@ def load_log(path) -> SessionLog:
         raise ContestError(f"malformed log {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _whole_number(value, name: str) -> int:
+    # a JSON integer; true and false are ints in Python but not counts
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ContestError(f"{name} must be a whole number, got {value!r}")
+    return value
+
+
 def session_config_from_dict(raw: Mapping) -> SessionConfig:
     """Build a SessionConfig from one parsed JSON session object.
 
     Keys: treatment (stage counts), prize, endowment, joy_of_winning, groups,
     rounds, integer_rounding, seed, policies (one entry per player, see
-    :func:`seqcontest.behavior.policy_from_config`).
+    :func:`seqcontest.behavior.policy_from_config`). Stage counts, groups,
+    rounds and seed must be JSON integers and integer_rounding a JSON
+    boolean; nothing is coerced.
     """
     try:
-        sequence = MoveSequence(tuple(int(k) for k in raw["treatment"]))
+        sequence = MoveSequence(
+            tuple(_whole_number(k, "a treatment stage count") for k in raw["treatment"])
+        )
         spec = ContestSpec(
             sequence,
             prize=float(raw.get("prize", 240.0)),
@@ -449,13 +462,18 @@ def session_config_from_dict(raw: Mapping) -> SessionConfig:
             policy_from_config(entry, spec, player)
             for player, entry in enumerate(policy_entries)
         )
+        integer_rounding = raw.get("integer_rounding", False)
+        if not isinstance(integer_rounding, bool):
+            raise ContestError(
+                f"integer_rounding must be true or false, got {integer_rounding!r}"
+            )
         return SessionConfig(
             spec=spec,
             policies=policies,
-            groups=int(raw.get("groups", 1)),
-            rounds=int(raw.get("rounds", 25)),
-            integer_rounding=bool(raw.get("integer_rounding", False)),
-            seed=int(raw.get("seed", 0)),
+            groups=_whole_number(raw.get("groups", 1), "groups"),
+            rounds=_whole_number(raw.get("rounds", 25), "rounds"),
+            integer_rounding=integer_rounding,
+            seed=_whole_number(raw.get("seed", 0), "seed"),
         )
     except ContestError:
         raise

@@ -1,6 +1,8 @@
 """Tests for response models, preemption optima, and policy dispatch."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.optimize import brentq
 
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import (
+    _policy_rule,
     EmpiricalResponder,
     EquilibriumPolicy,
     Imitator,
@@ -106,6 +109,13 @@ def two_leader_foc(model, p_eff):
     return foc
 
 
+OPTIMUM_DIGESTS = {
+    (1, 2): "a49a344a83486f4140e7f9507c4196ad349591fda633ce7045f771501b13c229",
+    (2, 1): "eddb305be6996e134ab6e3edf4242a88feb01674498be4664730507ab7f910b7",
+    (1, 1, 1): "f09ea536e4fcad5676e0cc19f5aa21dec7b01ba34f7262fe279f73da4a4d9967",
+}
+
+
 class TestOptimalFirstMover:
     @pytest.mark.parametrize(
         "stages, expected",
@@ -195,6 +205,18 @@ class TestOptimalFirstMover:
         with pytest.raises(ContestError):
             optimal_first_mover(MoveSequence((3,)), {}, 240.0, 0.0)
 
+    @pytest.mark.parametrize("stages", sorted(OPTIMUM_DIGESTS))
+    def test_golden_optima(self, stages):
+        # sha256 of the result reprs over joy values 0, 7, ..., 294 with the
+        # bundled models: pins the optimiser's bits, which the approximate
+        # checks above do not
+        seq = MoveSequence(stages)
+        models = default_response_models(seq)
+        text = "\n".join(
+            repr(optimal_first_mover(seq, models, 240.0, float(w))) for w in range(0, 295, 7)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == OPTIMUM_DIGESTS[stages]
+
 
 class TestAct:
     def test_spne_policy_stage_investment(self):
@@ -216,6 +238,12 @@ class TestAct:
     def test_imitator_matches_mean(self):
         spec = ContestSpec(SEQ_12)
         assert act(Imitator(fallback=50.0), spec, 2, [80.0]) == 80.0
+
+    @pytest.mark.parametrize("observed", [[70.0, 61.0], [200.0, 290.0], [0.1, 0.2]])
+    def test_imitator_third_mover_plays_clamped_mean(self, observed):
+        spec = ContestSpec(SEQ_111)
+        expected = min(max(math.fsum(observed) / 2, 0.0), 240.0)
+        assert act(Imitator(fallback=5.0), spec, 3, observed) == expected
 
     def test_imitator_fallback_without_observations(self):
         spec = ContestSpec(SEQ_12)
@@ -247,6 +275,20 @@ class TestAct:
         assert act(policy, ContestSpec(SEQ_111), 2, [86.188]) == pytest.approx(63.09, abs=0.01)
         with pytest.raises(RoleObservationMismatch):
             act(policy, ContestSpec(SEQ_111), 2, [])
+
+    def test_policies_resolve_to_plain_data(self):
+        # _policy_rule returns an investment, a response model or the
+        # imitator itself, never a function
+        spec = ContestSpec(SEQ_111)
+        model = default_response_models(SEQ_111)[2]
+        leader = OptimizingLeader(models=default_response_models(SEQ_111))
+        imitator = Imitator(fallback=62.72)
+        spne = _policy_rule(EquilibriumPolicy(), spec, 1)
+        assert type(spne) is float and spne == pytest.approx(86.188, abs=1e-3)
+        assert type(_policy_rule(leader, spec, 1)) is float
+        assert _policy_rule(EmpiricalResponder(model), spec, 2) is model
+        assert _policy_rule(imitator, spec, 1) == 62.72
+        assert _policy_rule(imitator, spec, 3) is imitator
 
     def test_observation_count_checked(self):
         spec = ContestSpec(SEQ_111)

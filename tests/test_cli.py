@@ -109,6 +109,30 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", "--seq", "abc")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--prize", "nan", "--format", "json"], "prize must be finite"),
+            (["--calibrate-from", "nan"], "finite positive"),
+        ],
+        ids=["prize-nan", "calibrate-from-nan"],
+    )
+    def test_non_finite_input_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "solve", "--seq", "1,2", *argv)
+        assert code == 2
+        assert message in err
+        assert not out
+
+    def test_stage_above_endowment_exits_2(self, capsys):
+        # at prize 1000 the (1,2) leader's equilibrium investment is 375
+        code, out, err = run_cli(
+            capsys, "solve", "--seq", "1,2", "--prize", "1000", "--endowment", "240"
+        )
+        assert code == 2
+        assert "stage 1 equilibrium investment 375.00 per player" in err
+        assert "exceeds the endowment 240" in err
+        assert not out
+
 
 class TestSimulate:
     def test_bundled_preset_counts(self, capsys, tmp_path):
@@ -211,10 +235,32 @@ class TestSimulate:
                                          "policies": [{"kind": "spne"}]
                                          + [{"kind": "responder"}] * 3}]},
              "player index 3"),
+            ({"schema": 1, "sessions": [{"treatment": [1.7, 2], "policies": SPNE_POLICIES}]},
+             "stage count must be a whole number, got 1.7"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "groups": 2.5,
+                                         "policies": SPNE_POLICIES}]},
+             "groups must be a whole number, got 2.5"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "seed": 3.9,
+                                         "policies": SPNE_POLICIES}]},
+             "seed must be a whole number, got 3.9"),
+            ({"schema": 1, "replications": 1.9,
+              "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
+             "replications must be a whole number, got 1.9"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "integer_rounding": "false",
+                                         "policies": SPNE_POLICIES}]},
+             "integer_rounding must be true or false, got 'false'"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "prize": "nan",
+                                         "policies": SPNE_POLICIES}]},
+             "prize must be finite"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "seed": -1,
+                                         "policies": SPNE_POLICIES}]},
+             "seed must be nonnegative, got -1"),
         ],
         ids=["empty-sessions", "top-level-list", "session-list", "treatment-int",
              "policy-int", "replications-list", "responder-without-model",
-             "fourth-responder"],
+             "fourth-responder", "treatment-float", "groups-float", "seed-float",
+             "replications-float", "integer-rounding-string", "prize-nan",
+             "seed-negative"],
     )
     def test_invalid_config_exits_2(self, capsys, tmp_path, raw, detail):
         bad = tmp_path / "bad.json"
@@ -265,6 +311,36 @@ class TestSimulate:
         assert "error: cannot write outputs" in err
         assert not out
         assert [p.name for p in out_dir.iterdir()] == ["session02_seq2-1.json"]
+
+    def test_failed_write_keeps_earlier_run(self, capsys, tmp_path):
+        # a second run into the same directory would replace the first run's
+        # session00/session01 logs before failing on session02: it must fail
+        # before any rename, so every file of the first run stays as it was
+        out_dir = tmp_path / "runs"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", "spne_all_treatments", "--out", str(out_dir)
+        )
+        assert code == 0
+        before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+        (out_dir / "session02_seq1-1-1.json").mkdir()
+        sessions = [
+            {"treatment": t, "groups": 1, "rounds": 2, "seed": 1,
+             "policies": SPNE_POLICIES}
+            for t in ([3], [1, 2], [1, 1, 1])
+        ]
+        config = write_config(tmp_path / "cfg.json", sessions)
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", config, "--out", str(out_dir)
+        )
+        assert code == 3
+        assert "error: cannot write outputs" in err
+        assert not out
+        after = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out_dir.iterdir() if p.is_file()
+        }
+        assert after == before
+        assert not list(out_dir.glob("*.tmp"))
 
     def test_failed_write_leaves_no_temp_file(self, capsys, tmp_path):
         taken = tmp_path / "taken"

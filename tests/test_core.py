@@ -57,6 +57,12 @@ class TestContestSpec:
             {"prize": -1.0},
             {"endowment": -1.0},
             {"joy_of_winning": -0.5},
+            {"prize": float("nan")},
+            {"prize": float("inf")},
+            {"endowment": float("nan")},
+            {"endowment": float("inf")},
+            {"joy_of_winning": float("nan")},
+            {"joy_of_winning": float("inf")},
         ],
     )
     def test_invalid_parameters(self, kwargs):

@@ -221,6 +221,11 @@ class TestCalibrateJow:
         with pytest.raises(NonPositiveMean):
             calibrate_jow(0.0, 3, 240.0)
 
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(NonPositiveMean, match="finite positive"):
+            calibrate_jow(mean, 3, 240.0)
+
 
 def brute_force_grid_spne(stages, prize, endowment, step):
     """Nested-loop backward induction; independent check of the vectorized
