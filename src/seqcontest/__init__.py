@@ -1,6 +1,8 @@
 """Sequential lottery contests: equilibrium solver, behavioral agents,
 laboratory-protocol simulator, and the matching analysis pipeline."""
 
+import importlib
+
 from .core import (
     ContestError,
     ContestSpec,
@@ -42,14 +44,22 @@ from .simulate import (
     run_batch,
     run_session,
 )
-from .stats import (
-    OLSFit,
-    TreatmentSummary,
-    cluster_ols,
-    jonckheere_terpstra,
-    treatment_summary,
-    trend_by_round,
-    wald_mean,
-)
+
+# The statistics load numpy, so they are imported on first use (PEP 562):
+# ``import seqcontest`` and ``seqcontest solve`` run without numpy. The
+# submodule resolves the same way, so ``seqcontest.stats`` works after
+# ``import seqcontest`` alone.
+_STATS_EXPORTS = frozenset({
+    "OLSFit", "TreatmentSummary", "cluster_ols", "jonckheere_terpstra",
+    "treatment_summary", "trend_by_round", "wald_mean",
+})
+
+
+def __getattr__(name):
+    if name == "stats" or name in _STATS_EXPORTS:
+        stats = importlib.import_module(".stats", __name__)
+        return stats if name == "stats" else getattr(stats, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -37,7 +37,6 @@ from .simulate import (
     run_batch,
     session_config_from_dict,
 )
-from . import stats as st
 
 _EXIT_BAD_INPUT = 2
 _EXIT_IO = 3
@@ -256,6 +255,8 @@ def _summary_text(summaries) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
+    from . import stats as st  # imported here: stats loads numpy, solve needs none
+
     t0 = time.time()
     logs, notes = [], []
     try:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ContestError",
@@ -148,6 +149,8 @@ def win_probabilities(investments: Sequence[float]) -> np.ndarray:
     p_i = x_i / sum(x) when total investment is positive, 1/n otherwise. The
     total is added left to right in floats.
     """
+    import numpy as np  # here, so that importing the package does not load it
+
     x = _as_investments(investments)
     total = 0.0
     for value in x:
@@ -182,6 +185,8 @@ def round_payoffs(
     """Monetary payoffs for one round: endowment - own investment, plus the
     prize for the winner. Joy of winning is a preference term and is not paid.
     """
+    import numpy as np
+
     x = _as_investments(investments)
     if max(x) > spec.endowment + 1e-9:
         raise InvestmentExceedsEndowment(

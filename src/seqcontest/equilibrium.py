@@ -15,6 +15,11 @@ A ladder polynomial is a plain tuple of integer coefficients in ascending
 powers. The recursion maps integer polynomials to integer polynomials, so
 the coefficients stay exact through the whole ladder and floating point
 enters only at root finding and evaluation.
+
+The root is found in plain Python, without numpy: :func:`largest_root` walks
+a uniform grid over [0, 1] from x = 1 down to the first exact zero or sign
+change and bisects there, which gives the same float as a search of the
+whole grid for its rightmost root.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .core import ContestError, ContestSpec, MoveSequence
 
@@ -97,32 +100,30 @@ def bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
 def largest_root(coeffs: tuple[int, ...]) -> float:
     """Largest real root in [0, 1] of the polynomial with these coefficients.
 
-    Sign changes are bracketed on a uniform grid of ``_GRID_POINTS`` cells
-    over [0, 1] and the rightmost bracket is refined by bisection until the
-    interval is narrower than ``_ROOT_TOL``. Zero is always a root of a
-    valid ladder polynomial and is returned only when no positive root
-    exists.
+    The polynomial is evaluated on a uniform grid of ``_GRID_POINTS`` cells
+    over [0, 1], walking from x = 1 down towards 0. The first grid point
+    where it is exactly zero is returned; the first cell whose ends have
+    strictly opposite signs is refined by bisection until the bracket is
+    narrower than ``_ROOT_TOL``. Going right to left, the first event met is
+    the rightmost one on the whole grid, so the result is the same float a
+    full-grid search returns, while a root near 1 (the usual case) costs a
+    few dozen evaluations. Zero is always a root of a valid ladder
+    polynomial and is returned only when no positive root exists.
     """
-    xs = np.linspace(0.0, 1.0, _GRID_POINTS + 1)
-    vals = np.polynomial.polynomial.polyval(xs, np.array([float(c) for c in coeffs]))
-
-    exact = xs[vals == 0.0]
-    best_exact = float(exact.max()) if exact.size else None
-
-    signs = np.sign(vals)
-    crossing = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    best_bracket = None
-    if crossing.size:
-        i = int(crossing.max())
-        best_bracket = bisect(
-            lambda x: _horner(coeffs, x),
-            float(xs[i]), float(xs[i + 1]), float(vals[i]), _ROOT_TOL,
-        )
-
-    candidates = [c for c in (best_exact, best_bracket) if c is not None]
-    if not candidates:
-        raise NoRootInUnitInterval(f"no root of {coeffs} in the unit interval")
-    return max(candidates)
+    floats = tuple(float(c) for c in coeffs)
+    step = 1.0 / _GRID_POINTS
+    hi, f_hi = 1.0, _horner(floats, 1.0)
+    if f_hi == 0.0:
+        return hi
+    for i in range(_GRID_POINTS - 1, -1, -1):
+        lo = i * step
+        f_lo = _horner(floats, lo)
+        if f_lo == 0.0:
+            return lo
+        if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
+            return bisect(lambda x: _horner(floats, x), lo, hi, f_lo, _ROOT_TOL)
+        hi, f_hi = lo, f_lo
+    raise NoRootInUnitInterval(f"no root of {coeffs} in the unit interval")
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,10 @@ import io
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .core import ContestError, ContestSpec, MoveSequence, draw_winner, round_payoffs
 from .behavior import BehaviorPolicy, _observation_inputs, act, policy_from_config
@@ -210,6 +211,8 @@ def play_round(
 def _group_rng(seed: int, group_index: int) -> np.random.Generator:
     # counter-based Philox keyed on (seed, group): reproducible regardless of
     # execution order across groups
+    import numpy as np  # here, so that importing the package does not load it
+
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(group_index,)))
     )
@@ -269,6 +272,8 @@ def run_session(config: SessionConfig) -> SessionLog:
 
 
 def _derived_seed(seed: int, replication: int) -> int:
+    import numpy as np
+
     stream = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
     return int(stream.generate_state(1, dtype=np.uint64)[0])
 
@@ -335,17 +340,19 @@ def _log_from_meta(meta: Mapping, records: list[RoundRecord]) -> SessionLog:
     if meta.get("schema") != 1:
         raise ContestError(f"unsupported log schema {meta.get('schema')!r}")
     spec = ContestSpec(
-        MoveSequence(tuple(meta["sequence"])),
+        MoveSequence(
+            tuple(_whole_number(k, "a sequence stage count") for k in meta["sequence"])
+        ),
         prize=float(meta["prize"]),
         endowment=float(meta["endowment"]),
         joy_of_winning=float(meta["joy_of_winning"]),
     )
     return SessionLog(
         spec=spec,
-        groups=int(meta["groups"]),
-        rounds=int(meta["rounds"]),
-        integer_rounding=bool(meta["integer_rounding"]),
-        seed=int(meta["seed"]),
+        groups=_whole_number(meta["groups"], "groups"),
+        rounds=_whole_number(meta["rounds"], "rounds"),
+        integer_rounding=_json_bool(meta["integer_rounding"], "integer_rounding"),
+        seed=_whole_number(meta["seed"], "seed"),
         records=records,
     )
 
@@ -398,6 +405,8 @@ def load_log(path) -> SessionLog:
     The format follows the file name: ``.json`` or else CSV. Both formats go
     through the same meta and record parsing, so a log reads back with its
     full session parameters whichever format it was saved in.
+    The meta is checked as a session config is: stage counts, groups, rounds
+    and seed must be JSON integers and integer_rounding a JSON boolean.
     A CSV without its leading meta line, or a log whose meta or records have
     the wrong shape, raises :class:`ContestError` naming the file, and a run
     manifest raises :class:`NotASessionLog`.
@@ -438,6 +447,12 @@ def _whole_number(value, name: str) -> int:
     return value
 
 
+def _json_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ContestError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def session_config_from_dict(raw: Mapping) -> SessionConfig:
     """Build a SessionConfig from one parsed JSON session object.
 
@@ -462,17 +477,14 @@ def session_config_from_dict(raw: Mapping) -> SessionConfig:
             policy_from_config(entry, spec, player)
             for player, entry in enumerate(policy_entries)
         )
-        integer_rounding = raw.get("integer_rounding", False)
-        if not isinstance(integer_rounding, bool):
-            raise ContestError(
-                f"integer_rounding must be true or false, got {integer_rounding!r}"
-            )
         return SessionConfig(
             spec=spec,
             policies=policies,
             groups=_whole_number(raw.get("groups", 1), "groups"),
             rounds=_whole_number(raw.get("rounds", 25), "rounds"),
-            integer_rounding=integer_rounding,
+            integer_rounding=_json_bool(
+                raw.get("integer_rounding", False), "integer_rounding"
+            ),
             seed=_whole_number(raw.get("seed", 0), "seed"),
         )
     except ContestError:

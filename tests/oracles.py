@@ -3,6 +3,9 @@ library's results are checked against.
 
 * ``oracle_grid_spne`` solves the contest by exact backward induction on a
   grid of investments, for up to three players.
+* ``largest_root_grid`` is the full-grid numpy root search that
+  ``equilibrium.largest_root`` replaced; the plain-Python scan must return
+  the same float.
 * ``jonckheere_terpstra_exact`` gives exact Jonckheere-Terpstra p-values by
   enumerating every assignment of the pooled observations to the groups. It
   counts pairs with its own helper, so it shares no code with the
@@ -15,8 +18,49 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from seqcontest.core import ContestError, ContestSpec
-from seqcontest.equilibrium import EquilibriumSolution
+from seqcontest.equilibrium import (
+    _GRID_POINTS,
+    _ROOT_TOL,
+    EquilibriumSolution,
+    NoRootInUnitInterval,
+    _horner,
+    bisect,
+)
 from seqcontest.stats import TooFewGroups
+
+# ---------------------------------------------------------------------------
+# Full-grid root search
+# ---------------------------------------------------------------------------
+
+
+def largest_root_grid(coeffs: tuple[int, ...]) -> float:
+    """Largest root in [0, 1], from every point of the uniform grid at once.
+
+    The polynomial is evaluated with numpy on all ``_GRID_POINTS + 1`` grid
+    points; the larger of the rightmost exact zero and the bisected rightmost
+    sign-change bracket is returned.
+    """
+    xs = np.linspace(0.0, 1.0, _GRID_POINTS + 1)
+    vals = np.polynomial.polynomial.polyval(xs, np.array([float(c) for c in coeffs]))
+
+    exact = xs[vals == 0.0]
+    best_exact = float(exact.max()) if exact.size else None
+
+    signs = np.sign(vals)
+    crossing = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    best_bracket = None
+    if crossing.size:
+        i = int(crossing.max())
+        best_bracket = bisect(
+            lambda x: _horner(coeffs, x),
+            float(xs[i]), float(xs[i + 1]), float(vals[i]), _ROOT_TOL,
+        )
+
+    candidates = [c for c in (best_exact, best_bracket) if c is not None]
+    if not candidates:
+        raise NoRootInUnitInterval(f"no root of {coeffs} in the unit interval")
+    return max(candidates)
+
 
 # ---------------------------------------------------------------------------
 # Discretized backward induction

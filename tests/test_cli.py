@@ -11,7 +11,7 @@ import pytest
 import seqcontest
 from seqcontest import stats
 from seqcontest.cli import main
-from seqcontest.simulate import export_log, load_log
+from seqcontest.simulate import CSV_META_PREFIX, export_log, load_log
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +44,25 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_solve_leaves_numpy_unloaded():
+    # numpy is loaded by simulate, analyze and the statistics; importing the
+    # package and solving, in every output form, must not load it
+    src = os.path.dirname(os.path.dirname(seqcontest.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import seqcontest, seqcontest.cli, sys\n"
+        "for extra in ([], ['--format', 'json'], ['--calibrate-from', '60']):\n"
+        "    assert seqcontest.cli.main(['solve', '--seq', '1,2', *extra]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        "print(seqcontest.stats.wald_mean is seqcontest.wald_mean)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-2:] == ["[]", "True"]
 
 
 class TestSolve:
@@ -383,6 +402,33 @@ def _write_short_csv_row(log, bad):
     bad.write_text("\n".join(lines))
 
 
+def _write_meta(key, value, fmt):
+    """Writer of a log in ``fmt`` whose meta has ``key`` set to ``value``."""
+
+    def write(log, bad):
+        payload = json.loads(log.read_text())
+        payload["meta"][key] = value
+        if fmt == "json":
+            bad.write_text(json.dumps(payload))
+            return
+        export_log(load_log(log), "csv", bad)
+        lines = bad.read_text().split("\n")
+        lines[0] = CSV_META_PREFIX + json.dumps(payload["meta"])
+        bad.write_text("\n".join(lines))
+
+    return write
+
+
+# meta values a log must not coerce: each used to load as a different session
+BAD_META = [
+    ("sequence", [1.7, 2.2]),
+    ("groups", 10.9),
+    ("rounds", 25.0),
+    ("seed", 7.5),
+    ("integer_rounding", "false"),
+]
+
+
 class TestAnalyze:
     def test_summary_matches_solver_table(self, capsys, spne_run, tmp_path):
         out_dir = tmp_path / "analysis"
@@ -483,8 +529,16 @@ class TestAnalyze:
             ("null.json", _write_null_investment),
             ("short.csv", _write_short_csv_row),
             ("float.json", _write_bad_float),
+            *[
+                (f"meta.{fmt}", _write_meta(key, value, fmt))
+                for fmt in ("json", "csv")
+                for key, value in BAD_META
+            ],
         ],
-        ids=["schema-99", "top-level-list", "null-cell", "short-csv-row", "bad-float"],
+        ids=[
+            "schema-99", "top-level-list", "null-cell", "short-csv-row", "bad-float",
+            *[f"meta-{key}-{fmt}" for fmt in ("json", "csv") for key, _ in BAD_META],
+        ],
     )
     def test_corrupt_log_exits_2(self, capsys, spne_run, tmp_path, name, write):
         bad = tmp_path / name

@@ -1,6 +1,7 @@
 """Tests for the equilibrium solver: the integer-tuple polynomial ladder,
 root finding and calibration, plus the grid backward-induction oracle from
-``oracles.py`` that the solver is cross-checked against."""
+``oracles.py`` that the solver is cross-checked against, and the full-grid
+root search there that the root scan must match exactly."""
 
 import itertools
 import math
@@ -18,7 +19,7 @@ from seqcontest.equilibrium import (
     solve_spne,
 )
 
-from oracles import GridTooLarge, oracle_grid_spne
+from oracles import GridTooLarge, largest_root_grid, oracle_grid_spne
 
 SQRT3 = math.sqrt(3.0)
 
@@ -99,13 +100,51 @@ class TestLargestRoot:
         assert largest_root((0, 0, 1)) == 0.0
 
     def test_no_root_raises(self):
-        with pytest.raises(NoRootInUnitInterval):
-            largest_root((1, 0, 1))  # x^2 + 1
+        for search in (largest_root, largest_root_grid):
+            with pytest.raises(NoRootInUnitInterval):
+                search((1, 0, 1))  # x^2 + 1
 
     def test_exact_grid_zero(self):
         # 4x^3 - 3x^2 vanishes exactly at the grid point 0.75
         f0 = build_ladder(MoveSequence((1, 2)))[0]
         assert largest_root(f0) == pytest.approx(0.75, abs=1e-13)
+
+
+# sequences of more than 12 players whose float root is known to be wrong;
+# the scan must reproduce the full-grid answer for them too
+LONG_SEQUENCES = [(1,) * 14, (1,) * 16, (1,) * 20, (5,) * 20, (2, 1) * 15]
+
+
+class TestRootScanMatchesFullGrid:
+    """The right-to-left scan returns the very float of the full-grid search."""
+
+    def test_every_sequence_up_to_twelve_players(self):
+        seqs = [seq for seq in all_sequences(12) if seq.n_players >= 2]
+        assert len(seqs) == 4094
+        for seq in seqs:
+            f0 = build_ladder(seq)[0]
+            assert largest_root(f0) == largest_root_grid(f0), seq
+
+    @pytest.mark.parametrize(
+        "stages", LONG_SEQUENCES, ids=["1x14", "1x16", "1x20", "5x20", "2-1x15"]
+    )
+    def test_long_sequences(self, stages):
+        f0 = build_ladder(MoveSequence(stages))[0]
+        assert largest_root(f0) == largest_root_grid(f0)
+
+    @pytest.mark.parametrize(
+        "coeffs, root",
+        [
+            ((-1, 2), 0.5),  # 2x - 1: exact zero on a grid point
+            ((0, 1, -1), 1.0),  # x - x^2: roots at 0 and at 1
+            ((-19999, 20000), 0.99995),  # a sign change in the last cell
+        ],
+        ids=["grid-zero", "root-at-one", "last-cell"],
+    )
+    def test_hand_made(self, coeffs, root):
+        found = largest_root(coeffs)
+        assert found == largest_root_grid(coeffs)
+        assert found == pytest.approx(root, abs=1e-13)
 
 
 class TestSolveSpne:
