@@ -18,7 +18,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .core import ContestError, ContestSpec, MoveSequence
+from .core import ContestError, ContestSpec, MoveSequence, _json_number, _known_keys
 from .equilibrium import bisect, solve_spne
 
 __all__ = [
@@ -234,16 +234,20 @@ def optimal_first_mover(
             slope = r2.m1_coef + 2.0 * r2.m1_sq_coef * (x / c)
             return p_eff * (x + resp - 0.5 * x * slope) - (2.0 * x + resp) ** 2
 
-        xs = [i * 0.5 for i in range(int(endowment / 0.5) + 1)]
-        vals = [foc(x) for x in xs]
-        x = endowment if vals[0] > 0.0 else 0.0
-        for i in range(len(xs) - 1):
-            if vals[i] == 0.0:
-                x = xs[i]
+        # walk x = i * 0.5 up to the first exact zero (the last point is never
+        # tested for one) or sign change, and bisect the bracket of a change
+        lo, f_lo = 0.0, foc(0.0)
+        x = endowment if f_lo > 0.0 else 0.0
+        for i in range(1, int(endowment / 0.5) + 1):
+            if f_lo == 0.0:
+                x = lo
                 break
-            if vals[i] * vals[i + 1] < 0.0:
-                x = bisect(foc, xs[i], xs[i + 1], vals[i], tol=1e-12)
+            hi = i * 0.5
+            f_hi = foc(hi)
+            if f_lo * f_hi < 0.0:
+                x = bisect(foc, lo, hi, f_lo, tol=1e-12)
                 break
+            lo, f_lo = hi, f_hi
     else:
         raise ContestError(
             f"optimal preemption is defined for (1,2), (2,1), (1,1,1); "
@@ -419,14 +423,12 @@ _MODEL_FIELDS = frozenset(f.name for f in fields(ResponseModel))
 
 
 def _model_from_dict(entry: Mapping, fit_effective_prize: float | None = None) -> ResponseModel:
-    unknown = set(entry) - _MODEL_FIELDS
-    if unknown:
-        raise ContestError(f"unknown response-model keys: {sorted(unknown)}")
+    _known_keys(entry, _MODEL_FIELDS, "response-model")
     if "intercept" not in entry:
         raise ContestError("response model needs an 'intercept'")
-    values = {k: float(v) for k, v in entry.items()}
+    values = {k: _json_number(v, f"response-model {k}") for k, v in entry.items()}
     if fit_effective_prize is not None:
-        values.setdefault("fit_effective_prize", float(fit_effective_prize))
+        values.setdefault("fit_effective_prize", fit_effective_prize)
     return ResponseModel(**values)
 
 
@@ -437,7 +439,7 @@ def load_response_models(path) -> dict[MoveSequence, dict[int, ResponseModel]]:
     outer key is a comma-separated move sequence, the inner key the stage the
     responder moves at, and the leaf an object with the ResponseModel fields.
     A top-level "fit_effective_prize" applies to every model that does not
-    set its own.
+    set its own. Every model field must be a JSON number.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -446,6 +448,8 @@ def load_response_models(path) -> dict[MoveSequence, dict[int, ResponseModel]]:
 
 def _parse_model_tree(raw: Mapping) -> dict[MoveSequence, dict[int, ResponseModel]]:
     default_prize = raw.get("fit_effective_prize")
+    if default_prize is not None:
+        default_prize = _json_number(default_prize, "fit_effective_prize")
     out: dict[MoveSequence, dict[int, ResponseModel]] = {}
     for seq_key, stage_map in raw["models"].items():
         seq = MoveSequence(tuple(int(s) for s in seq_key.split(",")))
@@ -474,14 +478,28 @@ def default_response_models(sequence: MoveSequence) -> dict[int, ResponseModel]:
     return dict(models[sequence])
 
 
+# the keys each policy kind reads; any other key in its entry is an error
+_POLICY_KEYS = {
+    "spne": ("kind",),
+    "jow-spne": ("kind",),
+    "responder": ("kind", "model", "noise_sd"),
+    "imitator": ("kind", "fallback"),
+    "optimizing-leader": ("kind", "models", "joy_of_winning"),
+}
+
+
 def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> BehaviorPolicy:
     """Build a policy from one JSON config entry for the given player slot.
 
     Kinds: "spne", "jow-spne", "responder", "imitator", "optimizing-leader".
     Responder and leader entries may omit "model"/"models" to use the bundled
-    presets for the session's treatment.
+    presets for the session's treatment. An entry may hold only the keys its
+    kind reads, and its numbers must be JSON numbers.
     """
     kind = str(entry.get("kind", "")).lower()
+    if kind not in _POLICY_KEYS:
+        raise ContestError(f"unknown policy kind {entry.get('kind')!r}")
+    _known_keys(entry, _POLICY_KEYS[kind], f"{kind!r} policy")
     seq = spec.sequence
     if kind == "spne":
         return EquilibriumPolicy(use_joy_of_winning=False)
@@ -500,15 +518,14 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
                 )
             model = bundled[stage]
         if "noise_sd" in entry:
-            model = replace(model, noise_sd=float(entry["noise_sd"]))
+            model = replace(model, noise_sd=_json_number(entry["noise_sd"], "noise_sd"))
         return EmpiricalResponder(model)
     if kind == "imitator":
-        return Imitator(fallback=float(entry.get("fallback", 0.0)))
-    if kind == "optimizing-leader":
-        if "models" in entry:
-            models = {int(k): _model_from_dict(v) for k, v in entry["models"].items()}
-        else:
-            models = default_response_models(seq)
-        jow = float(entry.get("joy_of_winning", spec.joy_of_winning))
-        return OptimizingLeader(models=models, joy_of_winning=jow)
-    raise ContestError(f"unknown policy kind {entry.get('kind')!r}")
+        return Imitator(fallback=_json_number(entry.get("fallback", 0.0), "fallback"))
+    # an optimizing leader
+    if "models" in entry:
+        models = {int(k): _model_from_dict(v) for k, v in entry["models"].items()}
+    else:
+        models = default_response_models(seq)
+    jow = _json_number(entry.get("joy_of_winning", spec.joy_of_winning), "joy_of_winning")
+    return OptimizingLeader(models=models, joy_of_winning=jow)

@@ -1,12 +1,12 @@
 """Command-line front end: solve, simulate, analyze.
 
-Every run that writes files also writes a ``manifest.json`` next to them
+``simulate`` and ``analyze`` write a ``manifest.json`` next to their outputs
 recording the command, inputs, seed, package version, output paths, and wall
-clock, so any artifact can be traced to exactly one invocation. Every output
-file, the manifest included, is first written under a temp name; the temp
-files are renamed into place only after all of them are written, so a failed
-``simulate`` or ``analyze`` run leaves the files already in its output
-directory as they were.
+clock, so any artifact can be traced to exactly one invocation. A run's
+files, the manifest included, go through one all-or-none write
+(:func:`seqcontest.simulate.write_files`): each is written once under a temp
+name and renamed into place once, after all of them are written, so a failed
+run leaves the files already in its output directory as they were.
 
 Exit codes: 0 success, 2 invalid input or config, 3 I/O failure.
 """
@@ -14,8 +14,6 @@ Exit codes: 0 success, 2 invalid input or config, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import errno
 import json
 import os
 import sys
@@ -25,62 +23,46 @@ from functools import partial
 from importlib import resources
 
 from . import __version__
-from .core import ContestError, ContestSpec, MoveSequence
+from .core import ContestError, ContestSpec, MoveSequence, _known_keys, _whole_number
 from .equilibrium import calibrate_jow, solve_spne
 from .simulate import (
     NotASessionLog,
     SessionLog,
-    _whole_number,
-    atomic_write_text,
-    export_log,
+    _log_text,
     load_log,
     run_batch,
     session_config_from_dict,
+    write_files,
 )
 
 _EXIT_BAD_INPUT = 2
 _EXIT_IO = 3
 
 
-def _write_outputs(out_dir: str, writers, t0: float, command: str, config=None, seed=None) -> int:
-    """Write each output, then ``manifest.json``, and return the exit code.
-
-    ``writers`` maps file names to functions that write one file given its
-    path. Every file goes to a temp name first, and the temp files are
-    renamed into place only after all of them are written, so a failed write
-    leaves the files already in ``out_dir`` as they were.
+def _write_outputs(out_dir: str, outputs, t0: float, command: str, config=None, seed=None) -> int:
+    """Write each output, then ``manifest.json``, all or none; return the exit
+    code. ``outputs`` maps file names to functions that build their texts,
+    each called only when its file is written, so one text is held at a time.
     """
 
-    def write_manifest(path):
+    def texts():
+        for name, build in outputs.items():
+            yield os.path.join(out_dir, name), build()
         manifest = {
             "schema": 1,
             "command": command,
             "config": config,
             "master_seed": seed,
             "package_version": __version__,
-            "outputs": sorted(writers),
+            "outputs": sorted(outputs),
             "wall_clock_seconds": round(time.time() - t0, 3),
         }
-        atomic_write_text(path, json.dumps(manifest, indent=1) + "\n")
+        yield os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1) + "\n"
 
-    staged = {}
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for name, write in [*writers.items(), ("manifest.json", write_manifest)]:
-            path = os.path.join(out_dir, name)
-            if os.path.isdir(path):
-                # os.replace would fail only at the rename, after earlier renames
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            staged[path] = f"{path}.{os.urandom(8).hex()}.tmp"
-            write(staged[path])
-        for path, tmp in staged.items():
-            os.replace(tmp, path)
-    except BaseException as exc:
-        for tmp in staged.values():
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        if not isinstance(exc, OSError):
-            raise
+        write_files(texts())
+    except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return _EXIT_IO
     return 0
@@ -90,6 +72,13 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
     return int(text)
+
+
+def _significance_level(text: str) -> float:
+    value = float(text)  # argparse reports the ValueError of a non-number
+    if not 0.0 < value < 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
+    return value
 
 
 def _parse_sequence(text: str) -> MoveSequence:
@@ -144,7 +133,7 @@ def cmd_solve(args) -> int:
         print(banner, file=sys.stderr)
     if args.out:
         try:
-            atomic_write_text(args.out, text)
+            write_files([(args.out, text)])
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return _EXIT_IO
@@ -183,6 +172,7 @@ def cmd_simulate(args) -> int:
         raw, config_name = _resolve_config(args.config)
         if not isinstance(raw, dict):
             raise ContestError("the top level is not a JSON object")
+        _known_keys(raw, ("schema", "replications", "sessions"), "config")
         if raw.get("schema") != 1:
             raise ContestError(f"unsupported config schema {raw.get('schema')!r}")
         sessions = raw.get("sessions")
@@ -202,15 +192,15 @@ def cmd_simulate(args) -> int:
     logs = run_batch(configs, replications=replications)
 
     formats = ["csv", "json"] if args.format == "both" else [args.format]
-    writers = {
-        f"{_log_basename(log, i)}.{fmt}": partial(export_log, log, fmt)
+    outputs = {
+        f"{_log_basename(log, i)}.{fmt}": partial(_log_text, log, fmt)
         for i, log in enumerate(logs)
         for fmt in formats
     }
     seeds = [cfg.seed for cfg in configs]
-    code = _write_outputs(args.out, writers, t0, "simulate", config_name, seeds)
+    code = _write_outputs(args.out, outputs, t0, "simulate", config_name, seeds)
     if code == 0:
-        print(f"wrote {len(writers)} log file(s) to {args.out}")
+        print(f"wrote {len(outputs)} log file(s) to {args.out}")
     return code
 
 
@@ -347,8 +337,8 @@ def cmd_analyze(args) -> int:
         files["tests.csv"] = "\n".join(test_lines) + "\n"
     files["report.txt"] = "\n".join(report) + "\n"
 
-    writers = {name: partial(atomic_write_text, text=text) for name, text in files.items()}
-    code = _write_outputs(args.out, writers, t0, "analyze")
+    outputs = {name: partial(str, text) for name, text in files.items()}
+    code = _write_outputs(args.out, outputs, t0, "analyze")
     if code == 0:
         sys.stdout.write("\n".join(report) + "\n")
     return code
@@ -397,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--tests", default="summary,trend,jt,wald", help="comma list of tests to run"
     )
-    p_an.add_argument("--alpha", type=float, default=0.05)
+    p_an.add_argument("--alpha", type=_significance_level, default=0.05)
     p_an.add_argument("--out", default="analysis", help="output directory")
     p_an.set_defaults(func=cmd_analyze)
     return parser

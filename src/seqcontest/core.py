@@ -130,6 +130,34 @@ class ContestSpec:
         return self.prize + self.joy_of_winning
 
 
+# Checks on values parsed from JSON configs and logs: nothing is coerced, and
+# true and false, ints in Python, are neither counts nor numbers.
+
+
+def _whole_number(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ContestError(f"{name} must be a whole number, got {value!r}")
+    return value
+
+
+def _json_number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ContestError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ContestError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _known_keys(entry, allowed, what: str) -> None:
+    unknown = set(entry) - set(allowed)
+    if unknown:
+        raise ContestError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _as_investments(investments: Sequence[float]) -> list[float]:
     """``investments`` as a nonempty list of nonnegative floats."""
     try:

@@ -37,7 +37,17 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .core import ContestError, ContestSpec, MoveSequence, draw_winner, round_payoffs
+from .core import (
+    ContestError,
+    ContestSpec,
+    MoveSequence,
+    _json_bool,
+    _json_number,
+    _known_keys,
+    _whole_number,
+    draw_winner,
+    round_payoffs,
+)
 from .behavior import BehaviorPolicy, _observation_inputs, act, policy_from_config
 
 __all__ = [
@@ -303,22 +313,32 @@ def run_batch(
 CSV_META_PREFIX = "# seqcontest-log "
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a rename, so readers never see a
-    partial file. The temp file is a uniquely named sibling opened for
-    exclusive creation (so concurrent writers never share one, and its mode
-    follows the umask like any new file); it is removed on any error.
+def write_files(files) -> None:
+    """Write each ``(path, text)`` pair of ``files``, all or none: each text
+    goes to a uniquely named sibling temp file opened for exclusive creation
+    (so concurrent writers never share one, and its mode follows the umask),
+    and the temp files are renamed into place only after all are written. On
+    any error they are removed. A generator ``files`` builds each text only
+    after the one before it is written and released.
     """
-    path = os.fspath(path)
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    staged = []
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            path = os.fspath(path)
+            if os.path.isdir(path):
+                # os.replace would fail only at the rename, after earlier renames
+                raise IsADirectoryError(f"{path} is a directory")
+            tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+            with open(tmp, "x", encoding="utf-8", newline="") as fh:
+                staged.append((tmp, path))
+                fh.write(text)
+            del text  # not held while the next text is built
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise
 
 
@@ -343,9 +363,9 @@ def _log_from_meta(meta: Mapping, records: list[RoundRecord]) -> SessionLog:
         MoveSequence(
             tuple(_whole_number(k, "a sequence stage count") for k in meta["sequence"])
         ),
-        prize=float(meta["prize"]),
-        endowment=float(meta["endowment"]),
-        joy_of_winning=float(meta["joy_of_winning"]),
+        prize=_json_number(meta["prize"], "prize"),
+        endowment=_json_number(meta["endowment"], "endowment"),
+        joy_of_winning=_json_number(meta["joy_of_winning"], "joy_of_winning"),
     )
     return SessionLog(
         spec=spec,
@@ -368,13 +388,7 @@ def _csv_cell(value):
     return int(value) if isinstance(value, bool) else value
 
 
-def export_log(log: SessionLog, format: str, path) -> None:
-    """Write a session log as CSV or JSON (atomically: temp file + rename).
-
-    Both formats hold the same meta block and records. A CSV log starts with
-    one ``# seqcontest-log {meta JSON}`` line, then the header and one row
-    per record.
-    """
+def _log_text(log: SessionLog, format: str) -> str:
     meta = _log_meta(log)
     if format == "csv":
         buf = io.StringIO()
@@ -385,8 +399,8 @@ def export_log(log: SessionLog, format: str, path) -> None:
             [_csv_cell(getattr(r, column)) for column in CSV_COLUMNS]
             for r in log.records
         )
-        atomic_write_text(path, buf.getvalue())
-    elif format == "json":
+        return buf.getvalue()
+    if format == "json":
         payload = {
             "meta": meta,
             "records": [
@@ -394,9 +408,18 @@ def export_log(log: SessionLog, format: str, path) -> None:
                 for r in log.records
             ],
         }
-        atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
-    else:
-        raise ContestError(f"unknown export format {format!r}")
+        return json.dumps(payload, indent=1) + "\n"
+    raise ContestError(f"unknown export format {format!r}")
+
+
+def export_log(log: SessionLog, format: str, path) -> None:
+    """Write a session log as CSV or JSON through :func:`write_files`.
+
+    Both formats hold the same meta block and records. A CSV log starts with
+    one ``# seqcontest-log {meta JSON}`` line, then the header and one row
+    per record.
+    """
+    write_files([(path, _log_text(log, format))])
 
 
 def load_log(path) -> SessionLog:
@@ -406,7 +429,8 @@ def load_log(path) -> SessionLog:
     through the same meta and record parsing, so a log reads back with its
     full session parameters whichever format it was saved in.
     The meta is checked as a session config is: stage counts, groups, rounds
-    and seed must be JSON integers and integer_rounding a JSON boolean.
+    and seed must be JSON integers, prize, endowment and joy_of_winning JSON
+    numbers, and integer_rounding a JSON boolean.
     A CSV without its leading meta line, or a log whose meta or records have
     the wrong shape, raises :class:`ContestError` naming the file, and a run
     manifest raises :class:`NotASessionLog`.
@@ -440,17 +464,10 @@ def load_log(path) -> SessionLog:
         raise ContestError(f"malformed log {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _whole_number(value, name: str) -> int:
-    # a JSON integer; true and false are ints in Python but not counts
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ContestError(f"{name} must be a whole number, got {value!r}")
-    return value
-
-
-def _json_bool(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ContestError(f"{name} must be true or false, got {value!r}")
-    return value
+_SESSION_KEYS = (
+    "treatment", "prize", "endowment", "joy_of_winning", "groups", "rounds",
+    "integer_rounding", "seed", "policies",
+)
 
 
 def session_config_from_dict(raw: Mapping) -> SessionConfig:
@@ -458,9 +475,10 @@ def session_config_from_dict(raw: Mapping) -> SessionConfig:
 
     Keys: treatment (stage counts), prize, endowment, joy_of_winning, groups,
     rounds, integer_rounding, seed, policies (one entry per player, see
-    :func:`seqcontest.behavior.policy_from_config`). Stage counts, groups,
-    rounds and seed must be JSON integers and integer_rounding a JSON
-    boolean; nothing is coerced.
+    :func:`seqcontest.behavior.policy_from_config`); any other key is an
+    error. Stage counts, groups, rounds and seed must be JSON integers,
+    prize, endowment and joy_of_winning JSON numbers, and integer_rounding a
+    JSON boolean; nothing is coerced.
     """
     try:
         sequence = MoveSequence(
@@ -468,10 +486,12 @@ def session_config_from_dict(raw: Mapping) -> SessionConfig:
         )
         spec = ContestSpec(
             sequence,
-            prize=float(raw.get("prize", 240.0)),
-            endowment=float(raw.get("endowment", 240.0)),
-            joy_of_winning=float(raw.get("joy_of_winning", 0.0)),
+            prize=_json_number(raw.get("prize", 240.0), "prize"),
+            endowment=_json_number(raw.get("endowment", 240.0), "endowment"),
+            joy_of_winning=_json_number(raw.get("joy_of_winning", 0.0), "joy_of_winning"),
         )
+        # checked once the session is known to be an object with a treatment
+        _known_keys(raw, _SESSION_KEYS, "session")
         policy_entries = raw["policies"]
         policies = tuple(
             policy_from_config(entry, spec, player)

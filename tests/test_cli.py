@@ -1,10 +1,15 @@
 """Tests for the command-line interface (driven through main())."""
 
+import glob
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -268,18 +273,41 @@ class TestSimulate:
             ({"schema": 1, "sessions": [{"treatment": [3], "integer_rounding": "false",
                                          "policies": SPNE_POLICIES}]},
              "integer_rounding must be true or false, got 'false'"),
-            ({"schema": 1, "sessions": [{"treatment": [3], "prize": "nan",
+            ({"schema": 1, "sessions": [{"treatment": [3], "prize": float("nan"),
                                          "policies": SPNE_POLICIES}]},
              "prize must be finite"),
             ({"schema": 1, "sessions": [{"treatment": [3], "seed": -1,
                                          "policies": SPNE_POLICIES}]},
              "seed must be nonnegative, got -1"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "prize": True,
+                                         "policies": SPNE_POLICIES}]},
+             "prize must be a number, got True"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "prize": "240",
+                                         "policies": SPNE_POLICIES}]},
+             "prize must be a number, got '240'"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 2], "policies": [
+                {"kind": "spne"}, *[{"kind": "responder", "noise_sd": "5"}] * 2]}]},
+             "noise_sd must be a number, got '5'"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "policies": [
+                {"kind": "imitator", "fallback": True}] * 3}]},
+             "fallback must be a number, got True"),
+            ({"schema": 1, "replication": 2,
+              "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
+             "unknown config keys: ['replication']"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "group": 9,
+                                         "policies": SPNE_POLICIES}]},
+             "unknown session keys: ['group']"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 2], "policies": [
+                {"kind": "spne"}, *[{"kind": "responder", "noise_s": 25}] * 2]}]},
+             "unknown 'responder' policy keys: ['noise_s']"),
         ],
         ids=["empty-sessions", "top-level-list", "session-list", "treatment-int",
              "policy-int", "replications-list", "responder-without-model",
              "fourth-responder", "treatment-float", "groups-float", "seed-float",
              "replications-float", "integer-rounding-string", "prize-nan",
-             "seed-negative"],
+             "seed-negative", "prize-bool", "prize-string", "noise-sd-string",
+             "fallback-bool", "top-level-unknown-key", "session-unknown-key",
+             "policy-unknown-key"],
     )
     def test_invalid_config_exits_2(self, capsys, tmp_path, raw, detail):
         bad = tmp_path / "bad.json"
@@ -419,14 +447,16 @@ def _write_meta(key, value, fmt):
     return write
 
 
-# meta values a log must not coerce: each used to load as a different session
-BAD_META = [
-    ("sequence", [1.7, 2.2]),
-    ("groups", 10.9),
-    ("rounds", 25.0),
-    ("seed", 7.5),
-    ("integer_rounding", "false"),
-]
+# meta values a log must not coerce, by test id: each used to load as a
+# different session
+BAD_META = {
+    "sequence": ("sequence", [1.7, 2.2]),
+    "groups": ("groups", 10.9),
+    "rounds": ("rounds", 25.0),
+    "seed": ("seed", 7.5),
+    "integer_rounding": ("integer_rounding", "false"),
+    "prize-bool": ("prize", True),
+}
 
 
 class TestAnalyze:
@@ -532,12 +562,12 @@ class TestAnalyze:
             *[
                 (f"meta.{fmt}", _write_meta(key, value, fmt))
                 for fmt in ("json", "csv")
-                for key, value in BAD_META
+                for key, value in BAD_META.values()
             ],
         ],
         ids=[
             "schema-99", "top-level-list", "null-cell", "short-csv-row", "bad-float",
-            *[f"meta-{key}-{fmt}" for fmt in ("json", "csv") for key, _ in BAD_META],
+            *[f"meta-{label}-{fmt}" for fmt in ("json", "csv") for label in BAD_META],
         ],
     )
     def test_corrupt_log_exits_2(self, capsys, spne_run, tmp_path, name, write):
@@ -607,6 +637,17 @@ class TestAnalyze:
                     "--out", str(tmp_path / "x"),
                 ])
             assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("alpha", ["-3", "nan", "0", "1", "1.5", "abc"])
+    def test_alpha_outside_unit_interval_exits_2(self, capsys, spne_run, tmp_path, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "analyze", *[str(p) for p in spne_run], "--alpha", alpha,
+                "--out", str(tmp_path / "x"),
+            ])
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_glob_over_output_dir_skips_manifest(self, capsys, spne_run, tmp_path):
@@ -697,6 +738,58 @@ class TestAnalyze:
         for manifest in (spne_run[0].parent / "manifest.json", out_dir / "manifest.json"):
             record = json.loads(manifest.read_text())
             assert record["package_version"] == seqcontest.__version__
+
+
+def test_each_output_renamed_once_from_its_temp_file(capsys, tmp_path, monkeypatch):
+    # every file of a run is written once, to <dest>.<16 hex>.tmp, and renamed
+    # once onto its destination
+    renames = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        renames.append((os.fspath(src), os.fspath(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    sessions = [
+        {"treatment": t, "groups": 2, "rounds": 3, "seed": 5, "policies": SPNE_POLICIES}
+        for t in ([3], [1, 2], [2, 1])
+    ]
+    config = write_config(tmp_path / "cfg.json", sessions)
+    runs, analysis = tmp_path / "runs", tmp_path / "analysis"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--config", config, "--out", str(runs), "--format", "both"
+    )
+    assert code == 0
+    code, _, _ = run_cli(
+        capsys, "analyze", *sorted(str(p) for p in runs.glob("session*.json")),
+        "--out", str(analysis),
+    )
+    assert code == 0
+    expected = []
+    for folder in (runs, analysis):
+        names = json.loads((folder / "manifest.json").read_text())["outputs"]
+        expected += [str(folder / name) for name in [*names, "manifest.json"]]
+    assert len(expected) == 6 + 1 + 4 + 1
+    assert sorted(dst for _, dst in renames) == sorted(expected)
+    for src, dst in renames:
+        assert re.fullmatch(re.escape(dst) + r"\.[0-9a-f]{16}\.tmp", src)
+
+
+def test_readme_command_line_runs(capsys, tmp_path, monkeypatch):
+    # every command of README's "Command line" block, globs expanded as a
+    # shell would, exits 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("seqcontest ")]
+    assert commands
+    preset = resources.files("seqcontest.presets").joinpath("spne_all_treatments.json")
+    (tmp_path / "my_config.json").write_text(preset.read_text())
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        args = [path for arg in argv[1:] for path in sorted(glob.glob(arg)) or [arg]]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 0, (argv, err)
 
 
 # sha256 of CLI outputs, the presets simulated at --seed 7. A change meant to
