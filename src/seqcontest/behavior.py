@@ -134,38 +134,23 @@ class PreemptionResult(NamedTuple):
     at_boundary: bool
 
 
-def _golden_max(f, lo: float, hi: float) -> float:
-    """Golden-section maximization of a unimodal function on [lo, hi], down
-    to a bracket of width 1e-6."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-6:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _roots(f, step: float, end: float):
+    """Roots of ``f`` on [0, end] in increasing order, found by walking
+    x = i * step.
 
-
-def _maximize_on_interval(f, lo: float, hi: float):
-    """Grid scan in steps of 0.25 followed by golden-section refinement."""
-    coarse_step = 0.25
-    n = int(round((hi - lo) / coarse_step))
-    best_i, best_v = 0, -math.inf
-    for i in range(n + 1):
-        v = f(lo + i * coarse_step)
-        if v > best_v:
-            best_i, best_v = i, v
-    a = max(lo, lo + (best_i - 1) * coarse_step)
-    b = min(hi, lo + (best_i + 1) * coarse_step)
-    return _golden_max(f, a, b)
+    Yields each grid point where ``f`` is exactly zero (the last point is
+    never tested for one) and each strict sign change between neighbouring
+    points, bisected to 1e-12.
+    """
+    lo, f_lo = 0.0, f(0.0)
+    for i in range(1, int(end / step) + 1):
+        if f_lo == 0.0:
+            yield lo
+        hi = i * step
+        f_hi = f(hi)
+        if f_lo * f_hi < 0.0:
+            yield bisect(f, lo, hi, f_lo, tol=1e-12)
+        lo, f_lo = hi, f_hi
 
 
 def optimal_first_mover(
@@ -179,75 +164,67 @@ def optimal_first_mover(
     responses.
 
     ``models`` maps stage index (2, and 3 for the three-stage treatment) to
-    the responder model for that stage; only the deterministic part of each
-    model is used. The effective prize is prize + joy_of_winning.
+    the responder model for that stage. Only the deterministic part of each
+    model is used, clamped to [0, endowment] as play clamps it
+    (:func:`eval_response`). Models carrying ``fit_effective_prize`` are
+    rescaled homogeneously to the effective prize V = prize + joy_of_winning,
+    so varying the joy of winning scales the optimum proportionally.
 
-    For one leader the expected payoff is maximized directly over
-    [0, endowment]. With two leaders, the symmetric equilibrium between them
-    solves the first-order condition
-    (V+w)*(x + R(x) - (x/2)*R'(x)) = (2x + R(x))**2, where the follower's
-    response R takes the leaders' average investment as input.
-
-    Models carrying ``fit_effective_prize`` are rescaled homogeneously when
-    the effective prize here differs from the one they were estimated at, so
-    removing (or varying) the joy-of-winning correction scales the optimum
-    proportionally rather than pitting a shrunken prize against responses
-    calibrated to a larger one.
+    All three treatments walk a first-order condition at 0.5-point steps and
+    bisect its roots to 1e-12 (:func:`_roots`). One leader facing the later
+    movers' total response O(x) takes the best of the two ends and the roots
+    of V*(O - x*O')/(x + O)**2 - 1, its marginal payoff. Two leaders take the
+    first root of V*(x + R - (x/2)*R') - (2x + R)**2, their symmetric
+    equilibrium against the follower's response R to their average, or else
+    the end that its sign at 0 points to.
     """
     stages = treatment.stages
     p_eff = prize + joy_of_winning
-    n = treatment.n_players
 
-    def scale_of(model: ResponseModel) -> float:
-        if model.fit_effective_prize is None:
-            return 1.0
-        return p_eff / model.fit_effective_prize
-
-    def response(model: ResponseModel, m1: float, m2: float | None = None) -> float:
-        c = scale_of(model)
-        return c * model.mean_response(m1 / c, None if m2 is None else m2 / c)
-
-    def payoff(own: float, others: float) -> float:
-        total = own + others
-        if total <= 0.0:
-            return p_eff / n - own
-        return p_eff * own / total - own
+    def response(model: ResponseModel, m1: float, m2: float | None = None):
+        # the rescaled response clamped as in play, with its slopes in m1
+        # and m2, which are 0 where it is clamped
+        c = 1.0 if model.fit_effective_prize is None else p_eff / model.fit_effective_prize
+        value = c * model.mean_response(m1 / c, None if m2 is None else m2 / c)
+        if not 0.0 <= value <= endowment:
+            return min(max(value, 0.0), endowment), 0.0, 0.0
+        d1 = model.m1_coef + 2.0 * model.m1_sq_coef * (m1 / c)
+        d2 = 0.0 if m2 is None else model.m2_coef + 2.0 * model.m2_sq_coef * (m2 / c)
+        return value, d1, d2
 
     if stages in ((1, 2), (1, 1, 1)):
         # later stages respond in order; stage 3 also sees stage 2's response
         k2, r2, r3 = stages[1], models[2], (models[3] if stages == (1, 1, 1) else None)
 
-        def objective(x: float) -> float:
-            second = response(r2, x)
-            others = k2 * second
+        def others(x: float) -> tuple[float, float]:
+            second, slope2, _ = response(r2, x)
+            total, slope = k2 * second, k2 * slope2
             if r3 is not None:
-                others += response(r3, x, second)
-            return payoff(x, others)
+                third, d31, d32 = response(r3, x, second)
+                total, slope = total + third, slope + d31 + d32 * slope2
+            return total, slope
 
-        x = _maximize_on_interval(objective, 0.0, endowment)
+        def marginal(x: float) -> float:
+            o, slope = others(x)
+            if x + o <= 0.0:
+                return math.inf  # nobody invests: any investment wins the prize
+            return p_eff * (o - x * slope) / (x + o) ** 2 - 1.0
+
+        def payoff(x: float) -> float:
+            total = x + others(x)[0]
+            if total <= 0.0:
+                return p_eff / treatment.n_players - x
+            return p_eff * x / total - x
+
+        x = max([0.0, endowment, *_roots(marginal, 0.5, endowment)], key=payoff)
     elif stages == (2, 1):
         r2 = models[2]
 
         def foc(x: float) -> float:
-            resp = response(r2, x)
-            c = scale_of(r2)
-            slope = r2.m1_coef + 2.0 * r2.m1_sq_coef * (x / c)
+            resp, slope, _ = response(r2, x)
             return p_eff * (x + resp - 0.5 * x * slope) - (2.0 * x + resp) ** 2
 
-        # walk x = i * 0.5 up to the first exact zero (the last point is never
-        # tested for one) or sign change, and bisect the bracket of a change
-        lo, f_lo = 0.0, foc(0.0)
-        x = endowment if f_lo > 0.0 else 0.0
-        for i in range(1, int(endowment / 0.5) + 1):
-            if f_lo == 0.0:
-                x = lo
-                break
-            hi = i * 0.5
-            f_hi = foc(hi)
-            if f_lo * f_hi < 0.0:
-                x = bisect(foc, lo, hi, f_lo, tol=1e-12)
-                break
-            lo, f_lo = hi, f_hi
+        x = next(_roots(foc, 0.5, endowment), endowment if foc(0.0) > 0.0 else 0.0)
     else:
         raise ContestError(
             f"optimal preemption is defined for (1,2), (2,1), (1,1,1); "
@@ -439,7 +416,8 @@ def load_response_models(path) -> dict[MoveSequence, dict[int, ResponseModel]]:
     outer key is a comma-separated move sequence, the inner key the stage the
     responder moves at, and the leaf an object with the ResponseModel fields.
     A top-level "fit_effective_prize" applies to every model that does not
-    set its own. Every model field must be a JSON number.
+    set its own. Every model field must be a JSON number, and any other
+    top-level key is an error.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -447,6 +425,9 @@ def load_response_models(path) -> dict[MoveSequence, dict[int, ResponseModel]]:
 
 
 def _parse_model_tree(raw: Mapping) -> dict[MoveSequence, dict[int, ResponseModel]]:
+    _known_keys(raw, ("schema", "fit_effective_prize", "models"), "response-model file")
+    if raw.get("schema") != 1:
+        raise ContestError(f"unsupported response-model schema {raw.get('schema')!r}")
     default_prize = raw.get("fit_effective_prize")
     if default_prize is not None:
         default_prize = _json_number(default_prize, "fit_effective_prize")

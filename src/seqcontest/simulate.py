@@ -30,6 +30,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -67,26 +68,37 @@ __all__ = [
 SUBJECTS_PER_ROLE = 3
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None or value == "" else float(value)
+def _json_optional(value, name: str) -> float | None:
+    return None if value is None else _json_number(value, name)
 
 
-# The log columns in file order, each with the parser that reads it back from
-# a JSON value or a CSV cell. RoundRecord has the same fields.
-_COLUMN_PARSERS = {
-    "group": int,
-    "round": int,
-    "triad": int,
-    "subject": int,
-    "stage": int,
-    "slot": int,
-    "m1": _optional_float,
-    "m2": _optional_float,
-    "investment": float,
-    "won": lambda value: bool(int(value)),
-    "payoff": float,
+def _csv_optional(cell: str) -> float | None:
+    return None if cell == "" else float(cell)
+
+
+def _csv_bit(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ContestError(f"won must be 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
+# The log columns in file order, each with the check that reads it from a JSON
+# value and the parser that reads it from a CSV cell; the float cells must
+# also be finite. RoundRecord has the same fields, in the same order.
+_COLUMNS = {
+    "group": (_whole_number, int),
+    "round": (_whole_number, int),
+    "triad": (_whole_number, int),
+    "subject": (_whole_number, int),
+    "stage": (_whole_number, int),
+    "slot": (_whole_number, int),
+    "m1": (_json_optional, _csv_optional),
+    "m2": (_json_optional, _csv_optional),
+    "investment": (_json_number, float),
+    "won": (_json_bool, _csv_bit),
+    "payoff": (_json_number, float),
 }
-CSV_COLUMNS = tuple(_COLUMN_PARSERS)
+CSV_COLUMNS = tuple(_COLUMNS)
 
 
 class BadGroupComposition(ContestError):
@@ -377,10 +389,15 @@ def _log_from_meta(meta: Mapping, records: list[RoundRecord]) -> SessionLog:
     )
 
 
-def _record_from_row(row: Mapping) -> RoundRecord:
-    return RoundRecord(
-        **{column: parse(row[column]) for column, parse in _COLUMN_PARSERS.items()}
-    )
+def _record_from_row(row: Mapping, from_json: bool) -> RoundRecord:
+    if from_json:
+        record = RoundRecord(*[check(row[c], c) for c, (check, _) in _COLUMNS.items()])
+    else:
+        record = RoundRecord(*[parse(row[c]) for c, (_, parse) in _COLUMNS.items()])
+    for value in (record.m1, record.m2, record.investment, record.payoff):
+        if value is not None and not math.isfinite(value):
+            raise ContestError(f"m1, m2, investment and payoff must be finite, got {value!r}")
+    return record
 
 
 def _csv_cell(value):
@@ -430,7 +447,8 @@ def load_log(path) -> SessionLog:
     full session parameters whichever format it was saved in.
     The meta is checked as a session config is: stage counts, groups, rounds
     and seed must be JSON integers, prize, endowment and joy_of_winning JSON
-    numbers, and integer_rounding a JSON boolean.
+    numbers, and integer_rounding a JSON boolean; record cells likewise
+    (``_COLUMNS``), with a CSV ``won`` 0 or 1 and every float cell finite.
     A CSV without its leading meta line, or a log whose meta or records have
     the wrong shape, raises :class:`ContestError` naming the file, and a run
     manifest raises :class:`NotASessionLog`.
@@ -444,7 +462,7 @@ def load_log(path) -> SessionLog:
                 raise ContestError("the top level is not a JSON object")
             if "meta" not in payload and {"command", "outputs"} <= payload.keys():
                 raise NotASessionLog(f"{path} is a run manifest")
-            records = [_record_from_row(entry) for entry in payload["records"]]
+            records = [_record_from_row(entry, True) for entry in payload["records"]]
             return _log_from_meta(payload["meta"], records)
         with open(path, encoding="utf-8", newline="") as fh:
             first = fh.readline()
@@ -454,7 +472,7 @@ def load_log(path) -> SessionLog:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
                 raise ContestError(f"unexpected CSV columns {reader.fieldnames!r}")
-            records = [_record_from_row(row) for row in reader]
+            records = [_record_from_row(row, False) for row in reader]
         return _log_from_meta(meta, records)
     except NotASessionLog:
         raise

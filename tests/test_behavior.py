@@ -109,10 +109,45 @@ def two_leader_foc(model, p_eff):
     return foc
 
 
+def one_leader_reference(stages, models, p_eff):
+    """Payoff of the (1,2) or (1,1,1) leader and its derivative in the leader's
+    investment x, written out from the rescaled quadratic responses (without
+    the clamp: at the bundled optima every response is interior)."""
+
+    def others(x):
+        # the later movers' total investment and its derivative in x
+        r2, r3 = models[2], models.get(3)
+        c = p_eff / r2.fit_effective_prize
+        second = c * r2.intercept + r2.m1_coef * x + r2.m1_sq_coef * x * x / c
+        d_second = r2.m1_coef + 2.0 * r2.m1_sq_coef * x / c
+        if stages == (1, 2):
+            return 2.0 * second, 2.0 * d_second
+        c = p_eff / r3.fit_effective_prize
+        third = (
+            c * r3.intercept + r3.m1_coef * x + r3.m1_sq_coef * x * x / c
+            + r3.m2_coef * second + r3.m2_sq_coef * second * second / c
+        )
+        d_third = (
+            r3.m1_coef + 2.0 * r3.m1_sq_coef * x / c
+            + (r3.m2_coef + 2.0 * r3.m2_sq_coef * second / c) * d_second
+        )
+        return second + third, d_second + d_third
+
+    def payoff(x):
+        return p_eff * x / (x + others(x)[0]) - x
+
+    def derivative(x):
+        total, d_total = others(x)
+        total += x
+        return p_eff / total - p_eff * x * (1.0 + d_total) / total**2 - 1.0
+
+    return payoff, derivative
+
+
 OPTIMUM_DIGESTS = {
-    (1, 2): "a49a344a83486f4140e7f9507c4196ad349591fda633ce7045f771501b13c229",
+    (1, 2): "d3c3f42978ace0097c0e570150f8d3d116f9dc041a004819a68b792072d01398",
     (2, 1): "eddb305be6996e134ab6e3edf4242a88feb01674498be4664730507ab7f910b7",
-    (1, 1, 1): "f09ea536e4fcad5676e0cc19f5aa21dec7b01ba34f7262fe279f73da4a4d9967",
+    (1, 1, 1): "06d67da83485d6ba7f33ce39aa7eeabecf5458cb6b14d5d2f67223874b8ddebf",
 }
 
 
@@ -204,6 +239,65 @@ class TestOptimalFirstMover:
     def test_simultaneous_treatment_rejected(self):
         with pytest.raises(ContestError):
             optimal_first_mover(MoveSequence((3,)), {}, 240.0, 0.0)
+
+    @pytest.mark.parametrize("stages", [(1, 2), (1, 1, 1)])
+    def test_one_leader_optimum_matches_derivative_reference(self, stages):
+        # the payoff's 0.01-point grid maximum brackets the root of its
+        # derivative, which scipy's brentq solves to 1e-13
+        seq = MoveSequence(stages)
+        models = default_response_models(seq)
+        xs = np.arange(24001) * 0.01
+        for w in range(0, 295, 7):
+            payoff, derivative = one_leader_reference(stages, models, 240.0 + w)
+            best = int(np.argmax(payoff(xs)))
+            root = brentq(derivative, xs[best - 1], xs[best + 1], xtol=1e-13)
+            res = optimal_first_mover(seq, models, 240.0, float(w))
+            assert abs(res.investment - root) < 1e-9
+
+    @pytest.mark.parametrize(
+        "stages, model, expected",
+        [
+            # the followers drop out at x = 170.416; the leader invests that much
+            ((1, 2), ResponseModel(intercept=60.0, m1_coef=0.5, m1_sq_coef=-0.005), 170.416),
+            # the follower drops out at m1 >= 40; each leader then invests V/4
+            ((2, 1), ResponseModel(intercept=20.0, m1_coef=-0.5), 60.0),
+        ],
+        ids=["1-2", "2-1"],
+    )
+    def test_optimum_against_clamped_play(self, stages, model, expected):
+        # play clamps each response (eval_response): a leader's best reply
+        # on a 0.01-point grid, the other leader (if any) holding the returned
+        # investment, is that investment
+        seq = MoveSequence(stages)
+        x = optimal_first_mover(seq, {2: model}, 240.0, 0.0).investment
+        k1, k2 = stages
+
+        def payoff(own):
+            leaders = own + (k1 - 1) * x
+            total = leaders + k2 * eval_response(model, leaders / k1)
+            return 240.0 * own / total - own if total > 0.0 else 80.0 - own
+
+        ys = np.arange(24001) * 0.01
+        values = [payoff(y) for y in ys]
+        best = int(np.argmax(values))
+        assert abs(ys[best] - x) <= 0.01 + 1e-9
+        assert payoff(x) >= values[best] - 1e-9
+        assert x == pytest.approx(expected, abs=1e-3)
+
+    @pytest.mark.parametrize("stages", sorted(OPTIMUM_DIGESTS))
+    def test_bundled_optima_face_interior_responses(self, stages):
+        # why the clamp of play moves no bundled optimum: at each, every
+        # rescaled response lies strictly inside (0, endowment)
+        seq = MoveSequence(stages)
+        models = default_response_models(seq)
+        for w in range(0, 295, 7):
+            c = (240.0 + w) / models[2].fit_effective_prize
+            x = optimal_first_mover(seq, models, 240.0, float(w)).investment
+            second = c * models[2].mean_response(x / c)
+            responses = [second]
+            if 3 in models:
+                responses.append(c * models[3].mean_response(x / c, second / c))
+            assert all(0.0 < r < 240.0 for r in responses), (w, x, responses)
 
     @pytest.mark.parametrize("stages", sorted(OPTIMUM_DIGESTS))
     def test_golden_optima(self, stages):
@@ -347,6 +441,25 @@ class TestPresets:
             )
         )
         assert load_response_models(path)[SEQ_12][2].fit_effective_prize is None
+
+    @pytest.mark.parametrize(
+        "top",
+        [
+            {"schema": 1, "fit_effective_prise": 300.0},
+            {"schema": 1, "endowment": 240},
+            {"schema": 2},
+            {},
+        ],
+        ids=["misspelt-fit-prize", "unread-key", "schema-2", "no-schema"],
+    )
+    def test_bad_top_level_rejected(self, tmp_path, top):
+        # a misspelt fit_effective_prize used to load, silently unscaled
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({**top, "models": {"1,2": {"2": {"intercept": 55.0}}}})
+        )
+        with pytest.raises(ContestError):
+            load_response_models(path)
 
     def test_unknown_model_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -16,7 +16,7 @@ import pytest
 import seqcontest
 from seqcontest import stats
 from seqcontest.cli import main
-from seqcontest.simulate import CSV_META_PREFIX, export_log, load_log
+from seqcontest.simulate import CSV_COLUMNS, CSV_META_PREFIX, export_log, load_log
 
 
 def run_cli(capsys, *argv):
@@ -447,6 +447,39 @@ def _write_meta(key, value, fmt):
     return write
 
 
+def _write_record(column, value, fmt):
+    """Writer of a log in ``fmt`` whose first record has ``column`` set to
+    ``value`` (a JSON value, or a CSV cell)."""
+
+    def write(log, bad):
+        if fmt == "json":
+            payload = json.loads(log.read_text())
+            payload["records"][0][column] = value
+            bad.write_text(json.dumps(payload))
+            return
+        export_log(load_log(log), "csv", bad)
+        lines = bad.read_text().split("\n")
+        cells = lines[2].split(",")
+        cells[CSV_COLUMNS.index(column)] = value
+        lines[2] = ",".join(cells)
+        bad.write_text("\n".join(lines))
+
+    return write
+
+
+# record cells a log must not coerce, by test id: each used to load
+BAD_RECORDS = {
+    "investment-bool-json": ("investment", True, "json"),
+    "group-float-json": ("group", 1.9, "json"),
+    "won-float-json": ("won", 0.4, "json"),
+    "investment-nan-json": ("investment", float("nan"), "json"),
+    "m2-inf-json": ("m2", float("inf"), "json"),
+    "won-2-csv": ("won", "2", "csv"),
+    "payoff-inf-csv": ("payoff", "inf", "csv"),
+    "m1-nan-csv": ("m1", "nan", "csv"),
+}
+
+
 # meta values a log must not coerce, by test id: each used to load as a
 # different session
 BAD_META = {
@@ -564,10 +597,15 @@ class TestAnalyze:
                 for fmt in ("json", "csv")
                 for key, value in BAD_META.values()
             ],
+            *[
+                (f"record.{fmt}", _write_record(column, value, fmt))
+                for column, value, fmt in BAD_RECORDS.values()
+            ],
         ],
         ids=[
             "schema-99", "top-level-list", "null-cell", "short-csv-row", "bad-float",
             *[f"meta-{label}-{fmt}" for fmt in ("json", "csv") for label in BAD_META],
+            *[f"record-{label}" for label in BAD_RECORDS],
         ],
     )
     def test_corrupt_log_exits_2(self, capsys, spne_run, tmp_path, name, write):
@@ -830,25 +868,25 @@ PRESET_DIGESTS = {
     },
     "empirical_preemption": {
         "session00_seq1-2.csv":
-            "84133eeebb026ea34dd5fa93b5aedf0db9e2355d6a1bc81b5fb0f586aef007c6",
+            "1cb55cfbd930ded9283c27996acb1c9372d882770f751edbe096f12ddaab84d3",
         "session00_seq1-2.json":
-            "8b535ae10bbd9aac5c6bf78f52cb361f8fd7b509cb5bde40eeffab37398d09ee",
+            "453871991b2c1a9a6e50a0042815b653d681934c46e09cb5595d1444873a7e90",
         "session01_seq2-1.csv":
             "07c82cba2e89aafb97edf9dc8609ea69bb4dbcda641f6d5ed0e88bbbc2c0abc3",
         "session01_seq2-1.json":
             "bc152bbcd409415a8ed23a8c017a74961c95a99ce89fb329bef7b2d0982808af",
         "session02_seq1-1-1.csv":
-            "c5cfd18dc9ae5a9e9bcc5e544910fbeb66ae8b29aacb387e451547574bccbe86",
+            "cadaa5f05711d465b9e1452727cfe50641def9661fdbbb2988da5ef102261d49",
         "session02_seq1-1-1.json":
-            "52266ce50b86464fe58c754738da9632e1ec0b137f4fdaf307b6579effd54bdd",
+            "c526335012d26cb629d57002e32aa802b67509c810acb34bc7109bc9080166b3",
         "summary.csv":
-            "b0fa9395d37f2621b91d486d0cc63bf13e1201ee4c84a5c3709b686ea376f739",
+            "cafd40d1f70adabd124b3b7aa019f8af792d7196b9a2b614beda764e9e1085e1",
         "trend.csv":
-            "3ff06d0abb8045736c758f03ed15b2e10583d551841ba56d1f4a813836cbc774",
+            "fe25b9360a9e4a19bc87d80d72c6b516368d1ce8fc156e5d6c4f3375fe5b5020",
         "tests.csv":
             "43ca9f629ff7b50cb09c617003bb7de4190f04e3b368a35515bd2ed778f343e2",
         "report.txt":
-            "6e9d3a57d8297335ad4805d88342391699be0fa155f9b256167b1442f7643a64",
+            "106e0d76300f48c21941a3575b745875f0423104f407a74802db1ae0a7f66a5d",
     },
 }
 

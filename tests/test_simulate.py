@@ -251,7 +251,7 @@ GOLDEN_DIGESTS = {
     "leader-rounded-1-2": "2a13327ae11a55d651ad6168d92e1aca8cc8117e667913ddffb0278293cca338",
     "leader-rounded-1-1-1": "eb236eeb23acb8ac70f0ca591aa7b774a6c9205e4801c7ee6b2a81ae08e3e760",
     "leaders-rounded-2-1": "d329457bfeb8ceab458b43741d3200a7b1e4d837faa421f5017427a1667f86f8",
-    "leader-noisy-1-2": "bb5cf33bcf7814496e594958928f2f751c2c898d2c226fc89f894cb9c2400c45",
+    "leader-noisy-1-2": "abe315b5afacb230ede1cb496aeadfe6a1f2a14030df9c72e5a9dbf4327cda42",
 }
 
 
