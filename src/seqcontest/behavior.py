@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from importlib import resources
@@ -417,11 +418,18 @@ def load_response_models(path) -> dict[MoveSequence, dict[int, ResponseModel]]:
     responder moves at, and the leaf an object with the ResponseModel fields.
     A top-level "fit_effective_prize" applies to every model that does not
     set its own. Every model field must be a JSON number, and any other
-    top-level key is an error.
+    top-level key is an error. A file of the wrong shape raises
+    :class:`ContestError` naming the file.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return _parse_model_tree(raw)
+        try:
+            return _parse_model_tree(json.load(fh))
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            # bad JSON, a file, model map or stage key of the wrong shape or
+            # type, or a model the parser refuses
+            raise ContestError(
+                f"malformed response-model file {os.fspath(path)}: {type(exc).__name__}: {exc}"
+            ) from exc
 
 
 def _parse_model_tree(raw: Mapping) -> dict[MoveSequence, dict[int, ResponseModel]]:

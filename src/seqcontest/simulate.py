@@ -22,18 +22,27 @@ Each triad is one :func:`play_round`. Its ``act`` calls resolve a policy
 (``behavior._policy_rule``) only on the first call for that policy, spec and
 stage, so a session resolves its policies once; only responder noise and the
 winner draw touch the stream inside a triad.
+
+Logs. Records are slotted frozen :class:`RoundRecord` s. The log is written
+and read column by column, through one table (``_COLUMNS``) that gives each
+column its JSON check, CSV parser and JSON and CSV spellings:
+:func:`export_log` spells each column in one pass and fills one template per
+record, and :func:`load_log` checks each column in one pass and builds the
+records from the columns. The files are exactly what ``json.dumps(...,
+indent=1)`` and ``csv.writer`` write.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Mapping, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,23 +91,46 @@ def _csv_bit(cell: str) -> bool:
     return cell == "1"
 
 
-# The log columns in file order, each with the check that reads it from a JSON
-# value and the parser that reads it from a CSV cell; the float cells must
-# also be finite. RoundRecord has the same fields, in the same order.
+def _json_optional_cell(value) -> str:
+    return "null" if value is None else float.__repr__(value)
+
+
+def _csv_optional_cell(value) -> str:
+    return "" if value is None else float.__repr__(value)
+
+
+class _Column(NamedTuple):
+    json_check: Callable  # (JSON value, column name) -> cell
+    csv_parse: Callable  # CSV cell -> cell
+    json_text: Callable  # cell -> JSON text
+    csv_text: Callable  # cell -> CSV cell
+
+
+# Cells are spelt as json and csv spell them: int.__repr__ and float.__repr__
+# (not repr, which a numpy float subclass overrides), None as null or an
+# empty cell, a bool as true/false or 1/0.
+_INT = _Column(_whole_number, int, int.__repr__, int.__repr__)
+_FLOAT = _Column(_json_number, float, float.__repr__, float.__repr__)
+_OPTIONAL = _Column(_json_optional, _csv_optional, _json_optional_cell, _csv_optional_cell)
+_BOOL = _Column(_json_bool, _csv_bit, ("false", "true").__getitem__, ("0", "1").__getitem__)
+
+# The log columns in file order; the float cells must also be finite.
+# RoundRecord has the same fields, in the same order.
 _COLUMNS = {
-    "group": (_whole_number, int),
-    "round": (_whole_number, int),
-    "triad": (_whole_number, int),
-    "subject": (_whole_number, int),
-    "stage": (_whole_number, int),
-    "slot": (_whole_number, int),
-    "m1": (_json_optional, _csv_optional),
-    "m2": (_json_optional, _csv_optional),
-    "investment": (_json_number, float),
-    "won": (_json_bool, _csv_bit),
-    "payoff": (_json_number, float),
+    "group": _INT,
+    "round": _INT,
+    "triad": _INT,
+    "subject": _INT,
+    "stage": _INT,
+    "slot": _INT,
+    "m1": _OPTIONAL,
+    "m2": _OPTIONAL,
+    "investment": _FLOAT,
+    "won": _BOOL,
+    "payoff": _FLOAT,
 }
 CSV_COLUMNS = tuple(_COLUMNS)
+_FINITE = [i for i, kind in enumerate(_COLUMNS.values()) if kind in (_FLOAT, _OPTIONAL)]
 
 
 class BadGroupComposition(ContestError):
@@ -109,7 +141,7 @@ class NotASessionLog(ContestError):
     """The file is a run manifest, not a session log."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RoundRecord:
     """One subject-round observation.
 
@@ -131,6 +163,30 @@ class RoundRecord:
     investment: float
     won: bool
     payoff: float
+
+    def __init__(
+        self, group, round, triad, subject, stage, slot, m1, m2, investment, won, payoff
+    ):
+        # each slot set through its descriptor: a frozen dataclass's own
+        # __init__ goes through object.__setattr__ once per field
+        _set_group(self, group)
+        _set_round(self, round)
+        _set_triad(self, triad)
+        _set_subject(self, subject)
+        _set_stage(self, stage)
+        _set_slot(self, slot)
+        _set_m1(self, m1)
+        _set_m2(self, m2)
+        _set_investment(self, investment)
+        _set_won(self, won)
+        _set_payoff(self, payoff)
+
+
+(
+    _set_group, _set_round, _set_triad, _set_subject, _set_stage, _set_slot,
+    _set_m1, _set_m2, _set_investment, _set_won, _set_payoff,
+) = (getattr(RoundRecord, column).__set__ for column in CSV_COLUMNS)
+_record_cells = operator.attrgetter(*CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -389,52 +445,63 @@ def _log_from_meta(meta: Mapping, records: list[RoundRecord]) -> SessionLog:
     )
 
 
-def _record_from_row(row: Mapping, from_json: bool) -> RoundRecord:
-    if from_json:
-        record = RoundRecord(*[check(row[c], c) for c, (check, _) in _COLUMNS.items()])
-    else:
-        record = RoundRecord(*[parse(row[c]) for c, (_, parse) in _COLUMNS.items()])
-    for value in (record.m1, record.m2, record.investment, record.payoff):
-        if value is not None and not math.isfinite(value):
-            raise ContestError(f"m1, m2, investment and payoff must be finite, got {value!r}")
-    return record
+def _check_finite(columns) -> None:
+    # filter(None, ...) drops the None cells of m1 and m2 (and zeros, which
+    # are finite)
+    for i in _FINITE:
+        if not all(map(math.isfinite, filter(None, columns[i]))):
+            raise ContestError(f"{CSV_COLUMNS[i]} cells must be finite")
 
 
-def _csv_cell(value):
-    # csv writes None as an empty cell and floats as repr; bools become 0/1
-    return int(value) if isinstance(value, bool) else value
+def _check_widths(rows) -> None:
+    for number, width in enumerate(map(len, rows), start=1):
+        if width != len(CSV_COLUMNS):
+            raise ContestError(f"record {number} has {width} cells, expected {len(CSV_COLUMNS)}")
+
+
+def _transpose(rows) -> list:
+    """The log columns of ``rows`` of 11 cells each."""
+    return list(zip(*rows)) or [()] * len(CSV_COLUMNS)
+
+
+def _records(columns) -> list[RoundRecord]:
+    _check_finite(columns)
+    return list(map(RoundRecord, *columns))
+
+
+# one JSON record, indented as json.dumps(payload, indent=1) indents it
+_JSON_RECORD = "  {\n" + ",\n".join(f'   "{c}": %s' for c in CSV_COLUMNS) + "\n  }"
 
 
 def _log_text(log: SessionLog, format: str) -> str:
+    if format not in ("csv", "json"):
+        raise ContestError(f"unknown export format {format!r}")
+    columns = _transpose(map(_record_cells, log.records))
+    _check_finite(columns)
+    cells = zip(*[
+        map(getattr(kind, f"{format}_text"), column)
+        for kind, column in zip(_COLUMNS.values(), columns)
+    ])
     meta = _log_meta(log)
     if format == "csv":
-        buf = io.StringIO()
-        buf.write(CSV_META_PREFIX + json.dumps(meta) + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(
-            [_csv_cell(getattr(r, column)) for column in CSV_COLUMNS]
-            for r in log.records
-        )
-        return buf.getvalue()
-    if format == "json":
-        payload = {
-            "meta": meta,
-            "records": [
-                {column: getattr(r, column) for column in CSV_COLUMNS}
-                for r in log.records
-            ],
-        }
-        return json.dumps(payload, indent=1) + "\n"
-    raise ContestError(f"unknown export format {format!r}")
+        header = CSV_META_PREFIX + json.dumps(meta) + "\n" + ",".join(CSV_COLUMNS) + "\n"
+        rows = "\n".join(map(",".join, cells))
+        return header + rows + "\n" if rows else header
+    records = ",\n".join(map(_JSON_RECORD.__mod__, cells))
+    meta_text = json.dumps(meta, indent=1).replace("\n", "\n ")
+    records = f"[\n{records}\n ]" if records else "[]"
+    return f'{{\n "meta": {meta_text},\n "records": {records}\n}}\n'
 
 
 def export_log(log: SessionLog, format: str, path) -> None:
     """Write a session log as CSV or JSON through :func:`write_files`.
 
-    Both formats hold the same meta block and records. A CSV log starts with
-    one ``# seqcontest-log {meta JSON}`` line, then the header and one row
-    per record.
+    Both formats hold the same meta block and records, spelt as ``json`` and
+    ``csv`` spell them: a JSON log is ``json.dumps({"meta": ..., "records":
+    [...]}, indent=1)``, and a CSV log starts with one ``# seqcontest-log
+    {meta JSON}`` line, then the header and one row per record. A non-finite
+    m1, m2, investment or payoff, which :func:`load_log` would refuse, raises
+    :class:`ContestError` before anything is written.
     """
     write_files([(path, _log_text(log, format))])
 
@@ -447,8 +514,10 @@ def load_log(path) -> SessionLog:
     full session parameters whichever format it was saved in.
     The meta is checked as a session config is: stage counts, groups, rounds
     and seed must be JSON integers, prize, endowment and joy_of_winning JSON
-    numbers, and integer_rounding a JSON boolean; record cells likewise
-    (``_COLUMNS``), with a CSV ``won`` 0 or 1 and every float cell finite.
+    numbers, and integer_rounding a JSON boolean. Every record has exactly
+    the 11 log columns, as JSON keys or CSV cells (blank CSV lines are
+    skipped), each checked column by column (``_COLUMNS``), with a CSV
+    ``won`` 0 or 1 and every float cell finite.
     A CSV without its leading meta line, or a log whose meta or records have
     the wrong shape, raises :class:`ContestError` naming the file, and a run
     manifest raises :class:`NotASessionLog`.
@@ -462,23 +531,35 @@ def load_log(path) -> SessionLog:
                 raise ContestError("the top level is not a JSON object")
             if "meta" not in payload and {"command", "outputs"} <= payload.keys():
                 raise NotASessionLog(f"{path} is a run manifest")
-            records = [_record_from_row(entry, True) for entry in payload["records"]]
+            rows = payload["records"]
+            _check_widths(rows)
+            columns = _transpose(map(operator.itemgetter(*CSV_COLUMNS), rows))
+            records = _records([
+                list(map(kind.json_check, column, repeat(name)))
+                for (name, kind), column in zip(_COLUMNS.items(), columns)
+            ])
             return _log_from_meta(payload["meta"], records)
         with open(path, encoding="utf-8", newline="") as fh:
             first = fh.readline()
             if not first.startswith(CSV_META_PREFIX):
                 raise ContestError(f"no {CSV_META_PREFIX.strip()!r} meta line")
             meta = json.loads(first[len(CSV_META_PREFIX):])
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-                raise ContestError(f"unexpected CSV columns {reader.fieldnames!r}")
-            records = [_record_from_row(row, False) for row in reader]
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != list(CSV_COLUMNS):
+                raise ContestError(f"unexpected CSV columns {header!r}")
+            rows = [row for row in reader if row]
+            _check_widths(rows)
+            columns = _transpose(rows)
+        records = _records([
+            list(map(kind.csv_parse, column)) for kind, column in zip(_COLUMNS.values(), columns)
+        ])
         return _log_from_meta(meta, records)
     except NotASessionLog:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # bad JSON, a meta or record of the wrong shape, type or value (a null
-        # or non-numeric cell, a short CSV row), an unsupported schema
+        # or non-numeric cell, a short or long record), an unsupported schema
         raise ContestError(f"malformed log {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -469,6 +469,18 @@ class TestPresets:
         with pytest.raises(ContestError):
             load_response_models(path)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [[], {"schema": 1, "models": []}, {"schema": 1, "models": {"1,2": {"x": {}}}}],
+        ids=["top-level-list", "models-list", "stage-key-x"],
+    )
+    def test_wrong_shape_names_the_file(self, tmp_path, raw):
+        # each used to escape as a bare AttributeError or ValueError
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ContestError, match="bad.json"):
+            load_response_models(path)
+
 
 class TestPolicyFromConfig:
     def test_kinds(self):

@@ -449,7 +449,8 @@ def _write_meta(key, value, fmt):
 
 def _write_record(column, value, fmt):
     """Writer of a log in ``fmt`` whose first record has ``column`` set to
-    ``value`` (a JSON value, or a CSV cell)."""
+    ``value`` (a JSON value, or a CSV cell); a CSV cell of a column not in the
+    log is appended to the row."""
 
     def write(log, bad):
         if fmt == "json":
@@ -460,7 +461,10 @@ def _write_record(column, value, fmt):
         export_log(load_log(log), "csv", bad)
         lines = bad.read_text().split("\n")
         cells = lines[2].split(",")
-        cells[CSV_COLUMNS.index(column)] = value
+        if column in CSV_COLUMNS:
+            cells[CSV_COLUMNS.index(column)] = value
+        else:
+            cells.append(value)
         lines[2] = ",".join(cells)
         bad.write_text("\n".join(lines))
 
@@ -477,6 +481,8 @@ BAD_RECORDS = {
     "won-2-csv": ("won", "2", "csv"),
     "payoff-inf-csv": ("payoff", "inf", "csv"),
     "m1-nan-csv": ("m1", "nan", "csv"),
+    "extra-cell-csv": ("extra", "0", "csv"),
+    "extra-key-json": ("extra", 0, "json"),
 }
 
 
@@ -915,3 +921,24 @@ class TestGoldenOutputs:
             if p.name != "manifest.json"
         }
         assert digests == PRESET_DIGESTS[preset]
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+    def test_simulate_then_analyze_csv(self, capsys, tmp_path, preset):
+        # the CSV logs alone, analyzed from CSV, give the same files
+        runs, analysis = tmp_path / "runs", tmp_path / "analysis"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", preset, "--seed", "7", "--out", str(runs),
+            "--format", "csv",
+        )
+        assert code == 0
+        logs = sorted(str(p) for p in runs.glob("session*.csv"))
+        code, _, _ = run_cli(capsys, "analyze", *logs, "--out", str(analysis))
+        assert code == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for folder in (runs, analysis)
+            for p in folder.iterdir()
+            if p.name != "manifest.json"
+        }
+        expected = PRESET_DIGESTS[preset]
+        assert digests == {name: d for name, d in expected.items() if not name.endswith(".json")}

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from collections import defaultdict
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from seqcontest.behavior import (
 )
 from seqcontest.equilibrium import solve_spne
 from seqcontest.simulate import (
+    CSV_COLUMNS,
     BadGroupComposition,
     NotASessionLog,
+    RoundRecord,
     SessionConfig,
     _group_rng,
     export_log,
@@ -426,6 +429,54 @@ class TestExportImport:
         log = run_session(spne_config((3,), groups=1, rounds=1))
         with pytest.raises(ContestError):
             export_log(log, "parquet", tmp_path / "x.parquet")
+
+    @pytest.mark.parametrize("column", ["m1", "m2", "investment", "payoff"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cell_refused_before_writing(self, tmp_path, column, fmt):
+        # the writer refuses what load_log refuses: NaN payoffs used to be
+        # written as NaN (JSON) or nan (CSV)
+        log = run_session(spne_config((1, 1, 1), groups=1, rounds=1))
+        log.records[-1] = replace(log.records[-1], **{column: float("nan")})
+        with pytest.raises(ContestError, match=column):
+            export_log(log, fmt, tmp_path / f"log.{fmt}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_log_is_json_dumps(self, tmp_path):
+        log = run_session(spne_config((1, 2), groups=1, rounds=1))
+        log.records.clear()
+        export_log(log, "json", tmp_path / "log.json")
+        meta = json.loads((tmp_path / "log.json").read_text())["meta"]
+        expected = json.dumps({"meta": meta, "records": []}, indent=1) + "\n"
+        assert (tmp_path / "log.json").read_text() == expected
+        assert load_log(tmp_path / "log.json") == log
+
+
+class TestRoundRecord:
+    CELLS = (2, 5, 1, 13, 3, 1, 88.5, 44.25, 40.0, True, 200.0)
+
+    def test_positional_and_keyword_construction_agree(self):
+        record = RoundRecord(*self.CELLS)
+        assert record == RoundRecord(**dict(zip(CSV_COLUMNS, self.CELLS)))
+        assert [getattr(record, c) for c in CSV_COLUMNS] == list(self.CELLS)
+        assert repr(record).startswith("RoundRecord(group=2, round=5, triad=1,")
+
+    def test_frozen(self):
+        record = RoundRecord(*self.CELLS)
+        with pytest.raises(FrozenInstanceError):
+            record.investment = 1.0
+        with pytest.raises(FrozenInstanceError):
+            del record.payoff
+        assert not hasattr(record, "__dict__")
+
+    def test_replace_eq_and_hash(self):
+        record = RoundRecord(*self.CELLS)
+        moved = replace(record, investment=41.0)
+        assert moved.investment == 41.0 and record.investment == 40.0
+        assert moved != record
+        assert replace(moved, investment=40.0) == record
+        assert hash(replace(moved, investment=40.0)) == hash(record)
+        assert hash(record) == hash(self.CELLS)
+        assert len({record, RoundRecord(*self.CELLS), moved}) == 2
 
 
 class TestSessionConfigFromDict:
