@@ -3,55 +3,21 @@ laboratory-protocol simulator, and the matching analysis pipeline."""
 
 import importlib
 
-from .core import (
-    ContestError,
-    ContestSpec,
-    InvestmentExceedsEndowment,
-    MoveSequence,
-    NegativeInvestment,
-    draw_winner,
-    round_payoffs,
-    win_probabilities,
-)
-from .equilibrium import (
-    EquilibriumSolution,
-    build_ladder,
-    calibrate_jow,
-    largest_root,
-    solve_spne,
-)
-from .behavior import (
-    BehaviorPolicy,
-    EmpiricalResponder,
-    EquilibriumPolicy,
-    Imitator,
-    OptimizingLeader,
-    ResponseModel,
-    act,
-    default_response_models,
-    eval_response,
-    load_response_models,
-    optimal_first_mover,
-    turning_point,
-)
-from .simulate import (
-    RoundRecord,
-    SessionConfig,
-    SessionLog,
-    export_log,
-    load_log,
-    play_round,
-    run_batch,
-    run_session,
-)
+from .core import *
+from .equilibrium import *
+from .behavior import *
+from .simulate import *
 
 # The statistics load numpy, so they are imported on first use (PEP 562):
 # ``import seqcontest`` and ``seqcontest solve`` run without numpy. The
 # submodule resolves the same way, so ``seqcontest.stats`` works after
-# ``import seqcontest`` alone.
+# ``import seqcontest`` alone. These are ``stats.__all__``, written out
+# because reading it would load numpy.
 _STATS_EXPORTS = frozenset({
-    "OLSFit", "TreatmentSummary", "cluster_ols", "jonckheere_terpstra",
-    "treatment_summary", "trend_by_round", "wald_mean",
+    "RankDeficientDesign", "TooFewClusters", "TooFewGroups", "EmptyLog",
+    "OLSFit", "WaldResult", "JTResult", "TreatmentSummary", "cluster_ols",
+    "wald_mean", "jonckheere_terpstra", "trend_by_round", "treatment_summary",
+    "group_aggregate_means", "last_rounds", "triad_totals",
 })
 
 

@@ -291,12 +291,16 @@ def cmd_analyze(args) -> int:
         report += ["", "Round trend (investment on round, clustered SEs)"]
         for log in logs:
             fit = st.trend_by_round(log.records)
+            # float's round agrees with the printed digits; adding 0.0 turns
+            # a slope that rounds to -0 into 0, so rounding noise around a
+            # flat trend prints no sign
+            slope = float(fit.params[1])
             lines.append(
-                f"{_csv_label(log.sequence)},{fit.params[1]:.6f},"
+                f"{_csv_label(log.sequence)},{round(slope, 6) + 0.0:.6f},"
                 f"{fit.se[1]:.6f},{fit.nobs},{fit.n_clusters}"
             )
             report.append(
-                f"  {log.sequence.label():8s} slope {fit.params[1]:8.4f}"
+                f"  {log.sequence.label():8s} slope {round(slope, 4) + 0.0:8.4f}"
                 f"  (se {fit.se[1]:.4f})"
             )
         files["trend.csv"] = "\n".join(lines) + "\n"

@@ -10,6 +10,8 @@ operate on plain sequences of numbers.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -50,6 +52,16 @@ class InvestmentExceedsEndowment(ContestError):
     """An investment is above the per-player endowment."""
 
 
+def _stage_count(k) -> int:
+    # operator.index takes ints and numpy integers, but no float or string
+    try:
+        if not isinstance(k, bool):
+            return operator.index(k)
+    except TypeError:
+        pass
+    raise ContestError(f"a stage count must be a whole number, got {k!r}")
+
+
 @dataclass(frozen=True)
 class MoveSequence:
     """Stage structure of a contest: ``stages[t]`` players decide at stage t.
@@ -62,7 +74,7 @@ class MoveSequence:
     stages: tuple[int, ...]
 
     def __post_init__(self):
-        stages = tuple(int(k) for k in self.stages)
+        stages = tuple(map(_stage_count, self.stages))
         object.__setattr__(self, "stages", stages)
         if len(stages) == 0:
             raise EmptySequence("a move sequence needs at least one stage")
@@ -114,8 +126,11 @@ class ContestSpec:
 
     def __post_init__(self):
         for name in ("prize", "endowment", "joy_of_winning"):
-            if not math.isfinite(getattr(self, name)):
-                raise ContestError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ContestError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ContestError(f"{name} must be finite, got {value}")
         if self.prize <= 0:
             raise ContestError(f"prize must be positive, got {self.prize}")
         if self.endowment < 0:

@@ -18,10 +18,13 @@ format: a change to it changes every log written from a given seed.
   positive ``noise_sd``, in player order, and one ``random()`` that draws
   the winner (:func:`seqcontest.core.draw_winner`).
 
-Each triad is one :func:`play_round`. Its ``act`` calls resolve a policy
-(``behavior._policy_rule``) only on the first call for that policy, spec and
-stage, so a session resolves its policies once; only responder noise and the
-winner draw touch the stream inside a triad.
+Each triad is one :func:`play_round`, which plays and books it in one pass
+over the stages: each player's role (stage, slot and the (m1, m2) its stage
+observes) is noted as the player acts, and the records are built from those
+roles once the winner is drawn and payoffs are booked. Its ``act`` calls
+resolve a policy (``behavior._policy_rule``) only on the first call for that
+policy, spec and stage, so a session resolves its policies once; only
+responder noise and the winner draw touch the stream inside a triad.
 
 Logs. Records are slotted frozen :class:`RoundRecord` s. The log is written
 and read column by column, through one table (``_COLUMNS``) that gives each
@@ -250,40 +253,28 @@ def play_round(
         raise BadGroupComposition("one policy and one subject id per player slot")
 
     investments: list[float] = []
+    roles = []  # (stage, slot, m1, m2) of each player, in player order
     for stage, count in enumerate(seq.stages, start=1):
         observed = list(investments)
-        for _ in range(count):
-            player = len(investments)
-            x = act(policies[player], spec, stage, observed, rng)
+        m1, m2 = _observation_inputs(seq, stage, observed)
+        for slot in range(1, count + 1):
+            x = act(policies[len(investments)], spec, stage, observed, rng)
             if integer_rounding:
                 # lab rule: whole points only; round half to even, then clamp
                 x = float(min(max(round(x), 0), int(spec.endowment)))
             investments.append(x)
+            roles.append((stage, slot, m1, m2))
 
     winner = draw_winner(investments, float(rng.random()))
     payoffs = round_payoffs(spec, investments, winner).tolist()
-
-    records = []
-    for stage, count in enumerate(seq.stages, start=1):
-        m1, m2 = _observation_inputs(seq, stage, investments)
-        for slot in range(1, count + 1):
-            player = len(records)
-            records.append(
-                RoundRecord(
-                    group,
-                    round_number,
-                    triad,
-                    int(subjects[player]),
-                    stage,
-                    slot,
-                    m1,
-                    m2,
-                    investments[player],
-                    player == winner,
-                    payoffs[player],
-                )
-            )
-    return records
+    return [
+        RoundRecord(
+            group, round_number, triad, int(subject), stage, slot, m1, m2, x, i == winner, paid
+        )
+        for i, (subject, (stage, slot, m1, m2), x, paid) in enumerate(
+            zip(subjects, roles, investments, payoffs)
+        )
+    ]
 
 
 def _group_rng(seed: int, group_index: int) -> np.random.Generator:
@@ -321,18 +312,14 @@ def run_session(config: SessionConfig) -> SessionLog:
     for g in range(config.groups):
         rng = _group_rng(config.seed, g)
         base_subject = g * n * SUBJECTS_PER_ROLE
-        # role_members[r][k]: subject id of the k-th member holding role r
-        role_members = [
-            [base_subject + r * SUBJECTS_PER_ROLE + k + 1 for k in range(SUBJECTS_PER_ROLE)]
-            for r in range(n)
-        ]
         for round_number in range(1, config.rounds + 1):
             matching = [list(range(SUBJECTS_PER_ROLE)) for _ in range(n)]
             for order in matching:
                 rng.shuffle(order)
             for triad in range(1, SUBJECTS_PER_ROLE + 1):
                 subjects = [
-                    role_members[r][matching[r][triad - 1]] for r in range(n)
+                    base_subject + r * SUBJECTS_PER_ROLE + matching[r][triad - 1] + 1
+                    for r in range(n)
                 ]
                 log.records.extend(
                     play_round(

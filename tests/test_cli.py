@@ -538,6 +538,19 @@ class TestAnalyze:
         line = (out_dir / "summary.csv").read_text().strip().split("\n")[1]
         assert line.endswith(",5")  # rounds column
 
+    def test_flat_trend_prints_no_negative_zero(self, capsys, spne_run, tmp_path):
+        # SPNE play is the same every round, so each slope is rounding noise
+        # around zero, and it must print unsigned whichever way the noise falls
+        out_dir = tmp_path / "flat"
+        code, _, _ = run_cli(
+            capsys, "analyze", *[str(p) for p in spne_run],
+            "--tests", "trend", "--out", str(out_dir),
+        )
+        assert code == 0
+        for name in ("trend.csv", "report.txt"):
+            text = (out_dir / name).read_text()
+            assert not re.search(r"-0\.0+(?![0-9])", text), name
+
     def test_jt_threshold_printed(self, capsys, spne_run, tmp_path):
         # aggregate X rises across the four SPNE logs in the order given, so
         # the trend is detected and flagged against the configured threshold
@@ -866,11 +879,11 @@ PRESET_DIGESTS = {
         "summary.csv":
             "adc7bcf0f98151751662fbf71510bcb79b7972b955a3fb802931fbf57afe54d2",
         "trend.csv":
-            "1845828385d9268d780a59294a111915a0d5ad0abfc7cea53d5028e7644792da",
+            "38649edf2facce07cf1427ff052c3a7c14d4531cb937f73b078aa40ac6e6a599",
         "tests.csv":
             "90a28995de8ad63d7108c970216377850a063a5bfe8ff0e8b82af582f40e787d",
         "report.txt":
-            "5540c29edd4aca2b0b6e68b1ac554a58efec408d6874595fcb96e5aad23243be",
+            "75790e68d737f15bffd90d2c129958dcfb7cc9f0394bc2620812c1219a4d54ab",
     },
     "empirical_preemption": {
         "session00_seq1-2.csv":
@@ -888,11 +901,11 @@ PRESET_DIGESTS = {
         "summary.csv":
             "cafd40d1f70adabd124b3b7aa019f8af792d7196b9a2b614beda764e9e1085e1",
         "trend.csv":
-            "fe25b9360a9e4a19bc87d80d72c6b516368d1ce8fc156e5d6c4f3375fe5b5020",
+            "3946e8d1c4433123ba401cc04d4fb1c19553c45d80a3b12cd6e2ae5b5517d388",
         "tests.csv":
             "43ca9f629ff7b50cb09c617003bb7de4190f04e3b368a35515bd2ed778f343e2",
         "report.txt":
-            "106e0d76300f48c21941a3575b745875f0423104f407a74802db1ae0a7f66a5d",
+            "ac333d09370c043c70b497bb15c07398cbae501a82ee047b8e0a0d975ed99722",
     },
 }
 

@@ -44,6 +44,19 @@ class TestMoveSequence:
     def test_label(self):
         assert MoveSequence([1, 1, 1]).label() == "(1,1,1)"
 
+    @pytest.mark.parametrize(
+        "stages", [(2.9,), (1, 2.0), (True, 2), (1, False), ("1", "2"), (np.float64(2),), (None,)]
+    )
+    def test_non_integer_stage_count_rejected(self, stages):
+        # nothing is truncated or parsed: (2.9,) is not the treatment (2)
+        with pytest.raises(ContestError, match="stage count must be a whole number"):
+            MoveSequence(stages)
+
+    def test_numpy_integer_stage_counts_become_ints(self):
+        seq = MoveSequence(np.array([1, 2]))
+        assert seq.stages == (1, 2)
+        assert all(type(k) is int for k in seq.stages)
+
 
 class TestContestSpec:
     def test_effective_prize(self):
@@ -70,6 +83,17 @@ class TestContestSpec:
         base.update(kwargs)
         with pytest.raises(ContestError):
             ContestSpec(MoveSequence((3,)), **base)
+
+    @pytest.mark.parametrize("name", ["prize", "endowment", "joy_of_winning"])
+    @pytest.mark.parametrize("value", ["240", True, False, None, [240.0], 240j])
+    def test_non_real_parameters_rejected(self, name, value):
+        with pytest.raises(ContestError, match=f"{name} must be a real number"):
+            ContestSpec(MoveSequence((3,)), **{name: value})
+
+    @pytest.mark.parametrize("value", [240, 240.0, np.float64(240.0), np.int64(240)])
+    def test_real_parameters_accepted_as_given(self, value):
+        spec = ContestSpec(MoveSequence((3,)), prize=value, endowment=value)
+        assert spec.prize is value and spec.endowment is value
 
 
 class TestWinProbabilities:

@@ -53,3 +53,30 @@ def test_oracles_are_not_library_names():
     ]
     exposed += [attr for attr in ORACLE_NAMES if hasattr(seqcontest, attr)]
     assert not exposed
+
+
+REEXPORTED = ["core", "equilibrium", "behavior", "simulate"]
+
+
+@pytest.mark.parametrize("name", REEXPORTED)
+def test_every_public_name_is_importable_from_the_package(name):
+    module = importlib.import_module(f"seqcontest.{name}")
+    different = [
+        attr for attr in module.__all__
+        if getattr(seqcontest, attr, None) is not getattr(module, attr)
+    ]
+    assert not different
+
+
+def test_no_name_is_public_in_two_modules():
+    seen = {}
+    for name in REEXPORTED:
+        for attr in importlib.import_module(f"seqcontest.{name}").__all__:
+            seen.setdefault(attr, []).append(name)
+    assert not {attr: where for attr, where in seen.items() if len(where) > 1}
+
+
+def test_lazy_statistics_names_are_the_stats_public_names():
+    from seqcontest import stats
+
+    assert seqcontest._STATS_EXPORTS == set(stats.__all__)
