@@ -181,6 +181,14 @@ def optimal_first_mover(
     """
     stages = treatment.stages
     p_eff = prize + joy_of_winning
+    if stages not in ((1, 2), (2, 1), (1, 1, 1)):
+        raise ContestError(
+            f"optimal preemption is defined for (1,2), (2,1), (1,1,1); "
+            f"got {treatment.label()}"
+        )
+    for stage in range(2, len(stages) + 1):
+        if stage not in models:
+            raise ContestError(f"{treatment.label()} needs a response model for stage {stage}")
 
     def response(model: ResponseModel, m1: float, m2: float | None = None):
         # the rescaled response clamped as in play, with its slopes in m1
@@ -218,7 +226,7 @@ def optimal_first_mover(
             return p_eff * x / total - x
 
         x = max([0.0, endowment, *_roots(marginal, 0.5, endowment)], key=payoff)
-    elif stages == (2, 1):
+    else:  # (2, 1)
         r2 = models[2]
 
         def foc(x: float) -> float:
@@ -226,11 +234,6 @@ def optimal_first_mover(
             return p_eff * (x + resp - 0.5 * x * slope) - (2.0 * x + resp) ** 2
 
         x = next(_roots(foc, 0.5, endowment), endowment if foc(0.0) > 0.0 else 0.0)
-    else:
-        raise ContestError(
-            f"optimal preemption is defined for (1,2), (2,1), (1,1,1); "
-            f"got {treatment.label()}"
-        )
 
     at_boundary = x <= 1e-6 or x >= endowment - 1e-6
     return PreemptionResult(float(x), at_boundary)
@@ -277,16 +280,11 @@ BehaviorPolicy = Union[EquilibriumPolicy, EmpiricalResponder, Imitator, Optimizi
 
 
 @lru_cache(maxsize=None)
-def _cached_preemption(
-    sequence: MoveSequence,
-    model_items: tuple[tuple[int, ResponseModel], ...],
-    prize: float,
-    joy_of_winning: float,
-    endowment: float,
-) -> PreemptionResult:
+def _leader_optimum(spec: ContestSpec, model_items: tuple, joy_of_winning: float) -> float:
+    """An optimizing leader's investment, solved once per spec, models and joy of winning."""
     return optimal_first_mover(
-        sequence, dict(model_items), prize, joy_of_winning, endowment
-    )
+        spec.sequence, dict(model_items), spec.prize, joy_of_winning, spec.endowment
+    ).investment
 
 
 def _observation_inputs(
@@ -334,14 +332,7 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
             raise RoleObservationMismatch(
                 "an optimizing leader must move at stage 1"
             )
-        result = _cached_preemption(
-            spec.sequence,
-            tuple(sorted(policy.models.items())),
-            spec.prize,
-            policy.joy_of_winning,
-            spec.endowment,
-        )
-        value = result.investment
+        value = _leader_optimum(spec, tuple(sorted(policy.models.items())), policy.joy_of_winning)
     else:
         raise TypeError(f"unknown policy {policy!r}")
     return float(min(max(value, 0.0), spec.endowment))
@@ -410,12 +401,23 @@ def _model_from_dict(entry: Mapping, fit_effective_prize: float | None = None) -
     return ResponseModel(**values)
 
 
+def _stage_models(raw: Mapping, fit_effective_prize: float | None = None) -> dict:
+    """The models of a JSON object keyed by stage numbers spelt in ASCII digits."""
+    models = {}
+    for key, entry in raw.items():
+        if not (isinstance(key, str) and key.isascii() and key.isdigit() and key[0] != "0"):
+            raise ContestError(f"a stage key must be a stage number in digits, got {key!r}")
+        models[int(key)] = _model_from_dict(entry, fit_effective_prize)
+    return models
+
+
 def load_response_models(path) -> dict[MoveSequence, dict[int, ResponseModel]]:
     """Read responder models from a JSON preset file.
 
     Schema: {"schema": 1, "models": {"1,2": {"2": {...}}, ...}} where the
     outer key is a comma-separated move sequence, the inner key the stage the
-    responder moves at, and the leaf an object with the ResponseModel fields.
+    responder moves at (in ASCII digits, as in a leader's "models"), and the
+    leaf an object with the ResponseModel fields.
     A top-level "fit_effective_prize" applies to every model that does not
     set its own. Every model field must be a JSON number, and any other
     top-level key is an error. A file of the wrong shape raises
@@ -442,10 +444,7 @@ def _parse_model_tree(raw: Mapping) -> dict[MoveSequence, dict[int, ResponseMode
     out: dict[MoveSequence, dict[int, ResponseModel]] = {}
     for seq_key, stage_map in raw["models"].items():
         seq = MoveSequence(tuple(int(s) for s in seq_key.split(",")))
-        out[seq] = {
-            int(stage): _model_from_dict(entry, default_prize)
-            for stage, entry in stage_map.items()
-        }
+        out[seq] = _stage_models(stage_map, default_prize)
     return out
 
 
@@ -480,14 +479,15 @@ _POLICY_KEYS = {
 def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> BehaviorPolicy:
     """Build a policy from one JSON config entry for the given player slot.
 
-    Kinds: "spne", "jow-spne", "responder", "imitator", "optimizing-leader".
-    Responder and leader entries may omit "model"/"models" to use the bundled
-    presets for the session's treatment. An entry may hold only the keys its
-    kind reads, and its numbers must be JSON numbers.
+    Kinds, matched exactly: "spne", "jow-spne", "responder", "imitator",
+    "optimizing-leader". Responder and leader entries may omit "model"/"models"
+    to use the bundled presets for the session's treatment. A leader's optimum
+    is solved here, so models it cannot use are an error. An entry may hold
+    only the keys its kind reads, and its numbers must be JSON numbers.
     """
-    kind = str(entry.get("kind", "")).lower()
-    if kind not in _POLICY_KEYS:
-        raise ContestError(f"unknown policy kind {entry.get('kind')!r}")
+    kind = entry.get("kind")
+    if not isinstance(kind, str) or kind not in _POLICY_KEYS:
+        raise ContestError(f"unknown policy kind {kind!r}")
     _known_keys(entry, _POLICY_KEYS[kind], f"{kind!r} policy")
     seq = spec.sequence
     if kind == "spne":
@@ -513,8 +513,10 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
         return Imitator(fallback=_json_number(entry.get("fallback", 0.0), "fallback"))
     # an optimizing leader
     if "models" in entry:
-        models = {int(k): _model_from_dict(v) for k, v in entry["models"].items()}
+        models = _stage_models(entry["models"])
     else:
         models = default_response_models(seq)
     jow = _json_number(entry.get("joy_of_winning", spec.joy_of_winning), "joy_of_winning")
+    # solved now, so that a treatment or models it cannot use are a config error
+    _leader_optimum(spec, tuple(sorted(models.items())), jow)
     return OptimizingLeader(models=models, joy_of_winning=jow)

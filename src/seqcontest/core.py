@@ -74,7 +74,10 @@ class MoveSequence:
     stages: tuple[int, ...]
 
     def __post_init__(self):
-        stages = tuple(map(_stage_count, self.stages))
+        try:
+            stages = tuple(map(_stage_count, self.stages))
+        except TypeError:
+            raise ContestError(f"stages must be stage counts, got {self.stages!r}") from None
         object.__setattr__(self, "stages", stages)
         if len(stages) == 0:
             raise EmptySequence("a move sequence needs at least one stage")
@@ -125,6 +128,8 @@ class ContestSpec:
     joy_of_winning: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.sequence, MoveSequence):
+            raise ContestError(f"sequence must be a MoveSequence, got {self.sequence!r}")
         for name in ("prize", "endowment", "joy_of_winning"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -32,7 +32,8 @@ column its JSON check, CSV parser and JSON and CSV spellings:
 :func:`export_log` spells each column in one pass and fills one template per
 record, and :func:`load_log` checks each column in one pass and builds the
 records from the columns. The files are exactly what ``json.dumps(...,
-indent=1)`` and ``csv.writer`` write.
+indent=1)`` and ``csv.writer`` write. The meta is written and read through
+the table of session parameters (``_SESSION_PARAMETERS``) that configs use.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
@@ -397,39 +398,46 @@ def write_files(files) -> None:
         raise
 
 
+# The session parameters in log-meta order, each with its JSON check and its
+# default in a session config. prize, endowment and joy_of_winning are held by
+# the ContestSpec, the others by SessionConfig and SessionLog.
+_SESSION_PARAMETERS = {
+    "prize": (_json_number, 240.0),
+    "endowment": (_json_number, 240.0),
+    "joy_of_winning": (_json_number, 0.0),
+    "groups": (_whole_number, 1),
+    "rounds": (_whole_number, 25),
+    "integer_rounding": (_json_bool, False),
+    "seed": (_whole_number, 0),
+}
+_SPEC_PARAMETERS = [f.name for f in fields(ContestSpec) if f.name != "sequence"]
+_META_KEYS = {"schema", "sequence", *_SESSION_PARAMETERS}
+
+
+def _session(raw: Mapping, stages_key: str) -> tuple[ContestSpec, dict]:
+    """The spec and run parameters of a config or meta ``raw`` that holds
+    every session parameter, with its stage counts under ``stages_key``."""
+    sequence = MoveSequence(
+        tuple(_whole_number(k, f"a {stages_key} stage count") for k in raw[stages_key])
+    )
+    run = {name: check(raw[name], name) for name, (check, _) in _SESSION_PARAMETERS.items()}
+    return ContestSpec(sequence, **{name: run.pop(name) for name in _SPEC_PARAMETERS}), run
+
+
 def _log_meta(log: SessionLog) -> dict:
-    return {
-        "schema": 1,
-        "sequence": list(log.sequence.stages),
-        "prize": log.spec.prize,
-        "endowment": log.spec.endowment,
-        "joy_of_winning": log.spec.joy_of_winning,
-        "groups": log.groups,
-        "rounds": log.rounds,
-        "integer_rounding": log.integer_rounding,
-        "seed": log.seed,
-    }
+    meta = {"schema": 1, "sequence": list(log.sequence.stages)}
+    for name in _SESSION_PARAMETERS:
+        meta[name] = getattr(log.spec if name in _SPEC_PARAMETERS else log, name)
+    return meta
 
 
 def _log_from_meta(meta: Mapping, records: list[RoundRecord]) -> SessionLog:
     if meta.get("schema") != 1:
         raise ContestError(f"unsupported log schema {meta.get('schema')!r}")
-    spec = ContestSpec(
-        MoveSequence(
-            tuple(_whole_number(k, "a sequence stage count") for k in meta["sequence"])
-        ),
-        prize=_json_number(meta["prize"], "prize"),
-        endowment=_json_number(meta["endowment"], "endowment"),
-        joy_of_winning=_json_number(meta["joy_of_winning"], "joy_of_winning"),
-    )
-    return SessionLog(
-        spec=spec,
-        groups=_whole_number(meta["groups"], "groups"),
-        rounds=_whole_number(meta["rounds"], "rounds"),
-        integer_rounding=_json_bool(meta["integer_rounding"], "integer_rounding"),
-        seed=_whole_number(meta["seed"], "seed"),
-        records=records,
-    )
+    if meta.keys() != _META_KEYS:
+        raise ContestError(f"the meta keys must be {sorted(_META_KEYS)}, got {sorted(meta)}")
+    spec, run = _session(meta, "sequence")
+    return SessionLog(spec=spec, **run, records=records)
 
 
 def _check_finite(columns) -> None:
@@ -499,9 +507,10 @@ def load_log(path) -> SessionLog:
     The format follows the file name: ``.json`` or else CSV. Both formats go
     through the same meta and record parsing, so a log reads back with its
     full session parameters whichever format it was saved in.
-    The meta is checked as a session config is: stage counts, groups, rounds
-    and seed must be JSON integers, prize, endowment and joy_of_winning JSON
-    numbers, and integer_rounding a JSON boolean. Every record has exactly
+    The meta holds exactly schema (1), sequence (stage counts, JSON
+    integers) and the session parameters of ``_SESSION_PARAMETERS``, each
+    checked as a session config's is, with no default for a missing one
+    (:func:`session_config_from_dict`). Every record has exactly
     the 11 log columns, as JSON keys or CSV cells (blank CSV lines are
     skipped), each checked column by column (``_COLUMNS``), with a CSV
     ``won`` 0 or 1 and every float cell finite.
@@ -550,49 +559,25 @@ def load_log(path) -> SessionLog:
         raise ContestError(f"malformed log {path}: {type(exc).__name__}: {exc}") from exc
 
 
-_SESSION_KEYS = (
-    "treatment", "prize", "endowment", "joy_of_winning", "groups", "rounds",
-    "integer_rounding", "seed", "policies",
-)
-
-
 def session_config_from_dict(raw: Mapping) -> SessionConfig:
     """Build a SessionConfig from one parsed JSON session object.
 
-    Keys: treatment (stage counts), prize, endowment, joy_of_winning, groups,
-    rounds, integer_rounding, seed, policies (one entry per player, see
-    :func:`seqcontest.behavior.policy_from_config`); any other key is an
-    error. Stage counts, groups, rounds and seed must be JSON integers,
-    prize, endowment and joy_of_winning JSON numbers, and integer_rounding a
-    JSON boolean; nothing is coerced.
+    Keys: treatment (stage counts, JSON integers), policies (one entry per
+    player, see :func:`seqcontest.behavior.policy_from_config`) and the
+    session parameters of a log's meta (``_SESSION_PARAMETERS``), each
+    checked as :func:`load_log` checks it and defaulted from that table when
+    left out; any other key is an error. Nothing is coerced.
     """
     try:
-        sequence = MoveSequence(
-            tuple(_whole_number(k, "a treatment stage count") for k in raw["treatment"])
-        )
-        spec = ContestSpec(
-            sequence,
-            prize=_json_number(raw.get("prize", 240.0), "prize"),
-            endowment=_json_number(raw.get("endowment", 240.0), "endowment"),
-            joy_of_winning=_json_number(raw.get("joy_of_winning", 0.0), "joy_of_winning"),
-        )
+        defaults = {name: default for name, (_, default) in _SESSION_PARAMETERS.items()}
+        spec, run = _session({**defaults, **raw}, "treatment")
         # checked once the session is known to be an object with a treatment
-        _known_keys(raw, _SESSION_KEYS, "session")
-        policy_entries = raw["policies"]
+        _known_keys(raw, ["treatment", "policies", *_SESSION_PARAMETERS], "session")
         policies = tuple(
             policy_from_config(entry, spec, player)
-            for player, entry in enumerate(policy_entries)
+            for player, entry in enumerate(raw["policies"])
         )
-        return SessionConfig(
-            spec=spec,
-            policies=policies,
-            groups=_whole_number(raw.get("groups", 1), "groups"),
-            rounds=_whole_number(raw.get("rounds", 25), "rounds"),
-            integer_rounding=_json_bool(
-                raw.get("integer_rounding", False), "integer_rounding"
-            ),
-            seed=_whole_number(raw.get("seed", 0), "seed"),
-        )
+        return SessionConfig(spec=spec, policies=policies, **run)
     except ContestError:
         raise
     except (AttributeError, LookupError, TypeError, ValueError) as exc:

@@ -31,6 +31,18 @@ SEQ_12 = MoveSequence((1, 2))
 SEQ_21 = MoveSequence((2, 1))
 SEQ_111 = MoveSequence((1, 1, 1))
 
+# stage keys that int() read as a number, with their test ids: a key must
+# spell the stage number in ASCII digits
+STAGE_KEYS_NOT_AS_WRITTEN = {
+    " 2": "leading-space",
+    "2 ": "trailing-space",
+    "+2": "plus-sign",
+    "02": "leading-zero",
+    "1_0": "underscore",
+    "\uff12": "fullwidth-digit",
+    "0": "zero",
+}
+
 
 class TestEvalResponse:
     def test_intercept_at_zero(self):
@@ -239,6 +251,17 @@ class TestOptimalFirstMover:
     def test_simultaneous_treatment_rejected(self):
         with pytest.raises(ContestError):
             optimal_first_mover(MoveSequence((3,)), {}, 240.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "seq, stages, missing",
+        [(SEQ_12, [3], 2), (SEQ_21, [], 2), (SEQ_111, [2], 3), (SEQ_111, [3], 2)],
+        ids=["1-2-no-stage-2", "2-1-no-models", "1-1-1-no-stage-3", "1-1-1-no-stage-2"],
+    )
+    def test_missing_stage_model_named(self, seq, stages, missing):
+        # a missing stage used to escape as a bare KeyError
+        models = {stage: ResponseModel(intercept=50.0) for stage in stages}
+        with pytest.raises(ContestError, match=f"response model for stage {missing}$"):
+            optimal_first_mover(seq, models, 240.0, 0.0)
 
     @pytest.mark.parametrize("stages", [(1, 2), (1, 1, 1)])
     def test_one_leader_optimum_matches_derivative_reference(self, stages):
@@ -471,11 +494,23 @@ class TestPresets:
 
     @pytest.mark.parametrize(
         "raw",
-        [[], {"schema": 1, "models": []}, {"schema": 1, "models": {"1,2": {"x": {}}}}],
-        ids=["top-level-list", "models-list", "stage-key-x"],
+        [
+            [],
+            {"schema": 1, "models": []},
+            {"schema": 1, "models": {"1,2": {"x": {}}}},
+            *[
+                {"schema": 1, "models": {"1,2": {key: {"intercept": 55.0}}}}
+                for key in STAGE_KEYS_NOT_AS_WRITTEN
+            ],
+        ],
+        ids=[
+            "top-level-list", "models-list", "stage-key-x",
+            *[f"stage-key-{label}" for label in STAGE_KEYS_NOT_AS_WRITTEN.values()],
+        ],
     )
     def test_wrong_shape_names_the_file(self, tmp_path, raw):
-        # each used to escape as a bare AttributeError or ValueError
+        # the first three used to escape as a bare AttributeError or
+        # ValueError, and the stage keys to load as the stage int() read
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         with pytest.raises(ContestError, match="bad.json"):

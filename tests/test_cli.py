@@ -300,6 +300,16 @@ class TestSimulate:
             ({"schema": 1, "sessions": [{"treatment": [1, 2], "policies": [
                 {"kind": "spne"}, *[{"kind": "responder", "noise_s": 25}] * 2]}]},
              "unknown 'responder' policy keys: ['noise_s']"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 2], "policies": [
+                {"kind": "optimizing-leader", "models": {"3": {"intercept": 50.0}}},
+                *[{"kind": "responder"}] * 2]}]},
+             "(1,2) needs a response model for stage 2"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 2], "policies": [
+                {"kind": "optimizing-leader", "models": {"\uff12": {"intercept": 50.0}}},
+                *[{"kind": "responder"}] * 2]}]},
+             "a stage key must be a stage number in digits, got '\uff12'"),
+            ({"schema": 1, "sessions": [{"treatment": [3], "policies": [{"kind": "SPNE"}] * 3}]},
+             "unknown policy kind 'SPNE'"),
         ],
         ids=["empty-sessions", "top-level-list", "session-list", "treatment-int",
              "policy-int", "replications-list", "responder-without-model",
@@ -307,16 +317,19 @@ class TestSimulate:
              "replications-float", "integer-rounding-string", "prize-nan",
              "seed-negative", "prize-bool", "prize-string", "noise-sd-string",
              "fallback-bool", "top-level-unknown-key", "session-unknown-key",
-             "policy-unknown-key"],
+             "policy-unknown-key", "leader-models-missing-stage", "leader-stage-key-fullwidth",
+             "policy-kind-uppercase"],
     )
     def test_invalid_config_exits_2(self, capsys, tmp_path, raw, detail):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        code, out, err = run_cli(capsys, "simulate", "--config", str(bad))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(out_dir))
         assert code == 2
         assert err.startswith("error: invalid config: ")
         assert detail in err
         assert not out
+        assert not out_dir.exists()
 
     def test_unwritable_out_exits_3(self, capsys, tmp_path):
         config = write_config(
@@ -430,12 +443,20 @@ def _write_short_csv_row(log, bad):
     bad.write_text("\n".join(lines))
 
 
+# a BAD_META value: the key is removed from the meta
+MISSING = object()
+
+
 def _write_meta(key, value, fmt):
-    """Writer of a log in ``fmt`` whose meta has ``key`` set to ``value``."""
+    """Writer of a log in ``fmt`` whose meta has ``key`` set to ``value``, or
+    removed if ``value`` is MISSING."""
 
     def write(log, bad):
         payload = json.loads(log.read_text())
-        payload["meta"][key] = value
+        if value is MISSING:
+            del payload["meta"][key]
+        else:
+            payload["meta"][key] = value
         if fmt == "json":
             bad.write_text(json.dumps(payload))
             return
@@ -486,8 +507,9 @@ BAD_RECORDS = {
 }
 
 
-# meta values a log must not coerce, by test id: each used to load as a
-# different session
+# meta a log must not hold, by test id: the values used to be coerced and
+# load as a different session, and the unknown key to be ignored; a meta
+# holds exactly its keys
 BAD_META = {
     "sequence": ("sequence", [1.7, 2.2]),
     "groups": ("groups", 10.9),
@@ -495,6 +517,8 @@ BAD_META = {
     "seed": ("seed", 7.5),
     "integer_rounding": ("integer_rounding", "false"),
     "prize-bool": ("prize", True),
+    "unknown-key": ("grups", 3),
+    "missing-key": ("groups", MISSING),
 }
 
 

@@ -52,6 +52,12 @@ class TestMoveSequence:
         with pytest.raises(ContestError, match="stage count must be a whole number"):
             MoveSequence(stages)
 
+    @pytest.mark.parametrize("stages", [3, None, 2.5])
+    def test_non_iterable_stages_rejected(self, stages):
+        # MoveSequence(3) raised a bare TypeError
+        with pytest.raises(ContestError, match="stages must be stage counts"):
+            MoveSequence(stages)
+
     def test_numpy_integer_stage_counts_become_ints(self):
         seq = MoveSequence(np.array([1, 2]))
         assert seq.stages == (1, 2)
@@ -89,6 +95,12 @@ class TestContestSpec:
     def test_non_real_parameters_rejected(self, name, value):
         with pytest.raises(ContestError, match=f"{name} must be a real number"):
             ContestSpec(MoveSequence((3,)), **{name: value})
+
+    @pytest.mark.parametrize("sequence", [(1, 2), [3], "12", None])
+    def test_sequence_must_be_a_move_sequence(self, sequence):
+        # ContestSpec((1, 2)) was accepted, and solve_spne on it raised AttributeError
+        with pytest.raises(ContestError, match="sequence must be a MoveSequence"):
+            ContestSpec(sequence)
 
     @pytest.mark.parametrize("value", [240, 240.0, np.float64(240.0), np.int64(240)])
     def test_real_parameters_accepted_as_given(self, value):
