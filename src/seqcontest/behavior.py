@@ -16,10 +16,16 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from importlib import resources
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .core import ContestError, ContestSpec, MoveSequence, _json_number, _known_keys
+from .core import (
+    ContestError,
+    ContestSpec,
+    MoveSequence,
+    _check_schema,
+    _json_number,
+    _known_keys,
+)
 from .equilibrium import bisect, solve_spne
 
 __all__ = [
@@ -401,11 +407,18 @@ def _model_from_dict(entry: Mapping, fit_effective_prize: float | None = None) -
     return ResponseModel(**values)
 
 
+def _in_digits(key) -> bool:
+    """Whether ``key`` spells a whole number of at least 1 in ASCII digits,
+    without the sign, space, separator, leading zero or non-ASCII digit that
+    ``int()`` would accept."""
+    return isinstance(key, str) and key.isascii() and key.isdigit() and key[0] != "0"
+
+
 def _stage_models(raw: Mapping, fit_effective_prize: float | None = None) -> dict:
     """The models of a JSON object keyed by stage numbers spelt in ASCII digits."""
     models = {}
     for key, entry in raw.items():
-        if not (isinstance(key, str) and key.isascii() and key.isdigit() and key[0] != "0"):
+        if not _in_digits(key):
             raise ContestError(f"a stage key must be a stage number in digits, got {key!r}")
         models[int(key)] = _model_from_dict(entry, fit_effective_prize)
     return models
@@ -415,9 +428,11 @@ def load_response_models(path) -> dict[MoveSequence, dict[int, ResponseModel]]:
     """Read responder models from a JSON preset file.
 
     Schema: {"schema": 1, "models": {"1,2": {"2": {...}}, ...}} where the
-    outer key is a comma-separated move sequence, the inner key the stage the
-    responder moves at (in ASCII digits, as in a leader's "models"), and the
-    leaf an object with the ResponseModel fields.
+    outer key is a move sequence, its stage counts joined by commas, the
+    inner key the stage the responder moves at (in ASCII digits, as in a
+    leader's "models"; so are the stage counts, with no spaces), and the
+    leaf an object with the ResponseModel fields. "schema" is the JSON
+    integer 1.
     A top-level "fit_effective_prize" applies to every model that does not
     set its own. Every model field must be a JSON number, and any other
     top-level key is an error. A file of the wrong shape raises
@@ -436,20 +451,27 @@ def load_response_models(path) -> dict[MoveSequence, dict[int, ResponseModel]]:
 
 def _parse_model_tree(raw: Mapping) -> dict[MoveSequence, dict[int, ResponseModel]]:
     _known_keys(raw, ("schema", "fit_effective_prize", "models"), "response-model file")
-    if raw.get("schema") != 1:
-        raise ContestError(f"unsupported response-model schema {raw.get('schema')!r}")
+    _check_schema(raw, "response-model")
     default_prize = raw.get("fit_effective_prize")
     if default_prize is not None:
         default_prize = _json_number(default_prize, "fit_effective_prize")
     out: dict[MoveSequence, dict[int, ResponseModel]] = {}
     for seq_key, stage_map in raw["models"].items():
-        seq = MoveSequence(tuple(int(s) for s in seq_key.split(",")))
+        counts = seq_key.split(",")
+        if not all(map(_in_digits, counts)):
+            raise ContestError(
+                "a move-sequence key must be stage counts in digits joined by commas, "
+                f"got {seq_key!r}"
+            )
+        seq = MoveSequence(tuple(map(int, counts)))
         out[seq] = _stage_models(stage_map, default_prize)
     return out
 
 
 @lru_cache(maxsize=1)
 def _bundled_models() -> dict[MoveSequence, dict[int, ResponseModel]]:
+    from importlib import resources  # loaded only to read the bundled file
+
     text = (
         resources.files("seqcontest.presets")
         .joinpath("response_models.json")

@@ -8,6 +8,9 @@ files, the manifest included, go through one all-or-none write
 name and renamed into place once, after all of them are written, so a failed
 run leaves the files already in its output directory as they were.
 
+Each command imports the simulator and the statistics inside the function
+that uses them, so ``solve`` writing to stdout loads only the solver.
+
 Exit codes: 0 success, 2 invalid input or config, 3 I/O failure.
 """
 
@@ -20,20 +23,21 @@ import sys
 import time
 from dataclasses import replace
 from functools import partial
-from importlib import resources
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .core import ContestError, ContestSpec, MoveSequence, _known_keys, _whole_number
-from .equilibrium import calibrate_jow, solve_spne
-from .simulate import (
-    NotASessionLog,
-    SessionLog,
-    _log_text,
-    load_log,
-    run_batch,
-    session_config_from_dict,
-    write_files,
+from .core import (
+    ContestError,
+    ContestSpec,
+    MoveSequence,
+    _check_schema,
+    _known_keys,
+    _whole_number,
 )
+from .equilibrium import calibrate_jow, solve_spne
+
+if TYPE_CHECKING:
+    from .simulate import SessionLog
 
 _EXIT_BAD_INPUT = 2
 _EXIT_IO = 3
@@ -44,6 +48,7 @@ def _write_outputs(out_dir: str, outputs, t0: float, command: str, config=None, 
     code. ``outputs`` maps file names to functions that build their texts,
     each called only when its file is written, so one text is held at a time.
     """
+    from .simulate import write_files
 
     def texts():
         for name, build in outputs.items():
@@ -132,6 +137,8 @@ def cmd_solve(args) -> int:
         # stdout carries only the JSON, which records joy_of_winning itself
         print(banner, file=sys.stderr)
     if args.out:
+        from .simulate import write_files  # a solve to stdout does not load simulate
+
         try:
             write_files([(args.out, text)])
         except OSError as exc:
@@ -152,6 +159,8 @@ def _resolve_config(name: str) -> tuple[dict, str]:
     if os.path.exists(name):
         with open(name, encoding="utf-8") as fh:
             return json.load(fh), name
+    from importlib import resources  # loaded only to read a bundled preset
+
     bundled = resources.files("seqcontest.presets").joinpath(name + ".json")
     if bundled.is_file():
         return json.loads(bundled.read_text(encoding="utf-8")), f"preset:{name}"
@@ -167,14 +176,15 @@ def _log_basename(log: SessionLog, index: int) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import _log_text, run_batch, session_config_from_dict
+
     t0 = time.time()
     try:
         raw, config_name = _resolve_config(args.config)
         if not isinstance(raw, dict):
             raise ContestError("the top level is not a JSON object")
         _known_keys(raw, ("schema", "replications", "sessions"), "config")
-        if raw.get("schema") != 1:
-            raise ContestError(f"unsupported config schema {raw.get('schema')!r}")
+        _check_schema(raw, "config")
         sessions = raw.get("sessions")
         if not isinstance(sessions, list) or not sessions:
             raise ContestError("config needs a nonempty 'sessions' list")
@@ -245,7 +255,9 @@ def _summary_text(summaries) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
-    from . import stats as st  # imported here: stats loads numpy, solve needs none
+    # imported here, so that solve loads neither module: stats loads numpy
+    from . import stats as st
+    from .simulate import NotASessionLog, load_log
 
     t0 = time.time()
     logs, notes = [], []

@@ -154,10 +154,22 @@ class ContestSpec:
 # true and false, ints in Python, are neither counts nor numbers.
 
 
+def _is_whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _whole_number(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_whole(value):
         raise ContestError(f"{name} must be a whole number, got {value!r}")
     return value
+
+
+def _check_schema(raw, what: str) -> None:
+    """``raw["schema"]`` must be the JSON integer 1; ``true`` and ``1.0``
+    compare equal to 1 but are not it."""
+    schema = raw.get("schema")
+    if not (_is_whole(schema) and schema == 1):
+        raise ContestError(f"unsupported {what} schema {schema!r}")
 
 
 def _json_number(value, name: str) -> float:

@@ -55,6 +55,7 @@ from .core import (
     ContestError,
     ContestSpec,
     MoveSequence,
+    _check_schema,
     _json_bool,
     _json_number,
     _known_keys,
@@ -432,8 +433,7 @@ def _log_meta(log: SessionLog) -> dict:
 
 
 def _log_from_meta(meta: Mapping, records: list[RoundRecord]) -> SessionLog:
-    if meta.get("schema") != 1:
-        raise ContestError(f"unsupported log schema {meta.get('schema')!r}")
+    _check_schema(meta, "log")
     if meta.keys() != _META_KEYS:
         raise ContestError(f"the meta keys must be {sorted(_META_KEYS)}, got {sorted(meta)}")
     spec, run = _session(meta, "sequence")

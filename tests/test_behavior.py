@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import (
+    _bundled_models,
     _policy_rule,
     EmpiricalResponder,
     EquilibriumPolicy,
@@ -41,6 +42,14 @@ STAGE_KEYS_NOT_AS_WRITTEN = {
     "1_0": "underscore",
     "\uff12": "fullwidth-digit",
     "0": "zero",
+}
+
+# move-sequence keys of a model file that int() read as a treatment
+SEQUENCE_KEYS_NOT_AS_WRITTEN = {
+    "1, 2": "space-after-comma",
+    "\uff12,1": "fullwidth-digit",
+    "1,02": "leading-zero",
+    "1,2,": "trailing-comma",
 }
 
 
@@ -428,6 +437,12 @@ class TestPresets:
             assert set(default_response_models(MoveSequence(stages))) == {2}
         assert set(default_response_models(SEQ_111)) == {2, 3}
 
+    def test_bundled_file_loads_under_the_key_rules(self):
+        # parsed again, past the cache, so the key checks run on the file
+        models = _bundled_models.__wrapped__()
+        assert models == _bundled_models()
+        assert set(models) == {SEQ_12, SEQ_21, SEQ_111}
+
     def test_no_models_for_simultaneous(self):
         with pytest.raises(ContestError):
             default_response_models(MoveSequence((3,)))
@@ -472,8 +487,11 @@ class TestPresets:
             {"schema": 1, "endowment": 240},
             {"schema": 2},
             {},
+            {"schema": True},
+            {"schema": 1.0},
         ],
-        ids=["misspelt-fit-prize", "unread-key", "schema-2", "no-schema"],
+        ids=["misspelt-fit-prize", "unread-key", "schema-2", "no-schema", "schema-true",
+             "schema-float"],
     )
     def test_bad_top_level_rejected(self, tmp_path, top):
         # a misspelt fit_effective_prize used to load, silently unscaled
@@ -502,15 +520,21 @@ class TestPresets:
                 {"schema": 1, "models": {"1,2": {key: {"intercept": 55.0}}}}
                 for key in STAGE_KEYS_NOT_AS_WRITTEN
             ],
+            *[
+                {"schema": 1, "models": {key: {"2": {"intercept": 55.0}}}}
+                for key in SEQUENCE_KEYS_NOT_AS_WRITTEN
+            ],
         ],
         ids=[
             "top-level-list", "models-list", "stage-key-x",
             *[f"stage-key-{label}" for label in STAGE_KEYS_NOT_AS_WRITTEN.values()],
+            *[f"sequence-key-{label}" for label in SEQUENCE_KEYS_NOT_AS_WRITTEN.values()],
         ],
     )
     def test_wrong_shape_names_the_file(self, tmp_path, raw):
         # the first three used to escape as a bare AttributeError or
-        # ValueError, and the stage keys to load as the stage int() read
+        # ValueError, and the stage and sequence keys to load as what int()
+        # read
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         with pytest.raises(ContestError, match="bad.json"):

@@ -35,28 +35,34 @@ def write_config(path, sessions, replications=1):
 SPNE_POLICIES = [{"kind": "spne"}] * 3
 
 
+def fresh_python(code: str) -> list[str]:
+    """The output lines of ``code`` run in a fresh interpreter that imports
+    this package, so that nothing the tests loaded counts."""
+    src = os.path.dirname(os.path.dirname(seqcontest.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout.splitlines()
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is a test-only oracle: a fresh process importing the package and
     # its CLI must not load it
-    src = os.path.dirname(os.path.dirname(seqcontest.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import seqcontest, seqcontest.cli, sys; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "[]"
+    assert fresh_python(code) == ["[]"]
 
 
 def test_solve_leaves_numpy_unloaded():
     # numpy is loaded by simulate, analyze and the statistics; importing the
     # package and solving, in every output form, must not load it
-    src = os.path.dirname(os.path.dirname(seqcontest.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import seqcontest, seqcontest.cli, sys\n"
         "for extra in ([], ['--format', 'json'], ['--calibrate-from', '60']):\n"
@@ -64,10 +70,30 @@ def test_solve_leaves_numpy_unloaded():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         "print(seqcontest.stats.wald_mean is seqcontest.wald_mean)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert fresh_python(code)[-2:] == ["[]", "True"]
+
+
+def test_import_and_solve_load_only_the_solver():
+    # behavior, simulate and stats (and numpy, which stats loads) resolve on
+    # first use, so neither importing the package nor solving loads them
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('seqcontest', 'numpy'))\n"
+        "import seqcontest\n"
+        "print(loaded())\n"
+        "import seqcontest.cli\n"
+        "for extra in ([], ['--format', 'json'], ['--calibrate-from', '60']):\n"
+        "    assert seqcontest.cli.main(['solve', '--seq', '1,2', *extra]) == 0\n"
+        "print(loaded())\n"
+        "print(seqcontest.act.__module__, seqcontest.load_log.__module__,"
+        " seqcontest.simulate.__name__)\n"
     )
-    assert result.stdout.splitlines()[-2:] == ["[]", "True"]
+    lines = fresh_python(code)
+    solver = ["seqcontest", "seqcontest.core", "seqcontest.equilibrium"]
+    assert lines[0] == repr(solver)
+    assert lines[-2] == repr(sorted([*solver, "seqcontest.cli"]))
+    assert lines[-1] == "seqcontest.behavior seqcontest.simulate seqcontest.simulate"
 
 
 class TestSolve:
@@ -310,6 +336,10 @@ class TestSimulate:
              "a stage key must be a stage number in digits, got '\uff12'"),
             ({"schema": 1, "sessions": [{"treatment": [3], "policies": [{"kind": "SPNE"}] * 3}]},
              "unknown policy kind 'SPNE'"),
+            ({"schema": True, "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
+             "unsupported config schema True"),
+            ({"schema": 1.0, "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
+             "unsupported config schema 1.0"),
         ],
         ids=["empty-sessions", "top-level-list", "session-list", "treatment-int",
              "policy-int", "replications-list", "responder-without-model",
@@ -318,7 +348,7 @@ class TestSimulate:
              "seed-negative", "prize-bool", "prize-string", "noise-sd-string",
              "fallback-bool", "top-level-unknown-key", "session-unknown-key",
              "policy-unknown-key", "leader-models-missing-stage", "leader-stage-key-fullwidth",
-             "policy-kind-uppercase"],
+             "policy-kind-uppercase", "schema-true", "schema-float"],
     )
     def test_invalid_config_exits_2(self, capsys, tmp_path, raw, detail):
         bad = tmp_path / "bad.json"
@@ -517,6 +547,8 @@ BAD_META = {
     "seed": ("seed", 7.5),
     "integer_rounding": ("integer_rounding", "false"),
     "prize-bool": ("prize", True),
+    "schema-true": ("schema", True),
+    "schema-float": ("schema", 1.0),
     "unknown-key": ("grups", 3),
     "missing-key": ("groups", MISSING),
 }

@@ -1,7 +1,10 @@
 """The package's public names agree with each module's ``__all__``."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -31,9 +34,10 @@ def test_every_listed_name_exists(name):
 
 
 def test_top_level_exports_are_listed_where_defined():
-    # the statistics resolve on first use, so they are looked up by name too
+    # behavior, simulate and stats resolve on first use, so their names are
+    # looked up too
     exports = dict(vars(seqcontest))
-    exports.update((attr, getattr(seqcontest, attr)) for attr in seqcontest._STATS_EXPORTS)
+    exports.update((attr, getattr(seqcontest, attr)) for attr in seqcontest.__all__)
     unlisted = []
     for attr, value in exports.items():
         defined_in = getattr(value, "__module__", None)
@@ -55,7 +59,7 @@ def test_oracles_are_not_library_names():
     assert not exposed
 
 
-REEXPORTED = ["core", "equilibrium", "behavior", "simulate"]
+REEXPORTED = ["core", "equilibrium", "behavior", "simulate", "stats"]
 
 
 @pytest.mark.parametrize("name", REEXPORTED)
@@ -76,7 +80,28 @@ def test_no_name_is_public_in_two_modules():
     assert not {attr: where for attr, where in seen.items() if len(where) > 1}
 
 
-def test_lazy_statistics_names_are_the_stats_public_names():
-    from seqcontest import stats
+@pytest.mark.parametrize("name", sorted(seqcontest._LAZY_EXPORTS))
+def test_lazy_names_are_the_module_public_names(name):
+    module = importlib.import_module(f"seqcontest.{name}")
+    assert list(seqcontest._LAZY_EXPORTS[name]) == module.__all__
+    assert {name, *module.__all__} <= set(dir(seqcontest))
 
-    assert seqcontest._STATS_EXPORTS == set(stats.__all__)
+
+def test_star_import_binds_every_public_name():
+    # a fresh process, in which no lazy module has been imported yet
+    src = os.path.dirname(os.path.dirname(seqcontest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import importlib\n"
+        "names = {}\n"
+        "exec('from seqcontest import *', names)\n"
+        f"for name in {REEXPORTED!r}:\n"
+        "    module = importlib.import_module('seqcontest.' + name)\n"
+        "    for attr in module.__all__:\n"
+        "        if names.get(attr) is not getattr(module, attr):\n"
+        "            print(f'{name}.{attr}')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == ""
