@@ -23,8 +23,10 @@ from .core import (
     ContestSpec,
     MoveSequence,
     _check_schema,
+    _in_digits,
     _json_number,
     _known_keys,
+    _sequence_in_digits,
 )
 from .equilibrium import bisect, solve_spne
 
@@ -407,13 +409,6 @@ def _model_from_dict(entry: Mapping, fit_effective_prize: float | None = None) -
     return ResponseModel(**values)
 
 
-def _in_digits(key) -> bool:
-    """Whether ``key`` spells a whole number of at least 1 in ASCII digits,
-    without the sign, space, separator, leading zero or non-ASCII digit that
-    ``int()`` would accept."""
-    return isinstance(key, str) and key.isascii() and key.isdigit() and key[0] != "0"
-
-
 def _stage_models(raw: Mapping, fit_effective_prize: float | None = None) -> dict:
     """The models of a JSON object keyed by stage numbers spelt in ASCII digits."""
     models = {}
@@ -457,13 +452,7 @@ def _parse_model_tree(raw: Mapping) -> dict[MoveSequence, dict[int, ResponseMode
         default_prize = _json_number(default_prize, "fit_effective_prize")
     out: dict[MoveSequence, dict[int, ResponseModel]] = {}
     for seq_key, stage_map in raw["models"].items():
-        counts = seq_key.split(",")
-        if not all(map(_in_digits, counts)):
-            raise ContestError(
-                "a move-sequence key must be stage counts in digits joined by commas, "
-                f"got {seq_key!r}"
-            )
-        seq = MoveSequence(tuple(map(int, counts)))
+        seq = _sequence_in_digits(seq_key, "a move-sequence key")
         out[seq] = _stage_models(stage_map, default_prize)
     return out
 

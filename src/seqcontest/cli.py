@@ -22,16 +22,15 @@ import os
 import sys
 import time
 from dataclasses import replace
-from functools import partial
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .core import (
     ContestError,
     ContestSpec,
-    MoveSequence,
     _check_schema,
     _known_keys,
+    _sequence_in_digits,
     _whole_number,
 )
 from .equilibrium import calibrate_jow, solve_spne
@@ -43,23 +42,27 @@ _EXIT_BAD_INPUT = 2
 _EXIT_IO = 3
 
 
-def _write_outputs(out_dir: str, outputs, t0: float, command: str, config=None, seed=None) -> int:
-    """Write each output, then ``manifest.json``, all or none; return the exit
-    code. ``outputs`` maps file names to functions that build their texts,
-    each called only when its file is written, so one text is held at a time.
+def _write_outputs(out_dir: str, files, t0: float, command: str, config=None, seed=None) -> int:
+    """Write each ``(name, text)`` pair of ``files``, then ``manifest.json``,
+    all or none; return the exit code. ``files`` is read one pair at a time,
+    as each text is written, so a generator of pairs holds one text at a time.
     """
     from .simulate import write_files
 
+    names = []
+
     def texts():
-        for name, build in outputs.items():
-            yield os.path.join(out_dir, name), build()
+        for name, text in files:
+            names.append(name)
+            yield os.path.join(out_dir, name), text
+            del text  # not held while the next text is built
         manifest = {
             "schema": 1,
             "command": command,
             "config": config,
             "master_seed": seed,
             "package_version": __version__,
-            "outputs": sorted(outputs),
+            "outputs": sorted(names),
             "wall_clock_seconds": round(time.time() - t0, 3),
         }
         yield os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1) + "\n"
@@ -86,20 +89,13 @@ def _significance_level(text: str) -> float:
     return value
 
 
-def _parse_sequence(text: str) -> MoveSequence:
-    try:
-        return MoveSequence(tuple(int(part) for part in text.split(",")))
-    except (ValueError, ContestError) as exc:
-        raise ContestError(f"bad sequence {text!r}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
 
 def cmd_solve(args) -> int:
-    sequence = _parse_sequence(args.seq)
+    sequence = _sequence_in_digits(args.seq, "--seq")
     jow = args.jow
     banner = None
     if args.calibrate_from is not None:
@@ -176,7 +172,7 @@ def _log_basename(log: SessionLog, index: int) -> str:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import _log_text, run_batch, session_config_from_dict
+    from .simulate import _log_texts, run_batch, session_config_from_dict
 
     t0 = time.time()
     try:
@@ -202,15 +198,17 @@ def cmd_simulate(args) -> int:
     logs = run_batch(configs, replications=replications)
 
     formats = ["csv", "json"] if args.format == "both" else [args.format]
-    outputs = {
-        f"{_log_basename(log, i)}.{fmt}": partial(_log_text, log, fmt)
-        for i, log in enumerate(logs)
-        for fmt in formats
-    }
+
+    def log_files():
+        # the texts of one log at a time, its formats spelt together
+        for i, log in enumerate(logs):
+            name = _log_basename(log, i)
+            yield from zip([f"{name}.{fmt}" for fmt in formats], _log_texts(log, formats))
+
     seeds = [cfg.seed for cfg in configs]
-    code = _write_outputs(args.out, outputs, t0, "simulate", config_name, seeds)
+    code = _write_outputs(args.out, log_files(), t0, "simulate", config_name, seeds)
     if code == 0:
-        print(f"wrote {len(outputs)} log file(s) to {args.out}")
+        print(f"wrote {len(logs) * len(formats)} log file(s) to {args.out}")
     return code
 
 
@@ -353,8 +351,7 @@ def cmd_analyze(args) -> int:
         files["tests.csv"] = "\n".join(test_lines) + "\n"
     files["report.txt"] = "\n".join(report) + "\n"
 
-    outputs = {name: partial(str, text) for name, text in files.items()}
-    code = _write_outputs(args.out, outputs, t0, "analyze")
+    code = _write_outputs(args.out, files.items(), t0, "analyze")
     if code == 0:
         sys.stdout.write("\n".join(report) + "\n")
     return code

@@ -164,6 +164,24 @@ def _whole_number(value, name: str) -> int:
     return value
 
 
+def _in_digits(key) -> bool:
+    """Whether ``key`` spells a whole number of at least 1 in ASCII digits,
+    without the sign, space, separator, leading zero or non-ASCII digit that
+    ``int()`` would accept."""
+    return isinstance(key, str) and key.isascii() and key.isdigit() and key[0] != "0"
+
+
+def _sequence_in_digits(text: str, what: str) -> MoveSequence:
+    """The move sequence ``text`` spells: its stage counts by the rule of
+    :func:`_in_digits`, joined by commas."""
+    counts = text.split(",")
+    if not all(map(_in_digits, counts)):
+        raise ContestError(
+            f"{what} must be stage counts in digits joined by commas, got {text!r}"
+        )
+    return MoveSequence(tuple(map(int, counts)))
+
+
 def _check_schema(raw, what: str) -> None:
     """``raw["schema"]`` must be the JSON integer 1; ``true`` and ``1.0``
     compare equal to 1 but are not it."""

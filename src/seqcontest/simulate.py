@@ -28,12 +28,19 @@ responder noise and the winner draw touch the stream inside a triad.
 
 Logs. Records are slotted frozen :class:`RoundRecord` s. The log is written
 and read column by column, through one table (``_COLUMNS``) that gives each
-column its JSON check, CSV parser and JSON and CSV spellings:
-:func:`export_log` spells each column in one pass and fills one template per
-record, and :func:`load_log` checks each column in one pass and builds the
-records from the columns. The files are exactly what ``json.dumps(...,
-indent=1)`` and ``csv.writer`` write. The meta is written and read through
-the table of session parameters (``_SESSION_PARAMETERS``) that configs use.
+column its JSON cell types and check, its CSV parser and its spelling. One
+writer, ``_log_texts``, serves :func:`export_log` and ``simulate``: it reads
+each record field in one pass, spells the int and float columns (and m1 and
+m2 when they hold no None) once for all the formats asked for, so
+``--format both`` spells them once per log, and fills one template per
+record. :func:`load_log` checks a JSON column in one pass over its cell
+types and goes cell by cell only when a type falls outside the column's (to
+name the bad cell, or to read a JSON integer in a float column as a float);
+it parses a CSV column, and counts the record widths, in one pass each, and
+builds the records from the columns. The files are exactly what
+``json.dumps(..., indent=1)`` and ``csv.writer`` write. The meta is written
+and read through the table of session parameters (``_SESSION_PARAMETERS``)
+that configs use.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field, fields, replace
-from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -86,38 +92,42 @@ def _json_optional(value, name: str) -> float | None:
     return None if value is None else _json_number(value, name)
 
 
-def _csv_optional(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
+def _csv_ints(column) -> list[int]:
+    return list(map(int, column))
 
 
-def _csv_bit(cell: str) -> bool:
-    if cell not in ("0", "1"):
-        raise ContestError(f"won must be 0 or 1, got {cell!r}")
-    return cell == "1"
+def _csv_floats(column) -> list[float]:
+    return list(map(float, column))
 
 
-def _json_optional_cell(value) -> str:
-    return "null" if value is None else float.__repr__(value)
+def _csv_optionals(column) -> list[float | None]:
+    return [None if cell == "" else float(cell) for cell in column]
 
 
-def _csv_optional_cell(value) -> str:
-    return "" if value is None else float.__repr__(value)
+def _csv_bits(column) -> list[bool]:
+    if not {"0", "1"}.issuperset(column):
+        bad = next(cell for cell in column if cell not in ("0", "1"))
+        raise ContestError(f"won must be 0 or 1, got {bad!r}")
+    return list(map("1".__eq__, column))
 
 
 class _Column(NamedTuple):
+    json_types: frozenset  # types of the JSON cells that load as they are
     json_check: Callable  # (JSON value, column name) -> cell
-    csv_parse: Callable  # CSV cell -> cell
-    json_text: Callable  # cell -> JSON text
-    csv_text: Callable  # cell -> CSV cell
+    csv_parse: Callable  # CSV column -> cells
+    text: Callable | None  # cell other than None -> JSON and CSV text; None for bools
 
 
 # Cells are spelt as json and csv spell them: int.__repr__ and float.__repr__
 # (not repr, which a numpy float subclass overrides), None as null or an
-# empty cell, a bool as true/false or 1/0.
-_INT = _Column(_whole_number, int, int.__repr__, int.__repr__)
-_FLOAT = _Column(_json_number, float, float.__repr__, float.__repr__)
-_OPTIONAL = _Column(_json_optional, _csv_optional, _json_optional_cell, _csv_optional_cell)
-_BOOL = _Column(_json_bool, _csv_bit, ("false", "true").__getitem__, ("0", "1").__getitem__)
+# empty cell, a bool as true/false or 1/0. A JSON integer in a float column
+# loads as a float.
+_INT = _Column(frozenset({int}), _whole_number, _csv_ints, int.__repr__)
+_FLOAT = _Column(frozenset({float}), _json_number, _csv_floats, float.__repr__)
+_OPTIONAL = _Column(frozenset({float, type(None)}), _json_optional, _csv_optionals, float.__repr__)
+_BOOL = _Column(frozenset({bool}), _json_bool, _csv_bits, None)
+# each format's spelling of None, and of False and True
+_SPELLINGS = {"json": ("null", ("false", "true")), "csv": ("", ("0", "1"))}
 
 # The log columns in file order; the float cells must also be finite.
 # RoundRecord has the same fields, in the same order.
@@ -191,7 +201,6 @@ class RoundRecord:
     _set_group, _set_round, _set_triad, _set_subject, _set_stage, _set_slot,
     _set_m1, _set_m2, _set_investment, _set_won, _set_payoff,
 ) = (getattr(RoundRecord, column).__set__ for column in CSV_COLUMNS)
-_record_cells = operator.attrgetter(*CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -449,9 +458,12 @@ def _check_finite(columns) -> None:
 
 
 def _check_widths(rows) -> None:
-    for number, width in enumerate(map(len, rows), start=1):
-        if width != len(CSV_COLUMNS):
-            raise ContestError(f"record {number} has {width} cells, expected {len(CSV_COLUMNS)}")
+    widths = list(map(len, rows))
+    if widths.count(len(CSV_COLUMNS)) != len(widths):
+        number = next(n for n, width in enumerate(widths, start=1) if width != len(CSV_COLUMNS))
+        raise ContestError(
+            f"record {number} has {widths[number - 1]} cells, expected {len(CSV_COLUMNS)}"
+        )
 
 
 def _transpose(rows) -> list:
@@ -459,33 +471,74 @@ def _transpose(rows) -> list:
     return list(zip(*rows)) or [()] * len(CSV_COLUMNS)
 
 
+def _json_cells(kind: _Column, column, name: str):
+    # the cell types in one pass; only a column with a cell of another type
+    # (a bad cell, or a JSON integer in a float column) is checked cell by cell
+    if kind.json_types.issuperset(map(type, column)):
+        return column
+    return [kind.json_check(cell, name) for cell in column]
+
+
 def _records(columns) -> list[RoundRecord]:
     _check_finite(columns)
     return list(map(RoundRecord, *columns))
+
+
+def _columns(records) -> list[list]:
+    """The log columns of ``records`` in file order, one field at a time."""
+    return [
+        [r.group for r in records],
+        [r.round for r in records],
+        [r.triad for r in records],
+        [r.subject for r in records],
+        [r.stage for r in records],
+        [r.slot for r in records],
+        [r.m1 for r in records],
+        [r.m2 for r in records],
+        [r.investment for r in records],
+        [r.won for r in records],
+        [r.payoff for r in records],
+    ]
 
 
 # one JSON record, indented as json.dumps(payload, indent=1) indents it
 _JSON_RECORD = "  {\n" + ",\n".join(f'   "{c}": %s' for c in CSV_COLUMNS) + "\n  }"
 
 
-def _log_text(log: SessionLog, format: str) -> str:
-    if format not in ("csv", "json"):
-        raise ContestError(f"unknown export format {format!r}")
-    columns = _transpose(map(_record_cells, log.records))
+def _log_texts(log: SessionLog, formats: Sequence[str]) -> list[str]:
+    """The text of ``log`` in each of ``formats`` ("csv" or "json"). Its
+    columns are read once, and the int and float columns (and m1 and m2 when
+    they hold no None) are spelt once for all the formats."""
+    for format in formats:
+        if format not in _SPELLINGS:
+            raise ContestError(f"unknown export format {format!r}")
+    columns = _columns(log.records)
     _check_finite(columns)
-    cells = zip(*[
-        map(getattr(kind, f"{format}_text"), column)
+    common = [
+        None if kind is _BOOL or (kind is _OPTIONAL and None in column)
+        else list(map(kind.text, column))
         for kind, column in zip(_COLUMNS.values(), columns)
-    ])
+    ]
     meta = _log_meta(log)
-    if format == "csv":
-        header = CSV_META_PREFIX + json.dumps(meta) + "\n" + ",".join(CSV_COLUMNS) + "\n"
-        rows = "\n".join(map(",".join, cells))
-        return header + rows + "\n" if rows else header
-    records = ",\n".join(map(_JSON_RECORD.__mod__, cells))
-    meta_text = json.dumps(meta, indent=1).replace("\n", "\n ")
-    records = f"[\n{records}\n ]" if records else "[]"
-    return f'{{\n "meta": {meta_text},\n "records": {records}\n}}\n'
+    texts = []
+    for format in formats:
+        null, truth = _SPELLINGS[format]
+        cells = zip(*[
+            spelt if spelt is not None
+            else map(truth.__getitem__, column) if kind is _BOOL
+            else [null if cell is None else float.__repr__(cell) for cell in column]
+            for kind, column, spelt in zip(_COLUMNS.values(), columns, common)
+        ])
+        if format == "csv":
+            header = CSV_META_PREFIX + json.dumps(meta) + "\n" + ",".join(CSV_COLUMNS) + "\n"
+            rows = "\n".join(map(",".join, cells))
+            texts.append(header + rows + "\n" if rows else header)
+        else:
+            records = ",\n".join(map(_JSON_RECORD.__mod__, cells))
+            meta_text = json.dumps(meta, indent=1).replace("\n", "\n ")
+            records = f"[\n{records}\n ]" if records else "[]"
+            texts.append(f'{{\n "meta": {meta_text},\n "records": {records}\n}}\n')
+    return texts
 
 
 def export_log(log: SessionLog, format: str, path) -> None:
@@ -498,7 +551,7 @@ def export_log(log: SessionLog, format: str, path) -> None:
     m1, m2, investment or payoff, which :func:`load_log` would refuse, raises
     :class:`ContestError` before anything is written.
     """
-    write_files([(path, _log_text(log, format))])
+    write_files([(path, _log_texts(log, [format])[0])])
 
 
 def load_log(path) -> SessionLog:
@@ -531,7 +584,7 @@ def load_log(path) -> SessionLog:
             _check_widths(rows)
             columns = _transpose(map(operator.itemgetter(*CSV_COLUMNS), rows))
             records = _records([
-                list(map(kind.json_check, column, repeat(name)))
+                _json_cells(kind, column, name)
                 for (name, kind), column in zip(_COLUMNS.items(), columns)
             ])
             return _log_from_meta(payload["meta"], records)
@@ -547,9 +600,9 @@ def load_log(path) -> SessionLog:
             rows = [row for row in reader if row]
             _check_widths(rows)
             columns = _transpose(rows)
-        records = _records([
-            list(map(kind.csv_parse, column)) for kind, column in zip(_COLUMNS.values(), columns)
-        ])
+        records = _records(
+            [kind.csv_parse(column) for kind, column in zip(_COLUMNS.values(), columns)]
+        )
         return _log_from_meta(meta, records)
     except NotASessionLog:
         raise

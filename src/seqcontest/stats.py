@@ -5,12 +5,21 @@ clustered by matching group with the small-sample factor
 G/(G-1) * (N-1)/(N-K), Wald statistics are referred to chi-square(1), and the
 trend across ordered treatments uses the Jonckheere-Terpstra test on
 matching-group means with the normal approximation (tie-corrected variance).
+
+The record-level summaries (triad totals, treatment summaries, the round
+trend, matching-group means) read each record field they use into an array
+in one pass and compute on the columns. Triad totals are a stable sort on
+(group, round, triad) and a ``np.bincount``, which adds each triad's
+investments in record order from 0.0, so they are the floats a running sum
+per triad gives, whatever the order of the records or the ids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -98,8 +107,10 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     resid = y - X @ params
 
     scores = X * resid[:, None]
-    cluster_scores = np.zeros((g, k))
-    np.add.at(cluster_scores, inverse, scores)
+    # each cluster's scores summed in row order, starting from 0.0
+    cluster_scores = np.column_stack(
+        [np.bincount(inverse, weights=scores[:, j], minlength=g) for j in range(k)]
+    )
     meat = cluster_scores.T @ cluster_scores
     correction = (g / (g - 1.0)) * ((n - 1.0) / (n - k))
     cov = correction * bread @ meat @ bread
@@ -205,44 +216,87 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]]) -> JTResult:
 # ---------------------------------------------------------------------------
 
 
-def _as_records(log_or_records) -> list[RoundRecord]:
-    if isinstance(log_or_records, SessionLog):
-        return log_or_records.records
-    return list(log_or_records)
+def _column(values: list, dtype: type) -> np.ndarray:
+    """A list of Python ints (``dtype`` int) or floats as an array, read with
+    its dtype named, which is about twice as fast as ``np.array`` inferring
+    it."""
+    if not values:
+        return np.array(values)  # float64, as np.array makes an empty list
+    try:
+        return np.fromiter(values, dtype, len(values))
+    except OverflowError:
+        # an id beyond int64: an array of Python ints keeps ids exact, as the
+        # records hold them
+        return np.array(values, dtype=object)
+
+
+class _Columns:
+    """The fields of a log's records as arrays in record order, each read in
+    one pass on first use."""
+
+    def __init__(self, log_or_records):
+        if isinstance(log_or_records, SessionLog):
+            self.records = log_or_records.records
+        else:
+            self.records = list(log_or_records)
+
+    @cached_property
+    def group(self) -> np.ndarray:
+        return _column([r.group for r in self.records], int)
+
+    @cached_property
+    def round(self) -> np.ndarray:
+        return _column([r.round for r in self.records], int)
+
+    @cached_property
+    def triad(self) -> np.ndarray:
+        return _column([r.triad for r in self.records], int)
+
+    @cached_property
+    def stage(self) -> np.ndarray:
+        return _column([r.stage for r in self.records], int)
+
+    @cached_property
+    def investment(self) -> np.ndarray:
+        return _column([r.investment for r in self.records], float)
 
 
 def last_rounds(log: SessionLog, k: int) -> SessionLog:
     """The log cut to its last ``k`` rounds."""
-    cutoff = max((r.round for r in log.records), default=0) - k
-    return replace(log, records=[r for r in log.records if r.round > cutoff])
+    rounds = [r.round for r in log.records]
+    cutoff = max(rounds, default=0) - k
+    return replace(log, records=list(compress(log.records, [n > cutoff for n in rounds])))
+
+
+def _triad_totals(columns: _Columns) -> tuple[np.ndarray, np.ndarray]:
+    # the stable sort keeps each triad's records in record order, and bincount
+    # adds them in that order from 0.0: the floats of a running sum per triad
+    order = np.lexsort((columns.triad, columns.round, columns.group))
+    group, rnd, triad = columns.group[order], columns.round[order], columns.triad[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (group[1:] != group[:-1]) | (rnd[1:] != rnd[:-1]) | (triad[1:] != triad[:-1])
+    totals = np.bincount(np.cumsum(first) - 1, weights=columns.investment[order])
+    # float64 when empty too (bincount of nothing is an int array)
+    return totals.astype(float, copy=False), group[first]
 
 
 def triad_totals(records: Iterable[RoundRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Total investment of each triad-round, sorted by (group, round, triad),
     and the matching group each total belongs to."""
-    totals: dict[tuple[int, int, int], float] = {}
-    for r in records:
-        key = (r.group, r.round, r.triad)
-        totals[key] = totals.get(key, 0.0) + r.investment
-    keys = sorted(totals)
-    return np.array([totals[k] for k in keys]), np.array([k[0] for k in keys])
+    return _triad_totals(_Columns(records))
 
 
 def trend_by_round(log_or_records) -> OLSFit:
     """Pooled OLS of individual investment on the round number, clustered by
     matching group."""
-    records = _as_records(log_or_records)
-    if not records:
+    columns = _Columns(log_or_records)
+    rounds = columns.round
+    if not rounds.size:
         raise EmptyLog("no records")
-    rounds = sorted({r.round for r in records})
-    if len(rounds) < 2:
+    if rounds.min() == rounds.max():
         raise ContestError("trend regression needs at least 2 rounds")
-    y = np.array([r.investment for r in records])
-    design = np.column_stack(
-        [np.ones(len(records)), np.array([r.round for r in records], dtype=float)]
-    )
-    clusters = np.array([r.group for r in records])
-    return cluster_ols(y, design, clusters)
+    design = np.column_stack([np.ones(rounds.size), rounds.astype(float)])
+    return cluster_ols(columns.investment, design, columns.group)
 
 
 @dataclass
@@ -260,7 +314,8 @@ class TreatmentSummary:
 
 
 def _se_of_mean(values: np.ndarray, clusters: np.ndarray) -> float:
-    if np.unique(clusters).size < 2:
+    # fewer than 2 clusters, told by min and max (np.unique would load numpy.ma)
+    if not clusters.size or clusters.min() == clusters.max():
         return float("nan")
     fit = cluster_ols(values, np.ones((values.size, 1)), clusters)
     return float(fit.se[0])
@@ -282,22 +337,21 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
         raise EmptyLog("no logs")
     out = []
     for log in logs:
-        records = log.records
-        if not records:
+        if not log.records:
             raise EmptyLog(f"log for {log.sequence.label()} has no records")
+        columns = _Columns(log)
         seq = log.sequence
         role_means: list[float] = []
         role_ses: list[float] = []
         for stage, count in enumerate(seq.stages, start=1):
-            stage_records = [r for r in records if r.stage == stage]
-            values = np.array([r.investment for r in stage_records])
-            clusters = np.array([r.group for r in stage_records])
+            in_stage = columns.stage == stage
+            values = columns.investment[in_stage]
             mean = float(values.mean())
-            se = _se_of_mean(values, clusters)
+            se = _se_of_mean(values, columns.group[in_stage])
             role_means.extend([mean] * count)
             role_ses.extend([se] * count)
 
-        totals, groups = triad_totals(records)
+        totals, groups = _triad_totals(columns)
         out.append(
             TreatmentSummary(
                 sequence=seq,
@@ -305,9 +359,9 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
                 role_ses=tuple(role_ses),
                 aggregate_mean=float(totals.mean()),
                 aggregate_se=_se_of_mean(totals, groups),
-                nobs=len(records),
-                n_clusters=int(np.unique(groups).size),
-                n_rounds=len({r.round for r in records}),
+                nobs=len(log.records),
+                n_clusters=len(set(groups.tolist())),
+                n_rounds=len(set(columns.round.tolist())),
             )
         )
     return out
@@ -318,5 +372,7 @@ def group_aggregate_means(log: SessionLog) -> np.ndarray:
     of observation for nonparametric across-treatment tests."""
     if not log.records:
         raise EmptyLog(f"log for {log.sequence.label()} has no records")
-    totals, groups = triad_totals(log.records)
-    return np.array([float(np.mean(totals[groups == g])) for g in np.unique(groups)])
+    totals, groups = _triad_totals(_Columns(log))
+    # the totals are sorted by group, so each group's are one slice
+    starts = np.flatnonzero(groups[1:] != groups[:-1]) + 1
+    return np.array([float(part.mean()) for part in np.split(totals, starts)])

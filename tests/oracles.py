@@ -10,6 +10,12 @@ library's results are checked against.
   enumerating every assignment of the pooled observations to the groups. It
   counts pairs with its own helper, so it shares no code with the
   statistic it checks.
+* ``triad_totals``, ``treatment_summary``, ``trend_by_round``,
+  ``group_aggregate_means`` and ``cluster_ols`` compute the record-level
+  statistics record by record (a running sum per triad in a dict, one filter
+  over the records per stage, cluster scores added with ``np.add.at``); the
+  library reads record fields as columns and must give the same floats and
+  dtypes.
 """
 
 import itertools
@@ -26,7 +32,7 @@ from seqcontest.equilibrium import (
     _horner,
     bisect,
 )
-from seqcontest.stats import TooFewGroups
+from seqcontest.stats import OLSFit, TooFewGroups, TreatmentSummary
 
 # ---------------------------------------------------------------------------
 # Full-grid root search
@@ -263,3 +269,79 @@ def jonckheere_terpstra_exact(groups: Sequence[Sequence[float]]) -> JTExactResul
     p_le = n_le / count
     two_sided = min(1.0, 2.0 * min(p_ge, p_le))
     return JTExactResult(observed, p_ge, p_le, two_sided)
+
+
+# ---------------------------------------------------------------------------
+# Record-by-record statistics
+# ---------------------------------------------------------------------------
+
+
+def cluster_ols(y, design, clusters) -> OLSFit:
+    """``stats.cluster_ols`` on a full-rank design with at least 2 clusters,
+    its cluster scores added row by row with ``np.add.at``."""
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(design, dtype=float)
+    n, k = X.shape
+    codes, inverse = np.unique(np.asarray(clusters), return_inverse=True)
+    g = codes.size
+    bread = np.linalg.inv(X.T @ X)
+    params = bread @ (X.T @ y)
+    resid = y - X @ params
+    cluster_scores = np.zeros((g, k))
+    np.add.at(cluster_scores, inverse, X * resid[:, None])
+    meat = cluster_scores.T @ cluster_scores
+    cov = (g / (g - 1.0)) * ((n - 1.0) / (n - k)) * bread @ meat @ bread
+    ssr = float(resid @ resid)
+    sst = float(((y - y.mean()) ** 2).sum())
+    r_squared = 1.0 - ssr / sst if sst > 0 else float("nan")
+    return OLSFit(params=params, cov=cov, r_squared=r_squared, nobs=n, n_clusters=g)
+
+
+def triad_totals(records) -> tuple[np.ndarray, np.ndarray]:
+    totals: dict[tuple[int, int, int], float] = {}
+    for r in records:
+        key = (r.group, r.round, r.triad)
+        totals[key] = totals.get(key, 0.0) + r.investment
+    keys = sorted(totals)
+    return np.array([totals[k] for k in keys]), np.array([k[0] for k in keys])
+
+
+def _se_of_mean(values: np.ndarray, clusters: np.ndarray) -> float:
+    if np.unique(clusters).size < 2:
+        return float("nan")
+    return float(cluster_ols(values, np.ones((values.size, 1)), clusters).se[0])
+
+
+def treatment_summary(log) -> TreatmentSummary:
+    records = log.records
+    role_means: list[float] = []
+    role_ses: list[float] = []
+    for stage, count in enumerate(log.sequence.stages, start=1):
+        stage_records = [r for r in records if r.stage == stage]
+        values = np.array([r.investment for r in stage_records])
+        clusters = np.array([r.group for r in stage_records])
+        role_means.extend([float(values.mean())] * count)
+        role_ses.extend([_se_of_mean(values, clusters)] * count)
+    totals, groups = triad_totals(records)
+    return TreatmentSummary(
+        sequence=log.sequence,
+        role_means=tuple(role_means),
+        role_ses=tuple(role_ses),
+        aggregate_mean=float(totals.mean()),
+        aggregate_se=_se_of_mean(totals, groups),
+        nobs=len(records),
+        n_clusters=int(np.unique(groups).size),
+        n_rounds=len({r.round for r in records}),
+    )
+
+
+def trend_by_round(records) -> OLSFit:
+    y = np.array([r.investment for r in records])
+    rounds = np.array([r.round for r in records], dtype=float)
+    design = np.column_stack([np.ones(len(records)), rounds])
+    return cluster_ols(y, design, np.array([r.group for r in records]))
+
+
+def group_aggregate_means(log) -> np.ndarray:
+    totals, groups = triad_totals(log.records)
+    return np.array([float(np.mean(totals[groups == g])) for g in np.unique(groups)])

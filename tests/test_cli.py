@@ -96,6 +96,25 @@ def test_import_and_solve_load_only_the_solver():
     assert lines[-1] == "seqcontest.behavior seqcontest.simulate seqcontest.simulate"
 
 
+def test_analyze_leaves_numpy_ma_unloaded(capsys, tmp_path):
+    # np.unique without a return_* argument loads numpy.ma, which no
+    # statistic of analyze needs
+    runs = tmp_path / "runs"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--config", "empirical_preemption", "--seed", "7",
+        "--out", str(runs), "--format", "json",
+    )
+    assert code == 0
+    logs = sorted(str(p) for p in runs.glob("session*.json"))
+    argv = ["analyze", *logs, "--out", str(tmp_path / "analysis")]
+    code = (
+        "import sys, seqcontest.cli\n"
+        f"assert seqcontest.cli.main({argv!r}) == 0\n"
+        "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    assert fresh_python(code)[-1] == "True False"
+
+
 class TestSolve:
     def test_one_leader_two_followers(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--seq", "1,2", "--prize", "240")
@@ -158,6 +177,14 @@ class TestSolve:
     def test_unparseable_sequence_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--seq", "abc")
         assert code == 2
+
+    @pytest.mark.parametrize("seq", ["１, ２", "1, 2", "+1,2", "1,02"])
+    def test_sequence_not_in_ascii_digits_exits_2(self, capsys, seq):
+        # int() reads each of these as the counts (1, 2)
+        code, out, err = run_cli(capsys, "solve", "--seq", seq)
+        assert code == 2
+        assert not out
+        assert repr(seq) in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -522,7 +549,9 @@ def _write_record(column, value, fmt):
     return write
 
 
-# record cells a log must not coerce, by test id: each used to load
+# record cells a log must not coerce, by test id: the first ten used to load;
+# the last five are cells of a type their column refuses (a JSON column is
+# checked in one pass over its cell types, then cell by cell to name the bad one)
 BAD_RECORDS = {
     "investment-bool-json": ("investment", True, "json"),
     "group-float-json": ("group", 1.9, "json"),
@@ -534,6 +563,11 @@ BAD_RECORDS = {
     "m1-nan-csv": ("m1", "nan", "csv"),
     "extra-cell-csv": ("extra", "0", "csv"),
     "extra-key-json": ("extra", 0, "json"),
+    "round-float-json": ("round", 2.0, "json"),
+    "subject-bool-json": ("subject", True, "json"),
+    "m1-string-json": ("m1", "1", "json"),
+    "won-int-json": ("won", 1, "json"),
+    "payoff-null-json": ("payoff", None, "json"),
 }
 
 
@@ -658,22 +692,23 @@ class TestAnalyze:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "name, write",
+        "name, write, column",
         [
             ("schema.json", lambda log, bad: bad.write_text(
                 '{"meta": {"schema": 99}, "records": []}'
-            )),
-            ("list.json", lambda log, bad: bad.write_text("[]")),
-            ("null.json", _write_null_investment),
-            ("short.csv", _write_short_csv_row),
-            ("float.json", _write_bad_float),
+            ), None),
+            ("list.json", lambda log, bad: bad.write_text("[]"), None),
+            ("null.json", _write_null_investment, None),
+            ("short.csv", _write_short_csv_row, None),
+            ("float.json", _write_bad_float, None),
             *[
-                (f"meta.{fmt}", _write_meta(key, value, fmt))
+                (f"meta.{fmt}", _write_meta(key, value, fmt), None)
                 for fmt in ("json", "csv")
                 for key, value in BAD_META.values()
             ],
             *[
-                (f"record.{fmt}", _write_record(column, value, fmt))
+                (f"record.{fmt}", _write_record(column, value, fmt),
+                 column if column in CSV_COLUMNS else None)
                 for column, value, fmt in BAD_RECORDS.values()
             ],
         ],
@@ -683,7 +718,7 @@ class TestAnalyze:
             *[f"record-{label}" for label in BAD_RECORDS],
         ],
     )
-    def test_corrupt_log_exits_2(self, capsys, spne_run, tmp_path, name, write):
+    def test_corrupt_log_exits_2(self, capsys, spne_run, tmp_path, name, write, column):
         bad = tmp_path / name
         write(spne_run[0], bad)
         code, _, err = run_cli(
@@ -691,6 +726,8 @@ class TestAnalyze:
         )
         assert code == 2
         assert str(bad) in err
+        if column is not None:  # a bad cell is named by its column
+            assert f"ContestError: {column} " in err
 
     @pytest.mark.parametrize(
         "groups, rounds, tests, message",
@@ -967,6 +1004,21 @@ PRESET_DIGESTS = {
 
 
 class TestGoldenOutputs:
+    @pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+    def test_both_formats_write_each_format_alone(self, capsys, tmp_path, preset):
+        # --format both spells each log's columns once for its two texts
+        logs = {}
+        for fmt in ("both", "json", "csv"):
+            runs = tmp_path / fmt
+            code, _, _ = run_cli(
+                capsys, "simulate", "--config", preset, "--seed", "7", "--out", str(runs),
+                "--format", fmt,
+            )
+            assert code == 0
+            logs[fmt] = {p.name: p.read_bytes() for p in runs.glob("session*")}
+        assert logs["json"] and logs["csv"]
+        assert logs["both"] == {**logs["json"], **logs["csv"]}
+
     @pytest.mark.parametrize("seq", sorted(SOLVE_JSON_DIGESTS))
     def test_solve_json(self, capsys, seq):
         code, out, _ = run_cli(capsys, "solve", "--seq", seq, "--format", "json")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, replace
 
@@ -364,6 +365,25 @@ class TestExportImport:
         assert back.records == log.records
         assert back.spec == log.spec
         assert back.seed == log.seed
+
+    def test_json_integers_in_float_columns_load_as_floats(self, tmp_path):
+        # whole-point play makes every m1, m2, investment and payoff whole; a
+        # log spelling them as JSON integers reads back as the same floats
+        config = spne_config((1, 1, 1), groups=2, rounds=3, seed=5, integer_rounding=True)
+        log = run_session(config)
+        path = tmp_path / "log.json"
+        export_log(log, "json", path)
+        text = path.read_text()
+        path.write_text(re.sub(r'("(?:m1|m2|investment|payoff)": -?[0-9]+)\.0\b', r"\1", text))
+        assert re.search(r'"investment": [0-9]+,', path.read_text())
+        back = load_log(path)
+        for column in ("m1", "m2", "investment", "payoff"):
+            assert {type(getattr(r, column)) for r in back.records} == {float} | (
+                {type(None)} if column in ("m1", "m2") else set()
+            )
+        assert back == log
+        export_log(back, "json", tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == text
 
     def test_csv_round_trip_preserves_data(self, tmp_path):
         log = run_session(spne_config((1, 1, 1), groups=1, rounds=2, seed=13))

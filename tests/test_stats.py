@@ -4,9 +4,12 @@ The 2-cluster regression fixture was computed by hand with exact rational
 arithmetic; the decimal expected values below are exact.
 """
 
+import dataclasses
 import itertools
+import json
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,7 +18,14 @@ from scipy import stats as sps
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import EquilibriumPolicy
 from seqcontest.equilibrium import solve_spne
-from seqcontest.simulate import RoundRecord, SessionConfig, run_session
+from seqcontest import stats
+from seqcontest.simulate import (
+    RoundRecord,
+    SessionConfig,
+    run_batch,
+    run_session,
+    session_config_from_dict,
+)
 from seqcontest.stats import (
     EmptyLog,
     RankDeficientDesign,
@@ -27,9 +37,11 @@ from seqcontest.stats import (
     last_rounds,
     treatment_summary,
     trend_by_round,
+    triad_totals,
     wald_mean,
 )
 
+import oracles
 from oracles import jonckheere_terpstra_exact
 
 # y = (1, 2, 2, 4) on x = (0, 1, 2, 3), intercept + slope, clusters (0,0,1,1).
@@ -416,3 +428,96 @@ class TestPValueRanges:
             jt = jonckheere_terpstra(groups)
             assert 0.0 <= jt.pvalue <= 1.0
             assert math.isfinite(jt.statistic) and math.isfinite(jt.zscore)
+
+
+def exact(value):
+    """``value`` spelt so that equal spellings mean equal bits and dtypes."""
+    if isinstance(value, np.ndarray):
+        cells = value.tolist() if value.dtype == object else value.tobytes()
+        return value.dtype.str, value.shape, cells
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [exact(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return type(value).__name__, [exact(getattr(value, f.name)) for f in fields]
+    return type(value).__name__, value
+
+
+def preset_logs(name, seed):
+    raw = json.loads(resources.files("seqcontest.presets").joinpath(name + ".json").read_text())
+    configs = [
+        session_config_from_dict({**entry, "seed": seed + i})
+        for i, entry in enumerate(raw["sessions"])
+    ]
+    return run_batch(configs)
+
+
+def shuffled(log):
+    order = np.random.default_rng(5).permutation(len(log.records))
+    return replace(log, records=[log.records[i] for i in order])
+
+
+def relabeled(log, group, round_number):
+    return replace(log, records=[
+        replace(r, group=group(r.group), round=round_number(r.round)) for r in log.records
+    ])
+
+
+def uneven(log):
+    # investments of mixed magnitudes, whose sum over a triad depends on the
+    # order of its terms
+    rng = np.random.default_rng(8)
+    n = len(log.records)
+    values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 3, n)
+    return replace(log, records=[
+        replace(r, investment=float(v)) for r, v in zip(log.records, values)
+    ])
+
+
+LOG_VARIANTS = {
+    "as-run": lambda log: log,
+    "shuffled": shuffled,
+    "uneven-shuffled": lambda log: shuffled(uneven(log)),
+    # ids with gaps, below zero and in reverse order of the run's
+    "negative-ids": lambda log: relabeled(log, lambda g: 50 - 17 * g, lambda n: 40 - 3 * n),
+    # group ids no int64 holds
+    "huge-ids": lambda log: shuffled(relabeled(log, lambda g: 2**70 - g, lambda n: n)),
+}
+
+
+@pytest.fixture(scope="module", params=["spne_all_treatments", "empirical_preemption"])
+def preset_run(request):
+    return preset_logs(request.param, seed=11)
+
+
+class TestColumnsMatchRecordWalk:
+    """The statistics read record fields as columns; record by record
+    (``oracles``) they give the same floats and dtypes."""
+
+    @pytest.mark.parametrize("variant", sorted(LOG_VARIANTS))
+    def test_same_bits(self, preset_run, variant, monkeypatch):
+        logs = [LOG_VARIANTS[variant](log) for log in preset_run]
+        assert exact(treatment_summary(logs)) == exact(
+            [oracles.treatment_summary(log) for log in logs]
+        )
+        for log in logs:
+            totals = triad_totals(log.records)
+            assert exact(totals) == exact(oracles.triad_totals(log.records))
+            assert exact(trend_by_round(log)) == exact(oracles.trend_by_round(log.records))
+            assert exact(group_aggregate_means(log)) == exact(
+                oracles.group_aggregate_means(log)
+            )
+            walds = [wald_mean(*totals, 180.0)]
+            with monkeypatch.context() as patch:
+                patch.setattr(stats, "cluster_ols", oracles.cluster_ols)
+                walds.append(wald_mean(*oracles.triad_totals(log.records), 180.0))
+            assert exact(walds[0]) == exact(walds[1])
+
+    def test_empty_records(self):
+        assert exact(triad_totals([])) == exact(oracles.triad_totals([]))
+        log = replace(spne_log((1, 2), groups=2, rounds=2), records=[])
+        for statistic in (treatment_summary, trend_by_round, group_aggregate_means):
+            with pytest.raises(EmptyLog):
+                statistic(log)
