@@ -10,8 +10,9 @@ from .equilibrium import *
 # Solving needs only core and equilibrium, so ``import seqcontest`` and
 # ``seqcontest solve`` load nothing else. The other modules and their public
 # names are imported on first use (PEP 562); ``stats`` also loads numpy.
-# Each entry is that module's ``__all__`` (a test keeps them equal), written
-# out because reading it would load the module.
+# Each entry is the one list of that module's public names: the module sets
+# its ``__all__`` from it, and the package reads it here without loading the
+# module.
 _LAZY_EXPORTS = {
     "behavior": (
         "InputOutOfRange", "RoleObservationMismatch", "ResponseModel", "PreemptionResult",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence, Union
 
+from . import _LAZY_EXPORTS
 from .core import (
     ContestError,
     ContestSpec,
@@ -30,24 +31,7 @@ from .core import (
 )
 from .equilibrium import bisect, solve_spne
 
-__all__ = [
-    "InputOutOfRange",
-    "RoleObservationMismatch",
-    "ResponseModel",
-    "PreemptionResult",
-    "EquilibriumPolicy",
-    "EmpiricalResponder",
-    "Imitator",
-    "OptimizingLeader",
-    "BehaviorPolicy",
-    "eval_response",
-    "turning_point",
-    "optimal_first_mover",
-    "act",
-    "default_response_models",
-    "load_response_models",
-    "policy_from_config",
-]
+__all__ = list(_LAZY_EXPORTS["behavior"])
 
 
 class InputOutOfRange(ContestError):

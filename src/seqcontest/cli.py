@@ -29,6 +29,7 @@ from .core import (
     ContestError,
     ContestSpec,
     _check_schema,
+    _in_digits,
     _known_keys,
     _sequence_in_digits,
     _whole_number,
@@ -76,9 +77,18 @@ def _write_outputs(out_dir: str, files, t0: float, command: str, config=None, se
     return 0
 
 
+# whole numbers on the command line are ASCII digits, as each count of --seq
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    if not _in_digits(text):
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number of at least 1 in digits, got {text!r}"
+        )
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    if text != "0" and not _in_digits(text):
+        raise argparse.ArgumentTypeError(f"must be a whole number in digits, got {text!r}")
     return int(text)
 
 
@@ -389,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--config", required=True, help="config path or bundled preset name"
     )
-    p_sim.add_argument("--seed", type=int, default=None, help="override session seeds")
+    p_sim.add_argument("--seed", type=_seed, default=None, help="override session seeds")
     p_sim.add_argument("--out", default="out", help="output directory")
     p_sim.add_argument("--format", choices=["csv", "json", "both"], default="both")
     p_sim.set_defaults(func=cmd_simulate)

@@ -28,19 +28,21 @@ responder noise and the winner draw touch the stream inside a triad.
 
 Logs. Records are slotted frozen :class:`RoundRecord` s. The log is written
 and read column by column, through one table (``_COLUMNS``) that gives each
-column its JSON cell types and check, its CSV parser and its spelling. One
-writer, ``_log_texts``, serves :func:`export_log` and ``simulate``: it reads
-each record field in one pass, spells the int and float columns (and m1 and
-m2 when they hold no None) once for all the formats asked for, so
-``--format both`` spells them once per log, and fills one template per
-record. :func:`load_log` checks a JSON column in one pass over its cell
-types and goes cell by cell only when a type falls outside the column's (to
-name the bad cell, or to read a JSON integer in a float column as a float);
-it parses a CSV column, and counts the record widths, in one pass each, and
-builds the records from the columns. The files are exactly what
-``json.dumps(..., indent=1)`` and ``csv.writer`` write. The meta is written
-and read through the table of session parameters (``_SESSION_PARAMETERS``)
-that configs use.
+column its JSON cell types and check and its spelling. One writer,
+``_log_texts``, serves :func:`export_log` and ``simulate``: it reads each
+record field in one pass, spells the int and float columns (and m1 and m2
+when they hold no None) once for all the formats asked for, so ``--format
+both`` spells them once per log, and fills one template per record.
+:func:`load_log` checks a JSON column in one pass over its cell types and
+goes cell by cell only when a type falls outside the column's (to name the
+bad cell, or to read a JSON integer in a float column as a float). A CSV
+cell is read by JSON's number grammar (an empty m1 or m2 cell as null), a
+column in one ``json.loads`` of its joined cells, and then goes through the
+same check as a JSON column; ``won`` is 0 or 1. The record widths are
+counted in one pass, and the records built from the columns. The files are
+exactly what ``json.dumps(..., indent=1)`` and ``csv.writer`` write. The
+meta is written and read through the table of session parameters
+(``_SESSION_PARAMETERS``) that configs use.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
+from . import _LAZY_EXPORTS
 from .core import (
     ContestError,
     ContestSpec,
@@ -71,37 +74,13 @@ from .core import (
 )
 from .behavior import BehaviorPolicy, _observation_inputs, act, policy_from_config
 
-__all__ = [
-    "BadGroupComposition",
-    "NotASessionLog",
-    "RoundRecord",
-    "SessionConfig",
-    "SessionLog",
-    "play_round",
-    "run_session",
-    "run_batch",
-    "export_log",
-    "load_log",
-    "session_config_from_dict",
-]
+__all__ = list(_LAZY_EXPORTS["simulate"])
 
 SUBJECTS_PER_ROLE = 3
 
 
 def _json_optional(value, name: str) -> float | None:
     return None if value is None else _json_number(value, name)
-
-
-def _csv_ints(column) -> list[int]:
-    return list(map(int, column))
-
-
-def _csv_floats(column) -> list[float]:
-    return list(map(float, column))
-
-
-def _csv_optionals(column) -> list[float | None]:
-    return [None if cell == "" else float(cell) for cell in column]
 
 
 def _csv_bits(column) -> list[bool]:
@@ -114,7 +93,6 @@ def _csv_bits(column) -> list[bool]:
 class _Column(NamedTuple):
     json_types: frozenset  # types of the JSON cells that load as they are
     json_check: Callable  # (JSON value, column name) -> cell
-    csv_parse: Callable  # CSV column -> cells
     text: Callable | None  # cell other than None -> JSON and CSV text; None for bools
 
 
@@ -122,10 +100,10 @@ class _Column(NamedTuple):
 # (not repr, which a numpy float subclass overrides), None as null or an
 # empty cell, a bool as true/false or 1/0. A JSON integer in a float column
 # loads as a float.
-_INT = _Column(frozenset({int}), _whole_number, _csv_ints, int.__repr__)
-_FLOAT = _Column(frozenset({float}), _json_number, _csv_floats, float.__repr__)
-_OPTIONAL = _Column(frozenset({float, type(None)}), _json_optional, _csv_optionals, float.__repr__)
-_BOOL = _Column(frozenset({bool}), _json_bool, _csv_bits, None)
+_INT = _Column(frozenset({int}), _whole_number, int.__repr__)
+_FLOAT = _Column(frozenset({float}), _json_number, float.__repr__)
+_OPTIONAL = _Column(frozenset({float, type(None)}), _json_optional, float.__repr__)
+_BOOL = _Column(frozenset({bool}), _json_bool, None)
 # each format's spelling of None, and of False and True
 _SPELLINGS = {"json": ("null", ("false", "true")), "csv": ("", ("0", "1"))}
 
@@ -479,6 +457,36 @@ def _json_cells(kind: _Column, column, name: str):
     return [kind.json_check(cell, name) for cell in column]
 
 
+def _csv_numbers(column, optional: bool) -> list | None:
+    """The cells of a CSV ``column`` read by JSON's number grammar (an empty
+    cell as null when ``optional``), or None if one is not a JSON number."""
+    text = ",".join(column)
+    # Only digits, signs, points, exponents and commas pass, so json.loads
+    # reads numbers, refusing what JSON does ("+1", "07", ".5"), with no
+    # space, literal or container; a cell holding a comma is caught by count.
+    if not text.isascii() or text.encode().translate(None, b"0123456789+-.eE,"):
+        return None
+    if optional and "" in column:
+        text = ",".join([cell or "null" for cell in column])
+    try:
+        cells = json.loads(f"[{text}]")
+    except ValueError:
+        return None
+    return cells if len(cells) == len(column) else None
+
+
+def _csv_cells(kind: _Column, column, name: str):
+    """A CSV column read as a JSON column (:func:`_json_cells`); ``won`` is
+    0 or 1."""
+    if kind is _BOOL:
+        return _csv_bits(column)
+    cells = _csv_numbers(column, kind is _OPTIONAL)
+    if cells is None:
+        bad = next(cell for cell in column if _csv_numbers([cell], kind is _OPTIONAL) is None)
+        raise ContestError(f"{name} cells must be JSON numbers, got {bad!r}")
+    return _json_cells(kind, cells, name)
+
+
 def _records(columns) -> list[RoundRecord]:
     _check_finite(columns)
     return list(map(RoundRecord, *columns))
@@ -565,8 +573,10 @@ def load_log(path) -> SessionLog:
     checked as a session config's is, with no default for a missing one
     (:func:`session_config_from_dict`). Every record has exactly
     the 11 log columns, as JSON keys or CSV cells (blank CSV lines are
-    skipped), each checked column by column (``_COLUMNS``), with a CSV
-    ``won`` 0 or 1 and every float cell finite.
+    skipped), each checked column by column (``_COLUMNS``), with every float
+    cell finite. A CSV cell is read as a JSON number (an empty m1 or m2 as
+    null), so ``+1``, ``07``, ``.5``, ``1_0``, a space or a non-ASCII digit
+    is refused as a JSON log refuses it, and a CSV ``won`` is 0 or 1.
     A CSV without its leading meta line, or a log whose meta or records have
     the wrong shape, raises :class:`ContestError` naming the file, and a run
     manifest raises :class:`NotASessionLog`.
@@ -580,29 +590,27 @@ def load_log(path) -> SessionLog:
                 raise ContestError("the top level is not a JSON object")
             if "meta" not in payload and {"command", "outputs"} <= payload.keys():
                 raise NotASessionLog(f"{path} is a run manifest")
-            rows = payload["records"]
+            meta, rows = payload["meta"], payload["records"]
             _check_widths(rows)
             columns = _transpose(map(operator.itemgetter(*CSV_COLUMNS), rows))
-            records = _records([
-                _json_cells(kind, column, name)
-                for (name, kind), column in zip(_COLUMNS.items(), columns)
-            ])
-            return _log_from_meta(payload["meta"], records)
-        with open(path, encoding="utf-8", newline="") as fh:
-            first = fh.readline()
-            if not first.startswith(CSV_META_PREFIX):
-                raise ContestError(f"no {CSV_META_PREFIX.strip()!r} meta line")
-            meta = json.loads(first[len(CSV_META_PREFIX):])
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(CSV_COLUMNS):
-                raise ContestError(f"unexpected CSV columns {header!r}")
-            rows = [row for row in reader if row]
+            read = _json_cells
+        else:
+            with open(path, encoding="utf-8", newline="") as fh:
+                first = fh.readline()
+                if not first.startswith(CSV_META_PREFIX):
+                    raise ContestError(f"no {CSV_META_PREFIX.strip()!r} meta line")
+                meta = json.loads(first[len(CSV_META_PREFIX):])
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header != list(CSV_COLUMNS):
+                    raise ContestError(f"unexpected CSV columns {header!r}")
+                rows = [row for row in reader if row]
             _check_widths(rows)
             columns = _transpose(rows)
-        records = _records(
-            [kind.csv_parse(column) for kind, column in zip(_COLUMNS.values(), columns)]
-        )
+            read = _csv_cells
+        records = _records([
+            read(kind, column, name) for (name, kind), column in zip(_COLUMNS.items(), columns)
+        ])
         return _log_from_meta(meta, records)
     except NotASessionLog:
         raise

@@ -24,27 +24,11 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _LAZY_EXPORTS
 from .core import ContestError, MoveSequence
 from .simulate import RoundRecord, SessionLog
 
-__all__ = [
-    "RankDeficientDesign",
-    "TooFewClusters",
-    "TooFewGroups",
-    "EmptyLog",
-    "OLSFit",
-    "WaldResult",
-    "JTResult",
-    "TreatmentSummary",
-    "cluster_ols",
-    "wald_mean",
-    "jonckheere_terpstra",
-    "trend_by_round",
-    "treatment_summary",
-    "group_aggregate_means",
-    "last_rounds",
-    "triad_totals",
-]
+__all__ = list(_LAZY_EXPORTS["stats"])
 
 
 class RankDeficientDesign(ContestError):

@@ -113,6 +113,12 @@ class TestTurningPoint:
         # vertex in m1 sits far above the endowment
         assert turning_point(model, "m1") is None
 
+    def test_m2_axis(self):
+        # -0.2 / (2 * -0.001): the peak in m2; m1 has no quadratic term
+        model = ResponseModel(intercept=10.0, m2_coef=0.2, m2_sq_coef=-0.001)
+        assert turning_point(model, "m2") == pytest.approx(100.0)
+        assert turning_point(model, "m1") is None
+
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
             turning_point(ResponseModel(intercept=1.0), "m3")
@@ -566,3 +572,8 @@ class TestPolicyFromConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContestError):
             policy_from_config({"kind": "bandit"}, ContestSpec(SEQ_12), 0)
+
+    def test_inline_model_without_intercept_rejected(self):
+        entry = {"kind": "responder", "model": {"m1_coef": 0.25}}
+        with pytest.raises(ContestError, match="needs an 'intercept'"):
+            policy_from_config(entry, ContestSpec(SEQ_12), 1)

@@ -96,6 +96,20 @@ def test_import_and_solve_load_only_the_solver():
     assert lines[-1] == "seqcontest.behavior seqcontest.simulate seqcontest.simulate"
 
 
+def test_solve_out_leaves_numpy_and_stats_unloaded(tmp_path):
+    # solve --out writes through simulate's one writer, which loads behavior
+    # and simulate but neither the statistics nor numpy
+    out = tmp_path / "solution.txt"
+    code = (
+        "import sys, seqcontest.cli\n"
+        f"assert seqcontest.cli.main(['solve', '--seq', '1,2', '--out', {str(out)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'numpy' or m == 'seqcontest.stats'))\n"
+    )
+    assert fresh_python(code) == ["[]"]
+    assert out.read_text().startswith("sequence (1,2) ")
+
+
 def test_analyze_leaves_numpy_ma_unloaded(capsys, tmp_path):
     # np.unique without a return_* argument loads numpy.ma, which no
     # statistic of analyze needs
@@ -286,6 +300,42 @@ class TestSimulate:
         )
         assert code == 2
         assert "error" in err
+
+    def test_config_directory_exits_3(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(tmp_path), "--out", str(out_dir)
+        )
+        assert code == 3
+        assert err.startswith("error: cannot read config: ")
+        assert not out
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seed", ["\uff11", "+3", "1_0", " 4", "07", "-1"])
+    def test_seed_not_in_ascii_digits_exits_2(self, capsys, tmp_path, seed):
+        # int() read the first five as 1, 3, 10, 4 and 7, and -1 was charged
+        # to the config; a seed is read as a --seq count is
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", "spne_all_treatments", "--seed", seed,
+                  "--out", str(out_dir)])
+        assert exc.value.code == 2
+        assert f"argument --seed: must be a whole number in digits, got {seed!r}" in (
+            capsys.readouterr().err
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seed", ["0", "12"])
+    def test_seed_sets_the_session_seeds(self, capsys, tmp_path, seed):
+        session = {"treatment": [3], "groups": 1, "rounds": 1, "policies": SPNE_POLICIES}
+        config = write_config(tmp_path / "cfg.json", [session, session])
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", config, "--seed", seed, "--out", str(out_dir)
+        )
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["master_seed"] == [int(seed), int(seed) + 1]
 
     @pytest.mark.parametrize(
         "raw, detail",
@@ -550,8 +600,10 @@ def _write_record(column, value, fmt):
 
 
 # record cells a log must not coerce, by test id: the first ten used to load;
-# the last five are cells of a type their column refuses (a JSON column is
-# checked in one pass over its cell types, then cell by cell to name the bad one)
+# the next five are cells of a type their column refuses (a JSON column is
+# checked in one pass over its cell types, then cell by cell to name the bad one);
+# the CSV cells after them are not JSON numbers, or not of their column's type,
+# and int() or float() read the first seven, or failed without naming the column
 BAD_RECORDS = {
     "investment-bool-json": ("investment", True, "json"),
     "group-float-json": ("group", 1.9, "json"),
@@ -568,6 +620,16 @@ BAD_RECORDS = {
     "m1-string-json": ("m1", "1", "json"),
     "won-int-json": ("won", 1, "json"),
     "payoff-null-json": ("payoff", None, "json"),
+    "group-fullwidth-csv": ("group", "\uff11", "csv"),
+    "round-plus-sign-csv": ("round", "+1", "csv"),
+    "subject-underscore-csv": ("subject", "1_0", "csv"),
+    "triad-leading-zero-csv": ("triad", "07", "csv"),
+    "investment-underscore-csv": ("investment", "9_0.0", "csv"),
+    "payoff-no-leading-digit-csv": ("payoff", ".5", "csv"),
+    "m2-space-csv": ("m2", " 1.0", "csv"),
+    "m1-null-word-csv": ("m1", "null", "csv"),
+    "slot-comma-csv": ("slot", '"1,2"', "csv"),
+    "stage-float-csv": ("stage", "1.0", "csv"),
 }
 
 
@@ -787,6 +849,17 @@ class TestAnalyze:
                     "--out", str(tmp_path / "x"),
                 ])
             assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("k", ["\uff11", "+1", "1_0", " 2", "02"])
+    def test_last_rounds_not_in_ascii_digits_exits_2(self, capsys, spne_run, tmp_path, k):
+        # str.isdecimal let the full-width 1 and 02 through
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(spne_run[0]), "--last-rounds", k, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "argument --last-rounds: must be a whole number of at least 1 in digits" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("alpha", ["-3", "nan", "0", "1", "1.5", "abc"])

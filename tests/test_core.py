@@ -122,6 +122,11 @@ class TestWinProbabilities:
         with pytest.raises(NegativeInvestment):
             win_probabilities([10, -1, 5])
 
+    @pytest.mark.parametrize("investments", [5.0, None, []], ids=["number", "none", "empty"])
+    def test_not_a_nonempty_sequence_rejected(self, investments):
+        with pytest.raises(ContestError, match="nonempty 1-d sequence"):
+            win_probabilities(investments)
+
     def test_probability_vector_property(self):
         rng = np.random.default_rng(101)
         for _ in range(200):

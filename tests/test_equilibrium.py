@@ -246,6 +246,11 @@ class TestCalibrateJow:
     def test_reported_calibration(self):
         assert calibrate_jow(79.94, 3, 240.0) == pytest.approx(119.73, abs=1e-9)
 
+    def test_one_player_rejected(self):
+        # n**2 * mean / (n - 1) has no meaning for a lone player
+        with pytest.raises(ContestError, match="at least two players"):
+            calibrate_jow(60.0, 1, 240.0)
+
     def test_equilibrium_mean_gives_zero(self):
         assert calibrate_jow(2 * 240 / 9, 3, 240.0) == pytest.approx(0.0, abs=1e-9)
 

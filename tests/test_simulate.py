@@ -15,6 +15,7 @@ from seqcontest.behavior import (
     EquilibriumPolicy,
     Imitator,
     OptimizingLeader,
+    ResponseModel,
     default_response_models,
     eval_response,
 )
@@ -100,6 +101,13 @@ class TestPlayRound:
         assert records[1].m1 == pytest.approx(x1) and records[1].m2 is None
         assert records[2].m1 == pytest.approx(x1)
         assert records[2].m2 == pytest.approx(x2)
+
+    def test_one_subject_id_per_player(self):
+        with pytest.raises(BadGroupComposition, match="one subject id per player"):
+            play_round(
+                (EquilibriumPolicy(),) * 3, ContestSpec(SEQ_111), np.random.default_rng(6),
+                subjects=(1, 2),
+            )
 
     def test_payoffs_consistent(self):
         spec = ContestSpec(SEQ_21)
@@ -222,6 +230,11 @@ class TestRunSession:
         with pytest.raises(BadGroupComposition):
             run_session(config)
 
+    @pytest.mark.parametrize("groups, rounds", [(0, 1), (1, 0)], ids=["groups-0", "rounds-0"])
+    def test_groups_and_rounds_at_least_one(self, groups, rounds):
+        with pytest.raises(BadGroupComposition, match="at least 1"):
+            spne_config((3,), groups=groups, rounds=rounds)
+
 
 _NOISY = {"kind": "responder", "noise_sd": 25.0}
 _LEADER = {"kind": "optimizing-leader", "joy_of_winning": 119.73}
@@ -324,6 +337,10 @@ class TestRunBatch:
         b = run_batch([spne_config((3,), groups=1, rounds=2, seed=5)], 2)
         assert [log.records for log in a] == [log.records for log in b]
 
+    def test_zero_replications_rejected(self):
+        with pytest.raises(ContestError, match="replications must be at least 1"):
+            run_batch([spne_config((3,), groups=1, rounds=1)], 0)
+
     def test_deterministic_policies_hit_solver_means(self):
         logs = run_batch([spne_config((2, 1), groups=1, rounds=1, seed=3)], 5)
         for log in logs:
@@ -414,6 +431,31 @@ class TestExportImport:
         path.write_text(path.read_text().split("\n", 1)[1])
         with pytest.raises(ContestError, match="meta line"):
             load_log(path)
+
+    def test_csv_with_other_columns_rejected(self, tmp_path):
+        log = run_session(spne_config((1, 2), groups=1, rounds=1))
+        path = tmp_path / "log.csv"
+        export_log(log, "csv", path)
+        path.write_text(path.read_text().replace(",m1,m2,", ",m2,m1,", 1))
+        with pytest.raises(ContestError, match="unexpected CSV columns"):
+            load_log(path)
+
+    def test_csv_reads_every_number_spelling_back(self, tmp_path):
+        # CSV cells are read by JSON's number grammar: every spelling
+        # float.__repr__ and int.__repr__ give reads back as the same value
+        log = run_session(spne_config((1, 1, 1), groups=1, rounds=1))
+        values = [1e-07, 1e16, -0.0, 5e-324, 1.7976931348623157e308, 123.456]
+        log.records[:] = [
+            replace(r, group=-3 - i, round=2**70, m1=v if r.m1 is not None else None,
+                    investment=v, payoff=-v)
+            for i, (r, v) in enumerate(zip(log.records, values))
+        ]
+        export_log(log, "csv", tmp_path / "log.csv")
+
+        def cells(records):  # repr tells 1 from 1.0 and 0.0 from -0.0
+            return [repr([getattr(r, c) for c in CSV_COLUMNS]) for r in records]
+
+        assert cells(load_log(tmp_path / "log.csv").records) == cells(log.records)
 
     def test_manifest_is_not_a_log(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -524,3 +566,14 @@ class TestSessionConfigFromDict:
     def test_missing_key_rejected(self):
         with pytest.raises(ContestError):
             session_config_from_dict({"treatment": [3]})
+
+    def test_responder_inline_model(self):
+        # a responder's "model" replaces the bundled one, and play follows it
+        inline = {"kind": "responder", "model": {"intercept": 50.0, "m1_coef": 0.25}}
+        raw = {"treatment": [1, 2], "rounds": 1, "policies": [{"kind": "spne"}, inline, inline]}
+        config = session_config_from_dict(raw)
+        model = ResponseModel(intercept=50.0, m1_coef=0.25)
+        assert [policy.model for policy in config.policies[1:]] == [model, model]
+        records = run_session(config).records
+        leader = records[0].investment
+        assert [r.investment for r in records[1:3]] == [50.0 + 0.25 * leader] * 2

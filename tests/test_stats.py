@@ -108,6 +108,24 @@ class TestClusterOls:
         with pytest.raises(TooFewClusters):
             cluster_ols([1.0, 2.0], np.ones((2, 1)), [5, 5])
 
+    def test_one_dimensional_design_is_one_column(self):
+        x = np.array(FIXTURE_X)[:, 1]
+        flat = cluster_ols(FIXTURE_Y, x, FIXTURE_CLUSTERS)
+        column = cluster_ols(FIXTURE_Y, x[:, None], FIXTURE_CLUSTERS)
+        assert np.array_equal(flat.params, column.params)
+        assert np.array_equal(flat.cov, column.cov)
+        assert (flat.r_squared, flat.nobs, flat.n_clusters) == (
+            column.r_squared, column.nobs, column.n_clusters
+        )
+
+    def test_y_of_another_length_rejected(self):
+        with pytest.raises(ContestError, match=r"y has shape \(3,\), expected \(4,\)"):
+            cluster_ols(FIXTURE_Y[:3], FIXTURE_X, FIXTURE_CLUSTERS)
+
+    def test_no_more_observations_than_coefficients_rejected(self):
+        with pytest.raises(RankDeficientDesign, match="2 observations cannot identify 2"):
+            cluster_ols(FIXTURE_Y[:2], FIXTURE_X[:2], [0, 1])
+
     def test_monte_carlo_recovery_and_calibration(self):
         # DGP: the bundled (1,2) second-mover response plus iid Gaussian
         # noise; 1,200 observations in 10 balanced clusters. With 10
@@ -276,6 +294,10 @@ class TestJonckheereTerpstra:
     def test_too_few_groups(self):
         with pytest.raises(TooFewGroups):
             jonckheere_terpstra([[1, 2], [3, 4]])
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ContestError, match="at least one observation"):
+            jonckheere_terpstra([[1, 2], [], [3, 4]])
 
     def test_exact_size_limit(self):
         with pytest.raises(ContestError):
