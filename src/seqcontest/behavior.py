@@ -307,7 +307,7 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
     :class:`Imitator` itself.
     """
     if isinstance(policy, EquilibriumPolicy):
-        played = spec if policy.use_joy_of_winning else replace(spec, joy_of_winning=0.0)
+        played = spec if policy.use_joy_of_winning else spec.without_joy()
         value = solve_spne(played).scaled_stage_investments[stage - 1]
     elif isinstance(policy, EmpiricalResponder):
         if stage < 2:

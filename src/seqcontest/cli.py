@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -30,6 +30,7 @@ from .core import (
     ContestSpec,
     _check_schema,
     _in_digits,
+    _json_number,
     _known_keys,
     _sequence_in_digits,
     _whole_number,
@@ -92,9 +93,22 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+# numbers on the command line follow JSON's grammar, as a config's do; float()
+# would also take spaces, underscores, full-width digits, nan and inf
+def _number(text: str) -> float:
+    try:
+        if text.isascii() and text == text.strip():
+            value = _json_number(json.loads(text), "value")
+            if math.isfinite(value):  # false for NaN, Infinity and 1e400
+                return value
+    except (ValueError, OverflowError):  # OverflowError: float() of a huge integer
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number in JSON's grammar, got {text!r}")
+
+
 def _significance_level(text: str) -> float:
-    value = float(text)  # argparse reports the ValueError of a non-number
-    if not 0.0 < value < 1.0:  # also false for nan
+    value = _number(text)
+    if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
     return value
 
@@ -182,6 +196,8 @@ def _log_basename(log: SessionLog, index: int) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
+
     from .simulate import _log_texts, run_batch, session_config_from_dict
 
     t0 = time.time()
@@ -198,6 +214,8 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             configs = [replace(cfg, seed=args.seed + i) for i, cfg in enumerate(configs)]
         replications = _whole_number(raw.get("replications", 1), "replications")
+        if replications < 1:
+            raise ContestError("replications must be at least 1")
     except (TypeError, ValueError) as exc:  # ContestError and JSONDecodeError are ValueErrors
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
@@ -329,7 +347,7 @@ def cmd_analyze(args) -> int:
     if "wald" in tests:
         report += ["", "Wald tests of observed means against the equilibrium"]
         for log in logs:
-            solution = solve_spne(replace(log.spec, joy_of_winning=0.0))
+            solution = solve_spne(log.spec.without_joy())
             totals, groups = st.triad_totals(log.records)
             res = st.wald_mean(totals, groups, solution.scaled_aggregate)
             test_lines.append(
@@ -381,12 +399,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute equilibrium investments")
     p_solve.add_argument("--seq", required=True, help="move sequence, e.g. 1,2")
-    p_solve.add_argument("--prize", type=float, default=240.0)
-    p_solve.add_argument("--endowment", type=float, default=240.0)
-    p_solve.add_argument("--jow", type=float, default=0.0, help="joy of winning")
+    p_solve.add_argument("--prize", type=_number, default=240.0)
+    p_solve.add_argument("--endowment", type=_number, default=240.0)
+    p_solve.add_argument("--jow", type=_number, default=0.0, help="joy of winning")
     p_solve.add_argument(
         "--calibrate-from",
-        type=float,
+        type=_number,
         default=None,
         metavar="MEAN",
         help="calibrate joy of winning from this observed simultaneous-contest mean",

@@ -4,7 +4,8 @@ A contest is described by a move sequence (how many players decide at each
 stage), a prize, and a per-player endowment. The winner is drawn with
 probability proportional to investment: p_i = x_i / sum(x), falling back to
 an even split 1/n when nobody invests. All functions here are pure and
-operate on plain sequences of numbers.
+operate on plain sequences of numbers. The value types are hand-written
+because ``dataclasses`` loads ``inspect``: about 20 ms of every ``solve``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -62,8 +62,26 @@ def _stage_count(k) -> int:
     raise ContestError(f"a stage count must be a whole number, got {k!r}")
 
 
-@dataclass(frozen=True)
-class MoveSequence:
+class _Value:
+    """Immutable value type; each subclass spells its field tuple out in
+    ``__eq__`` and ``__hash__``, as a frozen dataclass does, for speed."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __reduce__(self):  # rebuilt through __init__, so unpickling runs the checks
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class MoveSequence(_Value):
     """Stage structure of a contest: ``stages[t]`` players decide at stage t.
 
     Players are indexed 0..n-1 in order of play; all players within a stage
@@ -71,21 +89,29 @@ class MoveSequence:
     earlier stages.
     """
 
-    stages: tuple[int, ...]
+    __slots__ = ("stages",)
 
-    def __post_init__(self):
+    def __init__(self, stages: tuple[int, ...]):
         try:
-            stages = tuple(map(_stage_count, self.stages))
+            counts = tuple(map(_stage_count, stages))
         except TypeError:
-            raise ContestError(f"stages must be stage counts, got {self.stages!r}") from None
-        object.__setattr__(self, "stages", stages)
-        if len(stages) == 0:
+            raise ContestError(f"stages must be stage counts, got {stages!r}") from None
+        object.__setattr__(self, "stages", counts)
+        if len(counts) == 0:
             raise EmptySequence("a move sequence needs at least one stage")
-        for k in stages:
+        for k in counts:
             if k < 1:
                 raise NonPositiveStageCount(
-                    f"every stage needs at least one player, got {stages}"
+                    f"every stage needs at least one player, got {counts}"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.stages,) == (other.stages,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.stages,))
 
     @property
     def n_players(self) -> int:
@@ -114,20 +140,19 @@ class MoveSequence:
         return "(" + ",".join(str(k) for k in self.stages) + ")"
 
 
-@dataclass(frozen=True)
-class ContestSpec:
+class ContestSpec(_Value):
     """Full parameterization of one contest.
 
     ``joy_of_winning`` is a preference parameter: it raises the prize players
     *act* as if they compete for (the effective prize), but is never paid out.
     """
 
-    sequence: MoveSequence
-    prize: float = 240.0
-    endowment: float = 240.0
-    joy_of_winning: float = 0.0
+    __slots__ = ("sequence", "prize", "endowment", "joy_of_winning")
 
-    def __post_init__(self):
+    def __init__(self, sequence: MoveSequence, prize: float = 240.0,
+                 endowment: float = 240.0, joy_of_winning: float = 0.0):
+        for name, value in zip(self.__slots__, (sequence, prize, endowment, joy_of_winning)):
+            object.__setattr__(self, name, value)
         if not isinstance(self.sequence, MoveSequence):
             raise ContestError(f"sequence must be a MoveSequence, got {self.sequence!r}")
         for name in ("prize", "endowment", "joy_of_winning"):
@@ -145,9 +170,23 @@ class ContestSpec:
                 f"joy of winning must be nonnegative, got {self.joy_of_winning}"
             )
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sequence, self.prize, self.endowment, self.joy_of_winning) == (
+                other.sequence, other.prize, other.endowment, other.joy_of_winning
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sequence, self.prize, self.endowment, self.joy_of_winning))
+
     @property
     def effective_prize(self) -> float:
         return self.prize + self.joy_of_winning
+
+    def without_joy(self) -> ContestSpec:
+        """This contest with joy of winning 0: the equilibrium benchmark."""
+        return ContestSpec(self.sequence, self.prize, self.endowment)
 
 
 # Checks on values parsed from JSON configs and logs: nothing is coerced, and

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import ContestError, ContestSpec, MoveSequence
 
@@ -126,8 +126,7 @@ def largest_root(coeffs: tuple[int, ...]) -> float:
     raise NoRootInUnitInterval(f"no root of {coeffs} in the unit interval")
 
 
-@dataclass(frozen=True)
-class EquilibriumSolution:
+class EquilibriumSolution(NamedTuple):
     """Equilibrium aggregate and per-stage individual investments.
 
     ``aggregate`` and ``stage_investments`` refer to the normalized game with

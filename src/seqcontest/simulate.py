@@ -53,7 +53,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -398,7 +398,7 @@ _SESSION_PARAMETERS = {
     "integer_rounding": (_json_bool, False),
     "seed": (_whole_number, 0),
 }
-_SPEC_PARAMETERS = [f.name for f in fields(ContestSpec) if f.name != "sequence"]
+_SPEC_PARAMETERS = ContestSpec.__slots__[1:]  # every field but the sequence
 _META_KEYS = {"schema", "sequence", *_SESSION_PARAMETERS}
 
 

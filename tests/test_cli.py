@@ -15,7 +15,7 @@ import pytest
 
 import seqcontest
 from seqcontest import stats
-from seqcontest.cli import main
+from seqcontest.cli import _build_parser, main
 from seqcontest.simulate import CSV_COLUMNS, CSV_META_PREFIX, export_log, load_log
 
 
@@ -75,24 +75,28 @@ def test_solve_leaves_numpy_unloaded():
 
 def test_import_and_solve_load_only_the_solver():
     # behavior, simulate and stats (and numpy, which stats loads) resolve on
-    # first use, so neither importing the package nor solving loads them
+    # first use, and the solver's value types are not dataclasses, so neither
+    # importing the package nor solving loads any of them, dataclasses or inspect
     code = (
         "import sys\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('seqcontest', 'numpy'))\n"
+        "    tops = ('seqcontest', 'numpy', 'dataclasses', 'inspect')\n"
+        "    print('loaded', sorted(m for m in sys.modules if m.split('.')[0] in tops))\n"
         "import seqcontest\n"
-        "print(loaded())\n"
+        "loaded()\n"
         "import seqcontest.cli\n"
         "for extra in ([], ['--format', 'json'], ['--calibrate-from', '60']):\n"
         "    assert seqcontest.cli.main(['solve', '--seq', '1,2', *extra]) == 0\n"
-        "print(loaded())\n"
+        "    loaded()\n"
         "print(seqcontest.act.__module__, seqcontest.load_log.__module__,"
         " seqcontest.simulate.__name__)\n"
     )
     lines = fresh_python(code)
     solver = ["seqcontest", "seqcontest.core", "seqcontest.equilibrium"]
-    assert lines[0] == repr(solver)
-    assert lines[-2] == repr(sorted([*solver, "seqcontest.cli"]))
+    with_cli = sorted([*solver, "seqcontest.cli"])
+    assert [line for line in lines if line.startswith("loaded ")] == [
+        f"loaded {solver!r}", *[f"loaded {with_cli!r}"] * 3
+    ]
     assert lines[-1] == "seqcontest.behavior seqcontest.simulate seqcontest.simulate"
 
 
@@ -203,16 +207,46 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--prize", "nan", "--format", "json"], "prize must be finite"),
-            (["--calibrate-from", "nan"], "finite positive"),
+            (["--prize", "NaN", "--format", "json"], "argument --prize: must be a finite number"),
+            (["--calibrate-from", "NaN"], "argument --calibrate-from: must be a finite number"),
+            (["--jow", "Infinity"], "argument --jow: must be a finite number"),
+            (["--endowment=-Infinity"], "argument --endowment: must be a finite number"),
+            (["--prize", "1e400"], "argument --prize: must be a finite number"),
+            (["--prize", "1" + "0" * 400], "argument --prize: must be a finite number"),
         ],
-        ids=["prize-nan", "calibrate-from-nan"],
+        ids=["prize-nan", "calibrate-from-nan", "jow-infinity", "endowment-minus-infinity",
+             "prize-float-overflow", "prize-int-overflow"],
     )
     def test_non_finite_input_exits_2(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, "solve", "--seq", "1,2", *argv)
-        assert code == 2
+        # json.loads reads each of these (NaN and Infinity are its extensions
+        # to JSON), but none is a finite float
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--seq", "1,2", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert message in err
         assert not out
+
+    @pytest.mark.parametrize("flag", ["--prize", "--endowment", "--jow", "--calibrate-from", "--alpha"])
+    @pytest.mark.parametrize(
+        "text", ["\uff12_\uff140", " 240", "1_0", "+5", ".5", "5.", "07", "nan", "inf"]
+    )
+    def test_number_outside_json_grammar_exits_2(self, capsys, flag, text):
+        # float() took all of these: full-width digits, spaces, underscores
+        command = ["analyze", "log.json"] if flag == "--alpha" else ["solve", "--seq", "1,2"]
+        with pytest.raises(SystemExit) as exc:
+            main([*command, f"{flag}={text}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"argument {flag}: must be a finite number in JSON's grammar, got {text!r}" in err
+        assert not out
+
+    @pytest.mark.parametrize("flag", ["--prize", "--endowment", "--jow", "--calibrate-from"])
+    @pytest.mark.parametrize("text", ["240", "240.0", "2.4e2", "83.45"])
+    def test_number_in_json_grammar_accepted(self, flag, text):
+        args = _build_parser().parse_args(["solve", "--seq", "1,2", flag, text])
+        value = getattr(args, flag[2:].replace("-", "_"))
+        assert type(value) is float and value == float(text)
 
     def test_stage_above_endowment_exits_2(self, capsys):
         # at prize 1000 the (1,2) leader's equilibrium investment is 375
@@ -417,6 +451,12 @@ class TestSimulate:
              "unsupported config schema True"),
             ({"schema": 1.0, "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
              "unsupported config schema 1.0"),
+            ({"schema": 1, "replications": 0,
+              "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
+             "replications must be at least 1"),
+            ({"schema": 1, "replications": -1,
+              "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
+             "replications must be at least 1"),
         ],
         ids=["empty-sessions", "top-level-list", "session-list", "treatment-int",
              "policy-int", "replications-list", "responder-without-model",
@@ -425,7 +465,8 @@ class TestSimulate:
              "seed-negative", "prize-bool", "prize-string", "noise-sd-string",
              "fallback-bool", "top-level-unknown-key", "session-unknown-key",
              "policy-unknown-key", "leader-models-missing-stage", "leader-stage-key-fullwidth",
-             "policy-kind-uppercase", "schema-true", "schema-float"],
+             "policy-kind-uppercase", "schema-true", "schema-float", "replications-zero",
+             "replications-negative"],
     )
     def test_invalid_config_exits_2(self, capsys, tmp_path, raw, detail):
         bad = tmp_path / "bad.json"

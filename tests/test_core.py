@@ -1,5 +1,8 @@
 """Tests for the contest game primitives."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,74 @@ class TestContestSpec:
     def test_real_parameters_accepted_as_given(self, value):
         spec = ContestSpec(MoveSequence((3,)), prize=value, endowment=value)
         assert spec.prize is value and spec.endowment is value
+
+
+class TestValueTypes:
+    """MoveSequence and ContestSpec keep the behaviour of the frozen
+    dataclasses they were: equal field by field within one class, hashed as
+    their field tuple, immutable, and rebuilt through their constructor."""
+
+    SEQ = MoveSequence((1, 2))
+    SPEC = ContestSpec(SEQ, 300.0, 200, 30.5)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        assert hash(self.SEQ) == hash(((1, 2),))
+        assert hash(self.SPEC) == hash((self.SEQ, 300.0, 200, 30.5))
+
+    def test_equal_by_fields_within_one_class(self):
+        assert MoveSequence([1, 2]) == self.SEQ
+        assert MoveSequence((2, 1)) != self.SEQ
+        assert ContestSpec(MoveSequence((1, 2)), 300, 200.0, 30.5) == self.SPEC
+        assert ContestSpec(self.SEQ, 300.0, 200, 0.0) != self.SPEC
+        assert {self.SEQ: 1}[MoveSequence((1, 2))] == 1
+
+    def test_unequal_to_other_classes(self):
+        class Sub(MoveSequence):
+            __slots__ = ()
+
+        assert self.SEQ.__eq__(((1, 2),)) is NotImplemented
+        assert self.SEQ != ((1, 2),)
+        assert self.SEQ != Sub((1, 2))
+        assert self.SPEC.__eq__(self.SEQ) is NotImplemented
+
+    def test_repr(self):
+        assert repr(self.SEQ) == "MoveSequence(stages=(1, 2))"
+        assert repr(self.SPEC) == (
+            "ContestSpec(sequence=MoveSequence(stages=(1, 2)), prize=300.0, "
+            "endowment=200, joy_of_winning=30.5)"
+        )
+
+    @pytest.mark.parametrize("value", [SEQ, SPEC], ids=["sequence", "spec"])
+    def test_fields_cannot_be_assigned_or_deleted(self, value):
+        for name in value.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == copy.copy(value)
+
+    @pytest.mark.parametrize("value", [SEQ, SPEC], ids=["sequence", "spec"])
+    def test_pickle_and_deepcopy_round_trip(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+
+    def test_unpickling_runs_the_checks(self):
+        spec = ContestSpec(MoveSequence((3,)))
+        object.__setattr__(spec, "endowment", -1.0)
+        with pytest.raises(ContestError, match="endowment must be nonnegative"):
+            pickle.loads(pickle.dumps(spec))
+
+    def test_without_joy(self):
+        assert self.SPEC.without_joy() == ContestSpec(self.SEQ, 300.0, 200, 0.0)
+
+    def test_without_joy_runs_the_checks(self):
+        spec = ContestSpec(MoveSequence((3,)), joy_of_winning=5.0)
+        object.__setattr__(spec, "prize", -1.0)
+        with pytest.raises(ContestError, match="prize must be positive"):
+            spec.without_joy()
 
 
 class TestWinProbabilities:

@@ -3,18 +3,22 @@ root finding and calibration, plus the grid backward-induction oracle from
 ``oracles.py`` that the solver is cross-checked against, and the full-grid
 root search there that the root scan must match exactly."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.equilibrium import (
+    EquilibriumSolution,
     NonPositiveMean,
     NoRootInUnitInterval,
     build_ladder,
     calibrate_jow,
+    _normalized_solution,
     largest_root,
     solve_spne,
 )
@@ -205,6 +209,44 @@ class TestSolveSpne:
         assert record["schema"] == 1
         assert record["sequence"] == [1, 2]
         assert record["aggregate"] == pytest.approx(180.0)
+
+
+class TestSolutionValue:
+    """EquilibriumSolution is a named tuple: a solution equals, and hashes
+    as, the tuple of its fields, and its repr is the dataclass's it was."""
+
+    def test_equal_specs_built_apart_share_the_cached_solve(self):
+        solve_spne(ContestSpec(MoveSequence((2, 1, 1))))
+        hits = _normalized_solution.cache_info().hits
+        solve_spne(ContestSpec(MoveSequence([2, 1, 1]), prize=100.0))
+        assert _normalized_solution.cache_info().hits == hits + 1
+
+    def test_equal_and_hashed_by_fields(self):
+        sol = solve_spne(ContestSpec(MoveSequence((1, 2))))
+        assert sol == solve_spne(ContestSpec(MoveSequence((1, 2))))
+        assert sol != solve_spne(ContestSpec(MoveSequence((1, 2)), joy_of_winning=1.0))
+        assert sol == tuple(sol) and hash(sol) == hash(tuple(sol))
+
+    def test_repr(self):
+        assert repr(solve_spne(ContestSpec(MoveSequence((1, 2))))) == (
+            "EquilibriumSolution(sequence=MoveSequence(stages=(1, 2)), prize=240.0, "
+            "joy_of_winning=0.0, aggregate=0.75, stage_investments=(0.375, 0.1875), "
+            "scaled_aggregate=180.0, scaled_stage_investments=(90.0, 45.0))"
+        )
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        sol = solve_spne(ContestSpec(MoveSequence((2, 1))))
+        for name in EquilibriumSolution._fields:
+            with pytest.raises(AttributeError):
+                setattr(sol, name, getattr(sol, name))
+            with pytest.raises(AttributeError):
+                delattr(sol, name)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        sol = solve_spne(ContestSpec(MoveSequence((1, 1, 1)), joy_of_winning=12.5))
+        for twin in (pickle.loads(pickle.dumps(sol)), copy.deepcopy(sol)):
+            assert type(twin) is EquilibriumSolution
+            assert twin == sol and hash(twin) == hash(sol)
 
 
 class TestPredictedOrderings:
