@@ -19,7 +19,8 @@ enters only at root finding and evaluation.
 The root is found in plain Python, without numpy: :func:`largest_root` walks
 a uniform grid over [0, 1] from x = 1 down to the first exact zero or sign
 change and bisects there, which gives the same float as a search of the
-whole grid for its rightmost root.
+whole grid for its rightmost root. It runs Horner's rule and the bisection
+in line, giving the floats of ``_horner`` and :func:`bisect`.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ def bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
 
     Halves the bracket until it is no wider than ``tol`` and returns its
     midpoint, or returns a midpoint at once if ``f`` is exactly zero there.
+    Used by ``behavior._roots`` and by the full-grid root oracle of the
+    tests; :func:`largest_root` runs the same rule in line.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -109,19 +112,43 @@ def largest_root(coeffs: tuple[int, ...]) -> float:
     full-grid search returns, while a root near 1 (the usual case) costs a
     few dozen evaluations. Zero is always a root of a valid ladder
     polynomial and is returned only when no positive root exists.
+
+    Horner's rule and the bisection are written in line, in the operation
+    order of ``_horner`` and by the rule of :func:`bisect`, so every value
+    and the root are the floats those two functions give. Horner starts at
+    the leading coefficient, which is what ``_horner``'s first step
+    (0.0 * x + c, with x >= 0) gives. Coefficients beyond the float range
+    raise :class:`ContestError`.
     """
-    floats = tuple(float(c) for c in coeffs)
+    try:
+        lead, *rest = (float(c) for c in reversed(coeffs))
+    except OverflowError:
+        raise ContestError(
+            "the equilibrium polynomial's coefficients exceed the float range"
+        ) from None
     step = 1.0 / _GRID_POINTS
-    hi, f_hi = 1.0, _horner(floats, 1.0)
-    if f_hi == 0.0:
-        return hi
-    for i in range(_GRID_POINTS - 1, -1, -1):
-        lo = i * step
-        f_lo = _horner(floats, lo)
+    hi, f_hi = 1.0, 0.0  # no bracket ends at 1; the walk tests f(1) first
+    for i in range(_GRID_POINTS, -1, -1):
+        lo = i * step  # exactly 1.0 at i = _GRID_POINTS
+        f_lo = lead
+        for c in rest:
+            f_lo = f_lo * lo + c
         if f_lo == 0.0:
             return lo
         if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
-            return bisect(lambda x: _horner(floats, x), lo, hi, f_lo, _ROOT_TOL)
+            lo_negative = f_lo < 0.0
+            while hi - lo > _ROOT_TOL:
+                mid = 0.5 * (lo + hi)
+                f_mid = lead
+                for c in rest:
+                    f_mid = f_mid * mid + c
+                if f_mid == 0.0:
+                    return mid
+                if (f_mid < 0.0) == lo_negative:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
         hi, f_hi = lo, f_lo
     raise NoRootInUnitInterval(f"no root of {coeffs} in the unit interval")
 

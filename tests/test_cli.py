@@ -192,6 +192,13 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    def test_sequence_beyond_float_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--seq", ",".join(["1"] * 200))
+        assert code == 2
+        assert not out
+        assert err.startswith("error:") and "float range" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_unparseable_sequence_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--seq", "abc")
         assert code == 2

@@ -13,6 +13,7 @@ import pytest
 
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.equilibrium import (
+    _GRID_POINTS,
     EquilibriumSolution,
     NonPositiveMean,
     NoRootInUnitInterval,
@@ -119,6 +120,11 @@ class TestLargestRoot:
 LONG_SEQUENCES = [(1,) * 14, (1,) * 16, (1,) * 20, (5,) * 20, (2, 1) * 15]
 
 
+# the midpoint of the grid cell [0.7, 0.7001], the first point bisection
+# tests; bisecting on past this exact zero would end about 5e-14 below it
+FIRST_MIDPOINT = 0.5 * (7000 * (1.0 / _GRID_POINTS) + 7001 * (1.0 / _GRID_POINTS))
+
+
 class TestRootScanMatchesFullGrid:
     """The right-to-left scan returns the very float of the full-grid search."""
 
@@ -142,8 +148,10 @@ class TestRootScanMatchesFullGrid:
             ((-1, 2), 0.5),  # 2x - 1: exact zero on a grid point
             ((0, 1, -1), 1.0),  # x - x^2: roots at 0 and at 1
             ((-19999, 20000), 0.99995),  # a sign change in the last cell
+            ((-1, 20000), 0.00005),  # in the cell nearest 0: the walk runs to its end
+            ((-FIRST_MIDPOINT, 1.0), FIRST_MIDPOINT),  # zero at the first midpoint
         ],
-        ids=["grid-zero", "root-at-one", "last-cell"],
+        ids=["grid-zero", "root-at-one", "last-cell", "first-cell", "midpoint-zero"],
     )
     def test_hand_made(self, coeffs, root):
         found = largest_root(coeffs)
@@ -193,6 +201,11 @@ class TestSolveSpne:
             )
             assert abs(total - sol.aggregate) < 1e-10
             assert all(x >= 0 for x in sol.stage_investments)
+
+    def test_coefficients_beyond_float_range_raise(self):
+        # f_0 of 160 one-player stages has coefficients of more than 1,024 bits
+        with pytest.raises(ContestError, match="exceed the float range"):
+            solve_spne(ContestSpec(MoveSequence((1,) * 160)))
 
     def test_aggregate_interior_for_two_plus_players(self):
         for seq in all_sequences(6):
@@ -269,6 +282,44 @@ class TestPredictedOrderings:
         sequential = solve_spne(ContestSpec(MoveSequence((1, 1)))).aggregate
         simultaneous = solve_spne(ContestSpec(MoveSequence((2,)))).aggregate
         assert abs(sequential - simultaneous) < 1e-12
+
+    def test_splitting_a_stage_raises_the_aggregate(self):
+        # every split of a stage of k players into consecutive stages of a
+        # and k - a players, over all sequences of up to 12 players; the
+        # smallest rise is about 8.4e-5
+        splits = 0
+        for seq in all_sequences(12):
+            stages = seq.stages
+            before = solve_spne(ContestSpec(seq)).aggregate
+            for t, k in enumerate(stages):
+                for a in range(1, k):
+                    split = stages[:t] + (a, k - a) + stages[t + 1:]
+                    after = solve_spne(ContestSpec(MoveSequence(split))).aggregate
+                    splits += 1
+                    if stages == (2,):
+                        assert before == after == 0.5
+                    else:
+                        assert after > before, (stages, split)
+        assert splits == 20481
+
+    def test_earlier_movers_invest_and_earn_more(self):
+        # per-player investment x_t and unit-prize payoff x_t / X - x_t fall
+        # strictly from each stage to the next. The smallest fall in payoff,
+        # about 6.4e-8 ((1,)*12, stage 11 to 12), is near that sequence's
+        # known stage error of 1.7e-7, so this margin rests on the float
+        # solver; the smallest fall in investment is about 2.5e-4
+        for seq in all_sequences(12):
+            if seq.n_players < 2:
+                continue
+            sol = solve_spne(ContestSpec(seq))
+            invest = sol.stage_investments
+            payoff = [x / sol.aggregate - x for x in invest]
+            if seq.stages == (1, 1):
+                assert invest == (0.25, 0.25) and payoff == [0.25, 0.25]
+                continue
+            for t in range(len(invest) - 1):
+                assert invest[t] > invest[t + 1], (seq.stages, t)
+                assert payoff[t] > payoff[t + 1], (seq.stages, t)
 
     def test_homogeneity_in_effective_prize(self):
         for seq in all_sequences(6):
