@@ -23,7 +23,9 @@ from .core import (
     ContestError,
     ContestSpec,
     MoveSequence,
+    _check_contest_numbers,
     _check_schema,
+    _finite_real,
     _in_digits,
     _json_number,
     _known_keys,
@@ -64,6 +66,16 @@ class ResponseModel:
     m2_sq_coef: float = 0.0
     noise_sd: float = 0.0
     fit_effective_prize: float | None = None
+
+    def __post_init__(self):
+        for name, value in self.__dict__.items():
+            if value is not None or name != "fit_effective_prize":
+                _finite_real(value, f"response-model {name}")
+        if self.noise_sd < 0.0:
+            raise ContestError(f"response-model noise_sd must be nonnegative, got {self.noise_sd}")
+        fit = self.fit_effective_prize
+        if fit is not None and fit <= 0.0:
+            raise ContestError(f"response-model fit_effective_prize must be positive, got {fit}")
 
     def mean_response(self, m1: float, m2: float | None = None) -> float:
         """Fitted polynomial without noise or clamping."""
@@ -127,25 +139,6 @@ class PreemptionResult(NamedTuple):
     at_boundary: bool
 
 
-def _roots(f, step: float, end: float):
-    """Roots of ``f`` on [0, end] in increasing order, found by walking
-    x = i * step.
-
-    Yields each grid point where ``f`` is exactly zero (the last point is
-    never tested for one) and each strict sign change between neighbouring
-    points, bisected to 1e-12.
-    """
-    lo, f_lo = 0.0, f(0.0)
-    for i in range(1, int(end / step) + 1):
-        if f_lo == 0.0:
-            yield lo
-        hi = i * step
-        f_hi = f(hi)
-        if f_lo * f_hi < 0.0:
-            yield bisect(f, lo, hi, f_lo, tol=1e-12)
-        lo, f_lo = hi, f_hi
-
-
 def optimal_first_mover(
     treatment: MoveSequence,
     models: Mapping[int, ResponseModel],
@@ -161,18 +154,21 @@ def optimal_first_mover(
     model is used, clamped to [0, endowment] as play clamps it
     (:func:`eval_response`). Models carrying ``fit_effective_prize`` are
     rescaled homogeneously to the effective prize V = prize + joy_of_winning,
-    so varying the joy of winning scales the optimum proportionally.
+    so varying the joy of winning scales the optimum proportionally. The
+    numbers follow :class:`ContestSpec`'s rules (finite, prize positive,
+    endowment and joy of winning nonnegative); :class:`ContestError` is
+    raised otherwise.
 
-    All three treatments walk a first-order condition at 0.5-point steps and
-    bisect its roots to 1e-12 (:func:`_roots`). One leader facing the later
-    movers' total response O(x) takes the best of the two ends and the roots
-    of V*(O - x*O')/(x + O)**2 - 1, its marginal payoff. Two leaders take the
-    first root of V*(x + R - (x/2)*R') - (2x + R)**2, their symmetric
-    equilibrium against the follower's response R to their average, or else
-    the end that its sign at 0 points to.
+    All three treatments walk one flat first-order function at 0.5-point
+    steps and bisect its roots to 1e-12 (:func:`equilibrium.bisect`); it
+    evaluates each response as :meth:`ResponseModel.mean_response` does. One
+    leader facing the later movers' total response O(x) takes the best of
+    the two ends and the roots of V*(O - x*O')/(x + O)**2 - 1, its marginal
+    payoff. Two leaders take the first root of V*(x + R - (x/2)*R') -
+    (2x + R)**2, their symmetric equilibrium against the follower's response
+    R to their average, or else the end that its sign at 0 points to.
     """
     stages = treatment.stages
-    p_eff = prize + joy_of_winning
     if stages not in ((1, 2), (2, 1), (1, 1, 1)):
         raise ContestError(
             f"optimal preemption is defined for (1,2), (2,1), (1,1,1); "
@@ -181,51 +177,72 @@ def optimal_first_mover(
     for stage in range(2, len(stages) + 1):
         if stage not in models:
             raise ContestError(f"{treatment.label()} needs a response model for stage {stage}")
+    _check_contest_numbers(prize, endowment, joy_of_winning)
+    p_eff = prize + joy_of_winning
 
-    def response(model: ResponseModel, m1: float, m2: float | None = None):
-        # the rescaled response clamped as in play, with its slopes in m1
-        # and m2, which are 0 where it is clamped
-        c = 1.0 if model.fit_effective_prize is None else p_eff / model.fit_effective_prize
-        value = c * model.mean_response(m1 / c, None if m2 is None else m2 / c)
-        if not 0.0 <= value <= endowment:
-            return min(max(value, 0.0), endowment), 0.0, 0.0
-        d1 = model.m1_coef + 2.0 * model.m1_sq_coef * (m1 / c)
-        d2 = 0.0 if m2 is None else model.m2_coef + 2.0 * model.m2_sq_coef * (m2 / c)
-        return value, d1, d2
+    def rescaled(model: ResponseModel) -> tuple:
+        # a model's scale c and coefficients, and 2 * each quadratic one for the slopes
+        fit = model.fit_effective_prize
+        c = 1.0 if fit is None else p_eff / fit
+        if not 0.0 < c < math.inf:
+            raise ContestError(f"effective prize {p_eff} is out of range for a model fit at {fit}")
+        q, f = model.m1_sq_coef, model.m2_sq_coef
+        return c, model.intercept, model.m1_coef, q, 2.0 * q, model.m2_coef, f, 2.0 * f
 
-    if stages in ((1, 2), (1, 1, 1)):
-        # later stages respond in order; stage 3 also sees stage 2's response
-        k2, r2, r3 = stages[1], models[2], (models[3] if stages == (1, 1, 1) else None)
+    # a float k2 multiplies to the same floats as the int, on the float-only path
+    two, k2, three = stages[0] == 2, float(stages[1]), len(stages) == 3
+    c2, a2, b2, q2, dq2 = rescaled(models[2])[:5]
+    if three:
+        c3, a3, b3, q3, dq3, e3, f3, df3 = rescaled(models[3])
 
-        def others(x: float) -> tuple[float, float]:
-            second, slope2, _ = response(r2, x)
-            total, slope = k2 * second, k2 * slope2
-            if r3 is not None:
-                third, d31, d32 = response(r3, x, second)
-                total, slope = total + third, slope + d31 + d32 * slope2
-            return total, slope
+    def first_order(x: float, others_only: bool = False) -> float:
+        # each response clamped as in play, its slopes 0 where clamped
+        m = x / c2
+        second = c2 * (a2 + b2 * m + q2 * m * m)
+        if 0.0 <= second <= endowment:
+            slope2 = b2 + dq2 * m
+        else:
+            second, slope2 = min(max(second, 0.0), endowment), 0.0
+        if two:
+            return p_eff * (x + second - 0.5 * x * slope2) - (2.0 * x + second) ** 2
+        o, slope = k2 * second, k2 * slope2
+        if three:  # stage 3 also sees stage 2's response
+            m, n = x / c3, second / c3
+            third = c3 * (a3 + b3 * m + q3 * m * m + (e3 * n + f3 * n * n))
+            if 0.0 <= third <= endowment:
+                d31, d32 = b3 + dq3 * m, e3 + df3 * n
+            else:
+                third, d31, d32 = min(max(third, 0.0), endowment), 0.0, 0.0
+            o, slope = o + third, slope + d31 + d32 * slope2
+        if others_only:
+            return o
+        if x + o <= 0.0:
+            return math.inf  # nobody invests: any investment wins the prize
+        return p_eff * (o - x * slope) / (x + o) ** 2 - 1.0
 
-        def marginal(x: float) -> float:
-            o, slope = others(x)
-            if x + o <= 0.0:
-                return math.inf  # nobody invests: any investment wins the prize
-            return p_eff * (o - x * slope) / (x + o) ** 2 - 1.0
+    # exact zeros at grid points (the last is never tested for one) and
+    # strict sign changes, bisected; two leaders stop at the first
+    roots = []
+    lo, f_lo = 0.0, first_order(0.0)
+    for i in range(1, int(endowment / 0.5) + 1):
+        hi = i * 0.5
+        f_hi = first_order(hi)
+        if f_lo == 0.0 or f_lo * f_hi < 0.0:
+            roots.append(lo if f_lo == 0.0 else bisect(first_order, lo, hi, f_lo, tol=1e-12))
+            if two:
+                break
+        lo, f_lo = hi, f_hi
 
+    if two:
+        x = roots[0] if roots else (endowment if first_order(0.0) > 0.0 else 0.0)
+    else:
         def payoff(x: float) -> float:
-            total = x + others(x)[0]
+            total = x + first_order(x, True)
             if total <= 0.0:
                 return p_eff / treatment.n_players - x
             return p_eff * x / total - x
 
-        x = max([0.0, endowment, *_roots(marginal, 0.5, endowment)], key=payoff)
-    else:  # (2, 1)
-        r2 = models[2]
-
-        def foc(x: float) -> float:
-            resp, slope, _ = response(r2, x)
-            return p_eff * (x + resp - 0.5 * x * slope) - (2.0 * x + resp) ** 2
-
-        x = next(_roots(foc, 0.5, endowment), endowment if foc(0.0) > 0.0 else 0.0)
+        x = max([0.0, endowment, *roots], key=payoff)
 
     at_boundary = x <= 1e-6 or x >= endowment - 1e-6
     return PreemptionResult(float(x), at_boundary)

@@ -140,6 +140,30 @@ class MoveSequence(_Value):
         return "(" + ",".join(str(k) for k in self.stages) + ")"
 
 
+def _finite_real(value, name: str):
+    """``value``, which must be a finite real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContestError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ContestError(f"{name} must be finite, got an integer beyond floats") from None
+    if not finite:
+        raise ContestError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _check_contest_numbers(prize, endowment, joy_of_winning) -> None:
+    """A contest's numbers: all finite, the prize positive, the endowment and
+    the joy of winning nonnegative."""
+    if _finite_real(prize, "prize") <= 0:
+        raise ContestError(f"prize must be positive, got {prize}")
+    if _finite_real(endowment, "endowment") < 0:
+        raise ContestError(f"endowment must be nonnegative, got {endowment}")
+    if _finite_real(joy_of_winning, "joy_of_winning") < 0:
+        raise ContestError(f"joy_of_winning must be nonnegative, got {joy_of_winning}")
+
+
 class ContestSpec(_Value):
     """Full parameterization of one contest.
 
@@ -155,20 +179,7 @@ class ContestSpec(_Value):
             object.__setattr__(self, name, value)
         if not isinstance(self.sequence, MoveSequence):
             raise ContestError(f"sequence must be a MoveSequence, got {self.sequence!r}")
-        for name in ("prize", "endowment", "joy_of_winning"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ContestError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ContestError(f"{name} must be finite, got {value}")
-        if self.prize <= 0:
-            raise ContestError(f"prize must be positive, got {self.prize}")
-        if self.endowment < 0:
-            raise ContestError(f"endowment must be nonnegative, got {self.endowment}")
-        if self.joy_of_winning < 0:
-            raise ContestError(
-                f"joy of winning must be nonnegative, got {self.joy_of_winning}"
-            )
+        _check_contest_numbers(prize, endowment, joy_of_winning)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -232,7 +243,10 @@ def _check_schema(raw, what: str) -> None:
 def _json_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ContestError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ContestError(f"{name} must be finite, got an integer beyond floats") from None
 
 
 def _json_bool(value, name: str) -> bool:

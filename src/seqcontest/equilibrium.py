@@ -85,8 +85,9 @@ def bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
 
     Halves the bracket until it is no wider than ``tol`` and returns its
     midpoint, or returns a midpoint at once if ``f`` is exactly zero there.
-    Used by ``behavior._roots`` and by the full-grid root oracle of the
-    tests; :func:`largest_root` runs the same rule in line.
+    Used by ``behavior.optimal_first_mover``'s first-order walk and by two
+    test oracles (the full-grid root search and the old closure walk);
+    :func:`largest_root` runs the same rule in line.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

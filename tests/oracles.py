@@ -6,6 +6,11 @@ library's results are checked against.
 * ``largest_root_grid`` is the full-grid numpy root search that
   ``equilibrium.largest_root`` replaced; the plain-Python scan must return
   the same float.
+* ``optimal_first_mover_walk`` is the preemption optimiser that
+  ``behavior.optimal_first_mover`` replaced: the same first-order walk,
+  evaluated through a chain of closures (a clamped response, the later
+  movers' total, the marginal payoff) and a root generator. The library's
+  one flat function must return the same ``PreemptionResult``.
 * ``jonckheere_terpstra_exact`` gives exact Jonckheere-Terpstra p-values by
   enumerating every assignment of the pooled observations to the groups. It
   counts pairs with its own helper, so it shares no code with the
@@ -19,10 +24,12 @@ library's results are checked against.
 """
 
 import itertools
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from seqcontest.behavior import PreemptionResult
 from seqcontest.core import ContestError, ContestSpec
 from seqcontest.equilibrium import (
     _GRID_POINTS,
@@ -66,6 +73,90 @@ def largest_root_grid(coeffs: tuple[int, ...]) -> float:
     if not candidates:
         raise NoRootInUnitInterval(f"no root of {coeffs} in the unit interval")
     return max(candidates)
+
+
+# ---------------------------------------------------------------------------
+# Preemption optimum through a chain of closures
+# ---------------------------------------------------------------------------
+
+
+def _roots(f, step: float, end: float):
+    """Roots of ``f`` on [0, end] in increasing order, found by walking
+    x = i * step.
+
+    Yields each grid point where ``f`` is exactly zero (the last point is
+    never tested for one) and each strict sign change between neighbouring
+    points, bisected to 1e-12.
+    """
+    lo, f_lo = 0.0, f(0.0)
+    for i in range(1, int(end / step) + 1):
+        if f_lo == 0.0:
+            yield lo
+        hi = i * step
+        f_hi = f(hi)
+        if f_lo * f_hi < 0.0:
+            yield bisect(f, lo, hi, f_lo, tol=1e-12)
+        lo, f_lo = hi, f_hi
+
+
+def optimal_first_mover_walk(treatment, models, prize, joy_of_winning=0.0, endowment=240.0):
+    """First movers' optimal investment, walked through closures.
+
+    One leader takes the best of the two ends and the roots of its marginal
+    payoff; two leaders take the first root of their symmetric first-order
+    condition, or else the end that its sign at 0 points to. Inputs are not
+    checked.
+    """
+    stages = treatment.stages
+    p_eff = prize + joy_of_winning
+
+    def response(model, m1, m2=None):
+        # the rescaled response clamped as in play, with its slopes in m1
+        # and m2, which are 0 where it is clamped
+        c = 1.0 if model.fit_effective_prize is None else p_eff / model.fit_effective_prize
+        value = c * model.mean_response(m1 / c, None if m2 is None else m2 / c)
+        if not 0.0 <= value <= endowment:
+            return min(max(value, 0.0), endowment), 0.0, 0.0
+        d1 = model.m1_coef + 2.0 * model.m1_sq_coef * (m1 / c)
+        d2 = 0.0 if m2 is None else model.m2_coef + 2.0 * model.m2_sq_coef * (m2 / c)
+        return value, d1, d2
+
+    if stages in ((1, 2), (1, 1, 1)):
+        # later stages respond in order; stage 3 also sees stage 2's response
+        k2, r2, r3 = stages[1], models[2], (models[3] if stages == (1, 1, 1) else None)
+
+        def others(x):
+            second, slope2, _ = response(r2, x)
+            total, slope = k2 * second, k2 * slope2
+            if r3 is not None:
+                third, d31, d32 = response(r3, x, second)
+                total, slope = total + third, slope + d31 + d32 * slope2
+            return total, slope
+
+        def marginal(x):
+            o, slope = others(x)
+            if x + o <= 0.0:
+                return math.inf  # nobody invests: any investment wins the prize
+            return p_eff * (o - x * slope) / (x + o) ** 2 - 1.0
+
+        def payoff(x):
+            total = x + others(x)[0]
+            if total <= 0.0:
+                return p_eff / treatment.n_players - x
+            return p_eff * x / total - x
+
+        x = max([0.0, endowment, *_roots(marginal, 0.5, endowment)], key=payoff)
+    else:  # (2, 1)
+        r2 = models[2]
+
+        def foc(x):
+            resp, slope, _ = response(r2, x)
+            return p_eff * (x + resp - 0.5 * x * slope) - (2.0 * x + resp) ** 2
+
+        x = next(_roots(foc, 0.5, endowment), endowment if foc(0.0) > 0.0 else 0.0)
+
+    at_boundary = x <= 1e-6 or x >= endowment - 1e-6
+    return PreemptionResult(float(x), at_boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from seqcontest.behavior import (
     policy_from_config,
     turning_point,
 )
+from oracles import optimal_first_mover_walk
 
 SEQ_12 = MoveSequence((1, 2))
 SEQ_21 = MoveSequence((2, 1))
@@ -338,6 +341,66 @@ class TestOptimalFirstMover:
             assert all(0.0 < r < 240.0 for r in responses), (w, x, responses)
 
     @pytest.mark.parametrize("stages", sorted(OPTIMUM_DIGESTS))
+    def test_flat_walk_matches_closure_walk(self, stages):
+        # the flat first-order function must give the closure walk's result
+        # to the bit, on random models that clamp responses, rescale or not,
+        # and put optima at the ends as well as inside
+        rng = random.Random(20)
+        seq = MoveSequence(stages)
+        clamped = rescaled = boundary = 0
+        for _ in range(320):
+            models = {
+                stage: ResponseModel(
+                    intercept=rng.uniform(-120.0, 200.0),
+                    m1_coef=rng.uniform(-1.5, 1.5),
+                    m1_sq_coef=rng.uniform(-0.01, 0.01),
+                    m2_coef=rng.uniform(-1.5, 1.5) if stage == 3 else 0.0,
+                    m2_sq_coef=rng.uniform(-0.01, 0.01) if stage == 3 else 0.0,
+                    fit_effective_prize=rng.choice([None, rng.uniform(100.0, 500.0)]),
+                )
+                for stage in range(2, len(stages) + 1)
+            }
+            jow = rng.choice([0.0, rng.uniform(0.0, 300.0)])
+            res = optimal_first_mover(seq, models, 240.0, jow)
+            walk = optimal_first_mover_walk(seq, models, 240.0, jow)
+            assert repr(res) == repr(walk), (models, jow)  # a float's repr is its bits
+            fit = models[2].fit_effective_prize
+            c = 1.0 if fit is None else (240.0 + jow) / fit
+            second = [c * models[2].mean_response(x / c) for x in range(0, 241, 30)]
+            clamped += not all(0.0 <= r <= 240.0 for r in second)
+            rescaled += fit is not None
+            boundary += res.at_boundary
+        counts = (clamped, rescaled, 320 - rescaled, boundary, 320 - boundary)
+        assert min(counts) >= 30, counts
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"prize": 0.0}, "prize must be positive, got 0.0"),
+            ({"prize": math.nan}, "prize must be finite"),
+            ({"endowment": -5.0}, "endowment must be nonnegative, got -5.0"),
+            ({"endowment": math.inf}, "endowment must be finite"),
+            ({"joy_of_winning": -240.0}, "joy_of_winning must be nonnegative, got -240.0"),
+            ({"joy_of_winning": -300.0}, "joy_of_winning must be nonnegative, got -300.0"),
+            ({"joy_of_winning": math.inf}, "joy_of_winning must be finite, got inf"),
+            ({"joy_of_winning": True}, "joy_of_winning must be a real number, got True"),
+        ],
+        ids=["prize-zero", "prize-nan", "endowment-negative", "endowment-inf",
+             "jow-minus-prize", "jow-below-minus-prize", "jow-inf", "jow-bool"],
+    )
+    def test_numbers_checked_as_in_contest_spec(self, kwargs, message):
+        # -240 divided by zero, -300 and inf played 0.0, endowment -5 was
+        # returned as the investment
+        args = {"prize": 240.0, "joy_of_winning": 0.0, "endowment": 240.0, **kwargs}
+        with pytest.raises(ContestError, match=message):
+            optimal_first_mover(SEQ_12, default_response_models(SEQ_12), **args)
+
+    def test_rescale_out_of_float_range_rejected(self):
+        models = {2: ResponseModel(intercept=50.0, fit_effective_prize=1e300)}
+        with pytest.raises(ContestError, match="out of range for a model fit at 1e[+]300"):
+            optimal_first_mover(SEQ_12, models, 1e-300)
+
+    @pytest.mark.parametrize("stages", sorted(OPTIMUM_DIGESTS))
     def test_golden_optima(self, stages):
         # sha256 of the result reprs over joy values 0, 7, ..., 294 with the
         # bundled models: pins the optimiser's bits, which the approximate
@@ -348,6 +411,62 @@ class TestOptimalFirstMover:
             repr(optimal_first_mover(seq, models, 240.0, float(w))) for w in range(0, 295, 7)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == OPTIMUM_DIGESTS[stages]
+
+
+class TestResponseModelChecks:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"intercept": math.nan}, "intercept must be finite, got nan"),
+            ({"intercept": 50.0, "m1_coef": math.inf}, "m1_coef must be finite"),
+            ({"intercept": 50.0, "m2_sq_coef": -math.inf}, "m2_sq_coef must be finite"),
+            ({"intercept": "50"}, "intercept must be a real number, got '50'"),
+            ({"intercept": 50.0, "noise_sd": -1.0}, "noise_sd must be nonnegative, got -1.0"),
+            ({"intercept": 50.0, "fit_effective_prize": 0.0},
+             "fit_effective_prize must be positive, got 0.0"),
+            ({"intercept": 50.0, "fit_effective_prize": -240.0},
+             "fit_effective_prize must be positive, got -240.0"),
+            ({"intercept": 50.0, "fit_effective_prize": math.nan},
+             "fit_effective_prize must be finite"),
+            ({"intercept": 10**400}, "intercept must be finite"),
+        ],
+        ids=["intercept-nan", "m1-inf", "m2-sq-minus-inf", "intercept-string",
+             "noise-negative", "fit-zero", "fit-negative", "fit-nan", "intercept-huge-int"],
+    )
+    def test_bad_field_rejected(self, kwargs, message):
+        with pytest.raises(ContestError, match=f"response-model {message}"):
+            ResponseModel(**kwargs)
+
+    def test_replace_runs_the_checks(self):
+        model = default_response_models(SEQ_12)[2]
+        with pytest.raises(ContestError, match="noise_sd must be nonnegative"):
+            replace(model, noise_sd=-25.0)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"intercept": math.nan}, {"intercept": 10**400},
+         {"intercept": 50.0, "fit_effective_prize": 0}],
+        ids=["nan", "integer-beyond-floats", "fit-zero"],
+    )
+    def test_model_file_runs_the_checks(self, tmp_path, entry):
+        # json reads NaN, Infinity and integers of any size; a model of
+        # them names the file
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps({"schema": 1, "models": {"1,2": {"2": entry}}}))
+        with pytest.raises(ContestError, match="malformed response-model file"):
+            load_response_models(path)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"kind": "responder", "model": {"intercept": math.inf}}, "intercept must be finite"),
+            ({"kind": "responder", "noise_sd": -25.0}, "noise_sd must be nonnegative"),
+        ],
+        ids=["inline-model", "noise-override"],
+    )
+    def test_policy_entries_run_the_checks(self, entry, message):
+        with pytest.raises(ContestError, match=message):
+            policy_from_config(entry, ContestSpec(SEQ_12), 1)
 
 
 class TestAct:

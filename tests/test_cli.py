@@ -486,6 +486,36 @@ class TestSimulate:
         assert not out
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "leader, field",
+        [
+            ({"joy_of_winning": -240}, "joy_of_winning must be nonnegative"),
+            ({"joy_of_winning": -300}, "joy_of_winning must be nonnegative"),
+            ({"joy_of_winning": float("inf")}, "joy_of_winning must be finite"),
+            ({"models": {"2": {"intercept": float("nan")}}}, "intercept must be finite"),
+            ({"models": {"2": {"intercept": 50.0, "fit_effective_prize": 0}}},
+             "fit_effective_prize must be positive"),
+            ({"models": {"2": {"intercept": 50.0, "fit_effective_prize": -240}}},
+             "fit_effective_prize must be positive"),
+            ({"models": {"2": {"intercept": 10**400}}}, "intercept must be finite"),
+        ],
+        ids=["jow-minus-prize", "jow-below-minus-prize", "jow-infinity", "intercept-nan",
+             "fit-prize-zero", "fit-prize-negative", "intercept-integer-beyond-floats"],
+    )
+    def test_bad_leader_numbers_exit_2(self, capsys, tmp_path, leader, field):
+        # json reads NaN, Infinity and integers of any size; these configs
+        # divided by zero, overflowed, or played a leader at 0.0 and exited 0
+        config = write_config(tmp_path / "leader.json", [{
+            "treatment": [1, 2],
+            "policies": [{"kind": "optimizing-leader", **leader}, *[{"kind": "responder"}] * 2],
+        }])
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", config, "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: invalid config: ") and field in err
+        assert "Traceback" not in out + err
+        assert not out_dir.exists()
+
     def test_unwritable_out_exits_3(self, capsys, tmp_path):
         config = write_config(
             tmp_path / "cfg.json",

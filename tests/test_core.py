@@ -85,6 +85,7 @@ class TestContestSpec:
             {"endowment": float("inf")},
             {"joy_of_winning": float("nan")},
             {"joy_of_winning": float("inf")},
+            {"prize": 10**400},
         ],
     )
     def test_invalid_parameters(self, kwargs):

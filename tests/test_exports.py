@@ -19,6 +19,8 @@ ORACLE_NAMES = [
     "JTExactResult",
     "Polynomial",
     "RecursionLadder",
+    "optimal_first_mover_walk",
+    "_roots",
 ]
 
 
