@@ -81,7 +81,7 @@ print()
 print("Wald tests of aggregate investment against the no-correction equilibrium")
 for log in logs:
     target = solve_spne(ContestSpec(log.sequence)).scaled_aggregate
-    totals, groups_of = triad_totals(log.records)
+    totals, groups_of = triad_totals(log)
     res = wald_mean(totals, groups_of, target)
     flag = " [degenerate]" if res.degenerate else ""
     print(

@@ -328,7 +328,7 @@ def cmd_analyze(args) -> int:
         lines = ["treatment,slope,se,n_obs,clusters"]
         report += ["", "Round trend (investment on round, clustered SEs)"]
         for log in logs:
-            fit = st.trend_by_round(log.records)
+            fit = st.trend_by_round(log)
             # float's round agrees with the printed digits; adding 0.0 turns
             # a slope that rounds to -0 into 0, so rounding noise around a
             # flat trend prints no sign
@@ -348,7 +348,7 @@ def cmd_analyze(args) -> int:
         report += ["", "Wald tests of observed means against the equilibrium"]
         for log in logs:
             solution = solve_spne(log.spec.without_joy())
-            totals, groups = st.triad_totals(log.records)
+            totals, groups = st.triad_totals(log)
             res = st.wald_mean(totals, groups, solution.scaled_aggregate)
             test_lines.append(
                 f"wald,{_csv_label(log.sequence)},X,{res.statistic:.6g},"

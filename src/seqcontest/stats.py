@@ -12,6 +12,22 @@ in one pass and compute on the columns. Triad totals are a stable sort on
 (group, round, triad) and a ``np.bincount``, which adds each triad's
 investments in record order from 0.0, so they are the floats a running sum
 per triad gives, whatever the order of the records or the ids.
+
+A ``SessionLog`` keeps its columns and triad totals, once read, on the
+instance (not in its fields, so ``==``, ``repr`` and ``replace`` do not see
+them): every statistic of one log reads its records once. They stay valid
+while ``log.records`` holds the same record objects in the same order (same
+length, and ``is`` against a tuple snapshot taken when they were read);
+records are frozen, so the same objects mean the same fields. Any other
+change to the list, or a new list, reads the records again.
+
+``cluster_ols`` forms X'X once and inverts it by Gauss-Jordan elimination
+(the sweep operator) in Python floats, taking the pivots in column order. A
+pivot is the sum of squares of its column's part that the columns before it
+leave unexplained. The design is rank deficient when a pivot is at most
+1e-10 of its column's diagonal (the column's whole sum of squares), a test
+that no rescaling of a column changes. Past that tolerance, coefficients
+solved from X'X keep fewer than about six significant digits.
 """
 
 from __future__ import annotations
@@ -20,13 +36,14 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
+from operator import is_
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _LAZY_EXPORTS
 from .core import ContestError, MoveSequence
-from .simulate import RoundRecord, SessionLog
+from .simulate import SessionLog
 
 __all__ = list(_LAZY_EXPORTS["stats"])
 
@@ -62,12 +79,37 @@ class OLSFit:
         return np.sqrt(np.diag(self.cov))
 
 
+_RANK_TOL = 1e-10  # smallest pivot, as a share of its column's sum of squares
+
+
+def _inverse(a: list[list[float]]) -> list[list[float]]:
+    """The inverse of X'X, given as ``a`` and overwritten, by the sweep
+    operator with pivots in column order. A pivot at most ``_RANK_TOL`` of
+    its column's diagonal raises."""
+    diagonal = [row[i] for i, row in enumerate(a)]
+    for p in range(len(a)):
+        d = a[p][p]
+        if not d > _RANK_TOL * diagonal[p]:
+            raise RankDeficientDesign("design matrix is rank deficient")
+        pivot_row = [v / d for v in a[p]]
+        for i, row in enumerate(a):
+            if i != p:
+                b = row[p]
+                a[i] = [v - b * w for v, w in zip(row, pivot_row)]
+                a[i][p] = -b / d
+        pivot_row[p] = 1.0 / d
+        a[p] = pivot_row
+    return a
+
+
 def cluster_ols(y, design, clusters) -> OLSFit:
     """Pooled OLS with a cluster-robust (sandwich) covariance matrix.
 
     cov = c * (X'X)^-1 [sum_g (X_g'u_g)(X_g'u_g)'] (X'X)^-1 with the
     small-sample factor c = G/(G-1) * (N-1)/(N-K). With every observation in
-    its own cluster this reduces to HC1.
+    its own cluster this reduces to HC1. The design is rank deficient, and
+    raises, when a column's part unexplained by the columns before it is at
+    most 1e-10 of its sum of squares (module docstring).
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
@@ -78,15 +120,12 @@ def cluster_ols(y, design, clusters) -> OLSFit:
         raise ContestError(f"y has shape {y.shape}, expected ({n},)")
     if n <= k:
         raise RankDeficientDesign(f"{n} observations cannot identify {k} coefficients")
-    if np.linalg.matrix_rank(X) < k:
-        raise RankDeficientDesign("design matrix is rank deficient")
+    bread = np.array(_inverse((X.T @ X).tolist()))
     codes, inverse = np.unique(np.asarray(clusters), return_inverse=True)
     g = codes.size
     if g < 2:
         raise TooFewClusters("clustered inference needs at least 2 clusters")
 
-    xtx = X.T @ X
-    bread = np.linalg.inv(xtx)
     params = bread @ (X.T @ y)
     resid = y - X @ params
 
@@ -95,9 +134,10 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     cluster_scores = np.column_stack(
         [np.bincount(inverse, weights=scores[:, j], minlength=g) for j in range(k)]
     )
-    meat = cluster_scores.T @ cluster_scores
+    # bread @ meat @ bread as a Gram matrix, so that no variance rounds below 0
+    half = cluster_scores @ bread
     correction = (g / (g - 1.0)) * ((n - 1.0) / (n - k))
-    cov = correction * bread @ meat @ bread
+    cov = correction * (half.T @ half)
 
     ssr = float(resid @ resid)
     sst = float(((y - y.mean()) ** 2).sum())
@@ -200,6 +240,9 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]]) -> JTResult:
 # ---------------------------------------------------------------------------
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def _column(values: list, dtype: type) -> np.ndarray:
     """A list of Python ints (``dtype`` int) or floats as an array, read with
     its dtype named, which is about twice as fast as ``np.array`` inferring
@@ -215,14 +258,15 @@ def _column(values: list, dtype: type) -> np.ndarray:
 
 
 class _Columns:
-    """The fields of a log's records as arrays in record order, each read in
-    one pass on first use."""
+    """The fields of a snapshot of records as arrays in record order, and
+    their triad totals, each read in one pass on first use."""
 
-    def __init__(self, log_or_records):
-        if isinstance(log_or_records, SessionLog):
-            self.records = log_or_records.records
-        else:
-            self.records = list(log_or_records)
+    def __init__(self, records):
+        self.records = tuple(records)
+
+    def holds(self, records: list) -> bool:
+        """Whether ``records`` are the snapshot's record objects, in order."""
+        return len(records) == len(self.records) and all(map(is_, records, self.records))
 
     @cached_property
     def group(self) -> np.ndarray:
@@ -244,6 +288,34 @@ class _Columns:
     def investment(self) -> np.ndarray:
         return _column([r.investment for r in self.records], float)
 
+    @cached_property
+    def triad_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        # the stable sort keeps each triad's records in record order, and
+        # bincount adds them in that order from 0.0: the floats of a running
+        # sum per triad
+        order = np.lexsort((self.triad, self.round, self.group))
+        group, rnd, triad = self.group[order], self.round[order], self.triad[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (group[1:] != group[:-1]) | (rnd[1:] != rnd[:-1]) | (triad[1:] != triad[:-1])
+        totals = np.bincount(np.cumsum(first) - 1, weights=self.investment[order])
+        # float64 when empty too (bincount of nothing is an int array)
+        return totals.astype(float, copy=False), group[first]
+
+
+_MEMO = "_stats_columns"  # the attribute that keeps a SessionLog's _Columns
+
+
+def _columns(log_or_records) -> _Columns:
+    """The columns of a log, read once while its records stay the same
+    objects (module docstring), or of an iterable of records."""
+    if not isinstance(log_or_records, SessionLog):
+        return _Columns(log_or_records)
+    memo = getattr(log_or_records, _MEMO, None)
+    if memo is None or not memo.holds(log_or_records.records):
+        memo = _Columns(log_or_records.records)
+        setattr(log_or_records, _MEMO, memo)
+    return memo
+
 
 def last_rounds(log: SessionLog, k: int) -> SessionLog:
     """The log cut to its last ``k`` rounds."""
@@ -252,34 +324,33 @@ def last_rounds(log: SessionLog, k: int) -> SessionLog:
     return replace(log, records=list(compress(log.records, [n > cutoff for n in rounds])))
 
 
-def _triad_totals(columns: _Columns) -> tuple[np.ndarray, np.ndarray]:
-    # the stable sort keeps each triad's records in record order, and bincount
-    # adds them in that order from 0.0: the floats of a running sum per triad
-    order = np.lexsort((columns.triad, columns.round, columns.group))
-    group, rnd, triad = columns.group[order], columns.round[order], columns.triad[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (group[1:] != group[:-1]) | (rnd[1:] != rnd[:-1]) | (triad[1:] != triad[:-1])
-    totals = np.bincount(np.cumsum(first) - 1, weights=columns.investment[order])
-    # float64 when empty too (bincount of nothing is an int array)
-    return totals.astype(float, copy=False), group[first]
-
-
-def triad_totals(records: Iterable[RoundRecord]) -> tuple[np.ndarray, np.ndarray]:
+def triad_totals(log_or_records) -> tuple[np.ndarray, np.ndarray]:
     """Total investment of each triad-round, sorted by (group, round, triad),
     and the matching group each total belongs to."""
-    return _triad_totals(_Columns(records))
+    totals, groups = _columns(log_or_records).triad_totals
+    return totals.copy(), groups.copy()
 
 
 def trend_by_round(log_or_records) -> OLSFit:
     """Pooled OLS of individual investment on the round number, clustered by
-    matching group."""
-    columns = _Columns(log_or_records)
+    matching group.
+
+    The rounds are counted from the log's first (lowest) round, subtracted
+    as whole numbers before they become floats, so ids of any size fit
+    alike. ``params[1]`` is the slope per round, and ``params[0]`` is the
+    fitted investment at the first round, not at round 0.
+    """
+    columns = _columns(log_or_records)
     rounds = columns.round
     if not rounds.size:
         raise EmptyLog("no records")
-    if rounds.min() == rounds.max():
+    first, last = rounds.min(), rounds.max()
+    if first == last:
         raise ContestError("trend regression needs at least 2 rounds")
-    design = np.column_stack([np.ones(rounds.size), rounds.astype(float)])
+    if int(last) - int(first) > _INT64_MAX:
+        # the differences could overflow int64: take them as Python ints
+        rounds, first = rounds.astype(object), int(first)
+    design = np.column_stack([np.ones(rounds.size), (rounds - first).astype(float)])
     return cluster_ols(columns.investment, design, columns.group)
 
 
@@ -323,19 +394,21 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
     for log in logs:
         if not log.records:
             raise EmptyLog(f"log for {log.sequence.label()} has no records")
-        columns = _Columns(log)
+        columns = _columns(log)
         seq = log.sequence
         role_means: list[float] = []
         role_ses: list[float] = []
         for stage, count in enumerate(seq.stages, start=1):
             in_stage = columns.stage == stage
             values = columns.investment[in_stage]
+            if not values.size:
+                raise EmptyLog(f"log for {seq.label()} has no records in stage {stage}")
             mean = float(values.mean())
             se = _se_of_mean(values, columns.group[in_stage])
             role_means.extend([mean] * count)
             role_ses.extend([se] * count)
 
-        totals, groups = _triad_totals(columns)
+        totals, groups = columns.triad_totals
         out.append(
             TreatmentSummary(
                 sequence=seq,
@@ -356,7 +429,7 @@ def group_aggregate_means(log: SessionLog) -> np.ndarray:
     of observation for nonparametric across-treatment tests."""
     if not log.records:
         raise EmptyLog(f"log for {log.sequence.label()} has no records")
-    totals, groups = _triad_totals(_Columns(log))
+    totals, groups = _columns(log).triad_totals
     # the totals are sorted by group, so each group's are one slice
     starts = np.flatnonzero(groups[1:] != groups[:-1]) + 1
     return np.array([float(part.mean()) for part in np.split(totals, starts)])

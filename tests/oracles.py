@@ -20,7 +20,9 @@ library's results are checked against.
   statistics record by record (a running sum per triad in a dict, one filter
   over the records per stage, cluster scores added with ``np.add.at``); the
   library reads record fields as columns and must give the same floats and
-  dtypes.
+  dtypes. They share the library's arithmetic where it is not about
+  columns: X'X inverted by the sweep operator in column order, the
+  covariance as a Gram matrix, and rounds counted from the first.
 """
 
 import itertools
@@ -367,6 +369,27 @@ def jonckheere_terpstra_exact(groups: Sequence[Sequence[float]]) -> JTExactResul
 # ---------------------------------------------------------------------------
 
 
+def _sweep_inverse(a: list[list[float]]) -> list[list[float]]:
+    """The inverse of the k x k matrix ``a`` by the sweep operator, pivots
+    in column order, entry by entry: the arithmetic of ``stats._inverse``
+    without its rank test."""
+    k = len(a)
+    a = [list(row) for row in a]
+    for p in range(k):
+        d = a[p][p]
+        pivot_row = [a[p][j] / d for j in range(k)]
+        for i in range(k):
+            if i == p:
+                continue
+            b = a[i][p]
+            for j in range(k):
+                a[i][j] = a[i][j] - b * pivot_row[j]
+            a[i][p] = -b / d
+        pivot_row[p] = 1.0 / d
+        a[p] = pivot_row
+    return a
+
+
 def cluster_ols(y, design, clusters) -> OLSFit:
     """``stats.cluster_ols`` on a full-rank design with at least 2 clusters,
     its cluster scores added row by row with ``np.add.at``."""
@@ -375,13 +398,13 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     n, k = X.shape
     codes, inverse = np.unique(np.asarray(clusters), return_inverse=True)
     g = codes.size
-    bread = np.linalg.inv(X.T @ X)
+    bread = np.array(_sweep_inverse((X.T @ X).tolist()))
     params = bread @ (X.T @ y)
     resid = y - X @ params
     cluster_scores = np.zeros((g, k))
     np.add.at(cluster_scores, inverse, X * resid[:, None])
-    meat = cluster_scores.T @ cluster_scores
-    cov = (g / (g - 1.0)) * ((n - 1.0) / (n - k)) * bread @ meat @ bread
+    half = cluster_scores @ bread
+    cov = (g / (g - 1.0)) * ((n - 1.0) / (n - k)) * (half.T @ half)
     ssr = float(resid @ resid)
     sst = float(((y - y.mean()) ** 2).sum())
     r_squared = 1.0 - ssr / sst if sst > 0 else float("nan")
@@ -428,7 +451,8 @@ def treatment_summary(log) -> TreatmentSummary:
 
 def trend_by_round(records) -> OLSFit:
     y = np.array([r.investment for r in records])
-    rounds = np.array([r.round for r in records], dtype=float)
+    first = min(r.round for r in records)
+    rounds = np.array([float(r.round - first) for r in records])
     design = np.column_stack([np.ones(len(records)), rounds])
     return cluster_ols(y, design, np.array([r.group for r in records]))
 

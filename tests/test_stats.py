@@ -104,6 +104,39 @@ class TestClusterOls:
         with pytest.raises(RankDeficientDesign):
             cluster_ols([1, 2, 3, 4], X, [0, 0, 1, 1])
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-10])
+    def test_design_without_digits_rejected(self, scale):
+        # the second column is 1 + scale * x, so the true slope on it is
+        # 3 / scale (3e8 and 3e10); forming X'X leaves no digit of it
+        rng = np.random.default_rng(12)
+        n = 200
+        x = rng.uniform(0.0, 10.0, n)
+        design = np.column_stack([np.ones(n), 1.0 + scale * x])
+        y = 5.0 + 3.0 * x + rng.standard_normal(n)
+        with pytest.raises(RankDeficientDesign):
+            cluster_ols(y, design, np.arange(n) % 10)
+
+    @pytest.mark.parametrize("column_scale", [1e-100, 1.0, 1e100])
+    def test_rank_tolerance_is_relative_to_each_column(self, column_scale):
+        # with z = +-1 the second column's pivot is h^2 / (1 + h^2) of its
+        # sum of squares, whatever the column's scale: 1e-8 fits, 1e-12 raises
+        n = 40
+        z = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        clusters = np.arange(n) % 4
+        y = 2.0 + z
+        for h, fits in ((1e-4, True), (1e-6, False)):
+            design = np.column_stack([np.ones(n), column_scale * (1.0 + h * z)])
+            if fits:
+                fit = cluster_ols(y, design, clusters)
+                assert fit.params[1] * column_scale * h == pytest.approx(1.0, rel=1e-6)
+            else:
+                with pytest.raises(RankDeficientDesign):
+                    cluster_ols(y, design, clusters)
+
+    def test_zero_column_rejected(self):
+        with pytest.raises(RankDeficientDesign):
+            cluster_ols(FIXTURE_Y, np.zeros((4, 1)), FIXTURE_CLUSTERS)
+
     def test_single_cluster_rejected(self):
         with pytest.raises(TooFewClusters):
             cluster_ols([1.0, 2.0], np.ones((2, 1)), [5, 5])
@@ -363,6 +396,36 @@ class TestTrendByRound:
         with pytest.raises(ContestError):
             trend_by_round(make_records(rows))
 
+    def test_rounds_beyond_int64_fit_alike(self, preset_run):
+        # the rounds are counted from the first, so shifting every round id
+        # by -2**65 (a column of Python ints) leaves every bit of the fit
+        for log in preset_run:
+            shifted = relabeled(log, lambda g: g, lambda n: n - 2**65)
+            assert exact(trend_by_round(shifted)) == exact(trend_by_round(log))
+
+    def test_round_span_beyond_int64_fits(self):
+        # every round id fits int64 but their differences do not
+        step = 2**62 + 1
+        rows = [
+            (g, (rnd - 2) * step, 1, g * 10 + s, 1, s, 100.0 - 2.0 * rnd + g)
+            for g in (1, 2)
+            for rnd in (1, 2, 3)
+            for s in (1, 2, 3)
+        ]
+        fit = trend_by_round(make_records(rows))
+        assert fit.params[0] == pytest.approx(99.5)
+        assert fit.params[1] * step == pytest.approx(-2.0)
+
+    def test_intercept_is_the_first_round(self):
+        rows = [
+            (g, rnd, 1, g * 10 + s, 1, s, 100.0 - 2.0 * rnd + g)
+            for g in (1, 2)
+            for rnd in range(5, 9)
+            for s in (1, 2, 3)
+        ]
+        fit = trend_by_round(make_records(rows))
+        assert fit.params == pytest.approx((91.5, -2.0))
+
     def test_treatment_guard(self):
         config = SessionConfig(
             spec=ContestSpec(MoveSequence((1, 2))),
@@ -427,6 +490,12 @@ class TestTreatmentSummary:
     def test_empty_rejected(self):
         with pytest.raises(EmptyLog):
             treatment_summary([])
+
+    def test_stage_without_records_rejected(self):
+        log = spne_log((1, 2), groups=2, rounds=2)
+        cut = replace(log, records=[r for r in log.records if r.stage != 2])
+        with pytest.raises(EmptyLog, match=r"\(1,2\) has no records in stage 2"):
+            treatment_summary(cut)
 
     def test_group_aggregate_means_unit(self):
         log = spne_log((1, 2), groups=4, rounds=6)
@@ -506,6 +575,8 @@ LOG_VARIANTS = {
     "negative-ids": lambda log: relabeled(log, lambda g: 50 - 17 * g, lambda n: 40 - 3 * n),
     # group ids no int64 holds
     "huge-ids": lambda log: shuffled(relabeled(log, lambda g: 2**70 - g, lambda n: n)),
+    # round ids no int64 holds
+    "huge-rounds": lambda log: shuffled(relabeled(log, lambda g: g, lambda n: n - 2**65)),
 }
 
 
@@ -543,3 +614,75 @@ class TestColumnsMatchRecordWalk:
         for statistic in (treatment_summary, trend_by_round, group_aggregate_means):
             with pytest.raises(EmptyLog):
                 statistic(log)
+
+
+def analysis(log):
+    """Every record-level statistic of one log, spelt bit for bit."""
+    return exact([
+        treatment_summary(log),
+        trend_by_round(log),
+        group_aggregate_means(log),
+        triad_totals(log),
+    ])
+
+
+class TestColumnMemo:
+    """A log keeps the columns its statistics read, while its records stay
+    the same objects in the same order."""
+
+    def test_statistics_follow_edits_to_the_records(self):
+        log = spne_log((1, 2), groups=2, rounds=3)
+        analysis(log)
+        first = log.records[0]
+        last = log.records[-1]
+
+        def edits():
+            log.records[0] = replace(first, investment=first.investment + 1.0)
+            yield
+            del log.records[-1]
+            yield
+            log.records.append(replace(last, investment=last.investment + 2.0))
+            yield
+            log.records = [replace(r, investment=r.investment + 0.5) for r in log.records]
+            yield
+
+        for _ in edits():
+            fresh = replace(log, records=list(log.records))
+            assert analysis(log) == analysis(fresh)
+
+    def test_each_column_is_read_once(self, monkeypatch):
+        reads = []
+
+        def counted(values, dtype):
+            reads.append(dtype)
+            return column(values, dtype)
+
+        column = stats._column
+        monkeypatch.setattr(stats, "_column", counted)
+        log = spne_log((1, 2), groups=2, rounds=3)
+        treatment_summary(log)
+        trend_by_round(log)
+        group_aggregate_means(log)
+        triad_totals(log)
+        # group, round, triad and stage as ints, investment as floats
+        assert sorted(dtype.__name__ for dtype in reads) == ["float"] + ["int"] * 4
+
+    def test_triad_totals_are_the_callers_own(self):
+        log = spne_log((1, 2), groups=2, rounds=3)
+        totals, groups = triad_totals(log)
+        expected = analysis(log)
+        totals += 1.0
+        groups += 1
+        assert analysis(log) == expected
+
+    def test_the_log_itself_is_unchanged(self):
+        log = spne_log((1, 2), groups=2, rounds=3)
+        twin = replace(log)
+        text = repr(log)
+        analysis(log)
+        assert repr(log) == text and log == twin
+        assert [f.name for f in dataclasses.fields(type(log))] == [
+            "spec", "groups", "rounds", "integer_rounding", "seed", "records",
+        ]
+        for derived in (replace(log), last_rounds(log, 2)):
+            assert not hasattr(derived, stats._MEMO)
