@@ -16,7 +16,7 @@ from .equilibrium import *
 _LAZY_EXPORTS = {
     "behavior": (
         "InputOutOfRange", "RoleObservationMismatch", "ResponseModel", "PreemptionResult",
-        "EquilibriumPolicy", "EmpiricalResponder", "Imitator", "OptimizingLeader",
+        "EquilibriumPolicy", "EmpiricalResponder", "OptimizingLeader",
         "BehaviorPolicy", "eval_response", "turning_point", "optimal_first_mover", "act",
         "default_response_models", "load_response_models", "policy_from_config",
     ),

@@ -5,8 +5,8 @@ from observed play: a second mover invests
 ``intercept + m1_coef*m1 + m1_sq_coef*m1**2`` given the (average) first-stage
 investment m1, and a third mover adds analogous terms in the second-stage
 investment m2. First movers can best-respond to those estimated responses
-("preempt optimally"), play the equilibrium recommendation, or simply imitate
-what they observe.
+("preempt optimally") or play the equilibrium recommendation. Imitation is a
+linear response: ``m1_coef=1`` at stage 2 plays the leaders' mean.
 """
 
 from __future__ import annotations
@@ -269,14 +269,6 @@ class EmpiricalResponder:
 
 
 @dataclass(frozen=True)
-class Imitator:
-    """Match the mean of observed prior investments; first movers have
-    nothing to imitate and fall back to a fixed investment."""
-
-    fallback: float
-
-
-@dataclass(frozen=True)
 class OptimizingLeader:
     """First mover playing the optimal preemptive investment against
     estimated responder models."""
@@ -285,7 +277,7 @@ class OptimizingLeader:
     joy_of_winning: float = 0.0
 
 
-BehaviorPolicy = Union[EquilibriumPolicy, EmpiricalResponder, Imitator, OptimizingLeader]
+BehaviorPolicy = Union[EquilibriumPolicy, EmpiricalResponder, OptimizingLeader]
 
 
 @lru_cache(maxsize=None)
@@ -317,11 +309,9 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
     """What ``policy`` plays at ``stage`` of ``spec``, resolved once into plain
     data that :func:`act` evaluates.
 
-    Equilibrium and optimizing-leader play, and an imitator at stage 1, do
-    not depend on what the stage observes: they resolve to their investment,
-    a float already clamped to [0, endowment]. A responder resolves to its
-    :class:`ResponseModel`, and an imitator at a later stage to the
-    :class:`Imitator` itself.
+    Equilibrium and optimizing-leader play do not depend on what the stage
+    observes: they resolve to their investment, a float already clamped to
+    [0, endowment]. A responder resolves to its :class:`ResponseModel`.
     """
     if isinstance(policy, EquilibriumPolicy):
         played = spec if policy.use_joy_of_winning else spec.without_joy()
@@ -332,10 +322,6 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
                 "a responder needs at least one earlier stage to respond to"
             )
         return policy.model
-    elif isinstance(policy, Imitator):
-        if stage > 1:
-            return policy
-        value = policy.fallback
     elif isinstance(policy, OptimizingLeader):
         if stage != 1:
             raise RoleObservationMismatch(
@@ -386,11 +372,8 @@ def act(
         )
     if isinstance(rule, float):
         return rule
-    if isinstance(rule, ResponseModel):
-        m1, m2 = _observation_inputs(spec.sequence, stage, observed)
-        return eval_response(rule, m1, m2, endowment=spec.endowment, rng=rng)
-    # an imitator past stage 1: the clamped mean of what it observes
-    return float(min(max(math.fsum(observed) / len(observed), 0.0), spec.endowment))
+    m1, m2 = _observation_inputs(spec.sequence, stage, observed)
+    return eval_response(rule, m1, m2, endowment=spec.endowment, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +466,6 @@ _POLICY_KEYS = {
     "spne": ("kind",),
     "jow-spne": ("kind",),
     "responder": ("kind", "model", "noise_sd"),
-    "imitator": ("kind", "fallback"),
     "optimizing-leader": ("kind", "models", "joy_of_winning"),
 }
 
@@ -491,7 +473,7 @@ _POLICY_KEYS = {
 def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> BehaviorPolicy:
     """Build a policy from one JSON config entry for the given player slot.
 
-    Kinds, matched exactly: "spne", "jow-spne", "responder", "imitator",
+    Kinds, matched exactly: "spne", "jow-spne", "responder",
     "optimizing-leader". Responder and leader entries may omit "model"/"models"
     to use the bundled presets for the session's treatment. A leader's optimum
     is solved here, so models it cannot use are an error. An entry may hold
@@ -521,8 +503,6 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
         if "noise_sd" in entry:
             model = replace(model, noise_sd=_json_number(entry["noise_sd"], "noise_sd"))
         return EmpiricalResponder(model)
-    if kind == "imitator":
-        return Imitator(fallback=_json_number(entry.get("fallback", 0.0), "fallback"))
     # an optimizing leader
     if "models" in entry:
         models = _stage_models(entry["models"])

@@ -401,8 +401,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seq", required=True, help="move sequence, e.g. 1,2")
     p_solve.add_argument("--prize", type=_number, default=240.0)
     p_solve.add_argument("--endowment", type=_number, default=240.0)
-    p_solve.add_argument("--jow", type=_number, default=0.0, help="joy of winning")
-    p_solve.add_argument(
+    jow_source = p_solve.add_mutually_exclusive_group()
+    jow_source.add_argument("--jow", type=_number, default=0.0, help="joy of winning")
+    jow_source.add_argument(
         "--calibrate-from",
         type=_number,
         default=None,

@@ -123,14 +123,12 @@ class MoveSequence(_Value):
 
     def stage_of_player(self, player: int) -> int:
         """1-based stage at which 0-based ``player`` decides."""
-        if not 0 <= player < self.n_players:
-            raise IndexError(f"player index {player} out of range")
         seen = 0
         for t, k in enumerate(self.stages, start=1):
             seen += k
-            if player < seen:
+            if 0 <= player < seen:
                 return t
-        raise AssertionError("unreachable")
+        raise IndexError(f"player index {player} out of range")
 
     def players_before_stage(self, stage: int) -> int:
         """Number of players deciding strictly before 1-based ``stage``."""

@@ -127,7 +127,7 @@ def cluster_ols(y, design, clusters) -> OLSFit:
         raise TooFewClusters("clustered inference needs at least 2 clusters")
 
     params = bread @ (X.T @ y)
-    resid = y - X @ params
+    resid = y - X.dot(params)  # X @ params skips BLAS when k == 1
 
     scores = X * resid[:, None]
     # each cluster's scores summed in row order, starting from 0.0

@@ -16,7 +16,6 @@ from seqcontest.behavior import (
     _policy_rule,
     EmpiricalResponder,
     EquilibriumPolicy,
-    Imitator,
     InputOutOfRange,
     OptimizingLeader,
     ResponseModel,
@@ -487,18 +486,21 @@ class TestAct:
         assert act(EquilibriumPolicy(use_joy_of_winning=True), spec, 1, []) == 240.0
 
     def test_imitator_matches_mean(self):
-        spec = ContestSpec(SEQ_12)
-        assert act(Imitator(fallback=50.0), spec, 2, [80.0]) == 80.0
+        # an imitator is a linear responder: at stage 2 it plays m1, the
+        # leaders' mean as math.fsum takes it
+        imitator = EmpiricalResponder(ResponseModel(0.0, m1_coef=1.0))
+        assert act(imitator, ContestSpec(SEQ_12), 2, [80.0]) == 80.0
+        for leaders in ([70.0, 91.0], [0.1, 0.2], [239.0, 240.0]):
+            expected = math.fsum(leaders) / 2
+            assert act(imitator, ContestSpec(SEQ_21), 2, leaders) == expected
 
-    @pytest.mark.parametrize("observed", [[70.0, 61.0], [200.0, 290.0], [0.1, 0.2]])
+    @pytest.mark.parametrize("observed", [[70.0, 61.0], [200.0, 240.0], [0.1, 0.2]])
     def test_imitator_third_mover_plays_clamped_mean(self, observed):
         spec = ContestSpec(SEQ_111)
+        imitator = EmpiricalResponder(ResponseModel(0.0, m1_coef=0.5, m2_coef=0.5))
+        # 0.5*a + 0.5*b rounds once, as (a + b) / 2 does
         expected = min(max(math.fsum(observed) / 2, 0.0), 240.0)
-        assert act(Imitator(fallback=5.0), spec, 3, observed) == expected
-
-    def test_imitator_fallback_without_observations(self):
-        spec = ContestSpec(SEQ_12)
-        assert act(Imitator(fallback=62.72), spec, 1, []) == 62.72
+        assert act(imitator, spec, 3, observed) == expected
 
     def test_optimizing_leader_two_leader_treatment(self):
         spec = ContestSpec(SEQ_21)
@@ -528,18 +530,23 @@ class TestAct:
             act(policy, ContestSpec(SEQ_111), 2, [])
 
     def test_policies_resolve_to_plain_data(self):
-        # _policy_rule returns an investment, a response model or the
-        # imitator itself, never a function
+        # _policy_rule returns an investment or a response model, never a
+        # function
         spec = ContestSpec(SEQ_111)
         model = default_response_models(SEQ_111)[2]
         leader = OptimizingLeader(models=default_response_models(SEQ_111))
-        imitator = Imitator(fallback=62.72)
         spne = _policy_rule(EquilibriumPolicy(), spec, 1)
         assert type(spne) is float and spne == pytest.approx(86.188, abs=1e-3)
         assert type(_policy_rule(leader, spec, 1)) is float
         assert _policy_rule(EmpiricalResponder(model), spec, 2) is model
-        assert _policy_rule(imitator, spec, 1) == 62.72
-        assert _policy_rule(imitator, spec, 3) is imitator
+
+    @pytest.mark.parametrize("policy", [object(), ResponseModel(50.0)], ids=["object", "model"])
+    def test_unknown_policy_raises_type_error(self, policy):
+        spec = ContestSpec(SEQ_12)
+        with pytest.raises(TypeError, match="unknown policy"):
+            _policy_rule(policy, spec, 2)
+        with pytest.raises(TypeError, match="unknown policy"):
+            act(policy, spec, 2, [50.0])
 
     def test_observation_count_checked(self):
         spec = ContestSpec(SEQ_111)
@@ -675,8 +682,10 @@ class TestPolicyFromConfig:
         )
         responder = policy_from_config({"kind": "responder"}, spec, 2)
         assert responder.model == default_response_models(SEQ_21)[2]
-        imitator = policy_from_config({"kind": "imitator", "fallback": 70.0}, spec, 0)
-        assert imitator.fallback == 70.0
+        imitate = {"kind": "responder", "model": {"intercept": 0, "m1_coef": 1}}
+        assert policy_from_config(imitate, spec, 2) == EmpiricalResponder(
+            ResponseModel(0.0, m1_coef=1.0)
+        )
         leader = policy_from_config({"kind": "optimizing-leader"}, spec, 0)
         assert leader.joy_of_winning == pytest.approx(119.73)
 
@@ -689,8 +698,9 @@ class TestPolicyFromConfig:
         assert responder.model.intercept == pytest.approx(62.72)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ContestError):
-            policy_from_config({"kind": "bandit"}, ContestSpec(SEQ_12), 0)
+        for kind in ("bandit", "imitator"):
+            with pytest.raises(ContestError, match=f"unknown policy kind '{kind}'"):
+                policy_from_config({"kind": kind}, ContestSpec(SEQ_12), 0)
 
     def test_inline_model_without_intercept_rejected(self):
         entry = {"kind": "responder", "model": {"m1_coef": 0.25}}

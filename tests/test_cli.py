@@ -255,6 +255,23 @@ class TestSolve:
         value = getattr(args, flag[2:].replace("-", "_"))
         assert type(value) is float and value == float(text)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--jow", "50", "--calibrate-from", "79.94"],
+         ["--calibrate-from", "79.94", "--jow", "0"]],
+        ids=["jow-first", "calibrate-first"],
+    )
+    def test_jow_with_calibrate_from_exits_2(self, capsys, tmp_path, argv):
+        # --calibrate-from used to win silently over --jow
+        target = tmp_path / "solution.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--seq", "1,2", *argv, "--out", str(target)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "not allowed with argument" in err
+        assert not out
+        assert not target.exists()
+
     def test_stage_above_endowment_exits_2(self, capsys):
         # at prize 1000 the (1,2) leader's equilibrium investment is 375
         code, out, err = run_cli(
@@ -432,9 +449,6 @@ class TestSimulate:
             ({"schema": 1, "sessions": [{"treatment": [1, 2], "policies": [
                 {"kind": "spne"}, *[{"kind": "responder", "noise_sd": "5"}] * 2]}]},
              "noise_sd must be a number, got '5'"),
-            ({"schema": 1, "sessions": [{"treatment": [3], "policies": [
-                {"kind": "imitator", "fallback": True}] * 3}]},
-             "fallback must be a number, got True"),
             ({"schema": 1, "replication": 2,
               "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
              "unknown config keys: ['replication']"),
@@ -454,6 +468,9 @@ class TestSimulate:
              "a stage key must be a stage number in digits, got '\uff12'"),
             ({"schema": 1, "sessions": [{"treatment": [3], "policies": [{"kind": "SPNE"}] * 3}]},
              "unknown policy kind 'SPNE'"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 1, 1], "policies": [
+                {"kind": "spne"}, {"kind": "imitator"}, {"kind": "imitator"}]}]},
+             "unknown policy kind 'imitator'"),
             ({"schema": True, "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
              "unsupported config schema True"),
             ({"schema": 1.0, "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
@@ -470,10 +487,10 @@ class TestSimulate:
              "fourth-responder", "treatment-float", "groups-float", "seed-float",
              "replications-float", "integer-rounding-string", "prize-nan",
              "seed-negative", "prize-bool", "prize-string", "noise-sd-string",
-             "fallback-bool", "top-level-unknown-key", "session-unknown-key",
+             "top-level-unknown-key", "session-unknown-key",
              "policy-unknown-key", "leader-models-missing-stage", "leader-stage-key-fullwidth",
-             "policy-kind-uppercase", "schema-true", "schema-float", "replications-zero",
-             "replications-negative"],
+             "policy-kind-uppercase", "policy-kind-imitator", "schema-true", "schema-float",
+             "replications-zero", "replications-negative"],
     )
     def test_invalid_config_exits_2(self, capsys, tmp_path, raw, detail):
         bad = tmp_path / "bad.json"

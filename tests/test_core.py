@@ -44,6 +44,11 @@ class TestMoveSequence:
         assert [seq.stage_of_player(i) for i in range(3)] == [1, 1, 2]
         assert seq.players_before_stage(2) == 2
 
+    @pytest.mark.parametrize("player", [-1, 3])
+    def test_stage_of_player_out_of_range(self, player):
+        with pytest.raises(IndexError, match=f"player index {player} out of range"):
+            MoveSequence([2, 1]).stage_of_player(player)
+
     def test_label(self):
         assert MoveSequence([1, 1, 1]).label() == "(1,1,1)"
 

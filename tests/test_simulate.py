@@ -13,7 +13,6 @@ from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import (
     EmpiricalResponder,
     EquilibriumPolicy,
-    Imitator,
     OptimizingLeader,
     ResponseModel,
     default_response_models,
@@ -69,12 +68,13 @@ class TestPlayRound:
         assert sum(r.won for r in records) == 1
 
     def test_all_zero_investments(self):
-        spec = ContestSpec(SEQ_111)
+        # with nothing to invest, the SPNE is all zero and a lottery of
+        # equal odds still pays the prize to one player
+        spec = ContestSpec(SEQ_111, endowment=0.0)
         rng = np.random.default_rng(2)
-        policies = (Imitator(0.0),) * 3
-        records = play_round(policies, spec, rng)
-        assert all(r.investment == 0.0 for r in records)
-        assert sorted(r.payoff for r in records) == [240.0, 240.0, 480.0]
+        records = play_round((EquilibriumPolicy(),) * 3, spec, rng)
+        assert [r.investment for r in records] == [0.0, 0.0, 0.0]
+        assert sorted(r.payoff for r in records) == [0.0, 0.0, 240.0]
 
     def test_optimizing_leader_with_responders(self):
         spec = ContestSpec(SEQ_12, joy_of_winning=119.73)
@@ -199,21 +199,31 @@ class TestRunSession:
         assert a.records != c.records
 
     def test_integer_rounding_round_half_even(self):
-        spec = ContestSpec(SEQ_12)
-        config = SessionConfig(
-            spec=spec,
-            policies=(Imitator(45.5), Imitator(44.5), Imitator(44.5)),
-            groups=1,
-            rounds=1,
-            integer_rounding=True,
-            seed=1,
+        def played(stages, *policies):
+            config = SessionConfig(
+                spec=ContestSpec(MoveSequence(stages)), policies=policies, groups=1,
+                rounds=1, integer_rounding=True, seed=1,
+            )
+            return run_session(config).records
+
+        records = played(
+            (1, 2),
+            EquilibriumPolicy(),
+            EmpiricalResponder(ResponseModel(45.5)),
+            EmpiricalResponder(ResponseModel(44.5)),
         )
-        log = run_session(config)
-        leader = next(r for r in log.records if r.stage == 1)
-        assert leader.investment == 46.0  # 45.5 rounds up to even
-        followers = [r for r in log.records if r.stage == 2]
-        # followers imitate the leader's 46.0, already integral
-        assert all(r.investment == 46.0 for r in followers)
+        # 45.5 rounds up and 44.5 down, to even
+        assert [r.investment for r in records if r.stage == 2] == [46.0, 44.0] * 3
+        # the (1,1,1) leader's 86.188 is rounded before the follower sees it
+        records = played(
+            (1, 1, 1),
+            EquilibriumPolicy(),
+            EmpiricalResponder(ResponseModel(0.4, m1_coef=1.0)),
+            EmpiricalResponder(ResponseModel(0.0)),
+        )
+        assert {r.investment for r in records if r.stage == 1} == {86.0}
+        imitators = [r for r in records if r.stage == 2]
+        assert {(r.m1, r.investment) for r in imitators} == {(86.0, 86.0)}  # not round(86.588)
 
     def test_integer_rounding_keeps_integers(self):
         config = spne_config((1, 1, 1), groups=1, rounds=3, integer_rounding=True)
@@ -239,6 +249,8 @@ class TestRunSession:
 _NOISY = {"kind": "responder", "noise_sd": 25.0}
 _LEADER = {"kind": "optimizing-leader", "joy_of_winning": 119.73}
 _SPNE = {"kind": "spne"}
+# a stage-3 follower playing the mean of the two investments it observes
+_MEAN_OF_TWO = {"intercept": 0, "m1_coef": 0.5, "m2_coef": 0.5}
 # name: (treatment, policies, extra session keys); 2 groups x 3 rounds, seed 11
 GOLDEN_SESSIONS = {
     "spne-3": ([3], [_SPNE] * 3, {}),
@@ -246,8 +258,8 @@ GOLDEN_SESSIONS = {
     "spne-2-1": ([2, 1], [_SPNE] * 3, {}),
     "spne-1-1-1": ([1, 1, 1], [_SPNE] * 3, {}),
     "jow-spne-1-2": ([1, 2], [{"kind": "jow-spne"}] * 3, {"joy_of_winning": 119.73}),
-    "imitator-1-1-1": (
-        [1, 1, 1], [{"kind": "imitator", "fallback": 50.0}, _NOISY, {"kind": "imitator"}], {}
+    "linear-responder-1-1-1": (
+        [1, 1, 1], [_SPNE, _NOISY, {"kind": "responder", "model": _MEAN_OF_TWO}], {}
     ),
     "leader-rounded-1-2": ([1, 2], [_LEADER, _NOISY, _NOISY], {"integer_rounding": True}),
     "leader-rounded-1-1-1": ([1, 1, 1], [_LEADER, _NOISY, _NOISY], {"integer_rounding": True}),
@@ -264,7 +276,7 @@ GOLDEN_DIGESTS = {
     "spne-2-1": "7d5de51c7df2cc802445ed98b56e3fdef43dc13d39b33005d77c26d0072a0628",
     "spne-1-1-1": "e07474d2f11839a89d2c08e0dc5e7bf6573b001e3db96b56a5a302764942010c",
     "jow-spne-1-2": "89c1e8702f01fbf5f397dba9ecc183fa7cc9856d84b2a16914f95f3d7b69c193",
-    "imitator-1-1-1": "e2c2470892401f3d5301a157b701d10a5969065442f720dd9f47fe67c91a908d",
+    "linear-responder-1-1-1": "57d7ba05c0d5843e48c2ff34b093da7927e07802877705e34aa9a95b50acebe4",
     "leader-rounded-1-2": "2a13327ae11a55d651ad6168d92e1aca8cc8117e667913ddffb0278293cca338",
     "leader-rounded-1-1-1": "eb236eeb23acb8ac70f0ca591aa7b774a6c9205e4801c7ee6b2a81ae08e3e760",
     "leaders-rounded-2-1": "d329457bfeb8ceab458b43741d3200a7b1e4d837faa421f5017427a1667f86f8",
