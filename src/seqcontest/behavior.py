@@ -475,9 +475,10 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
 
     Kinds, matched exactly: "spne", "jow-spne", "responder",
     "optimizing-leader". Responder and leader entries may omit "model"/"models"
-    to use the bundled presets for the session's treatment. A leader's optimum
-    is solved here, so models it cannot use are an error. An entry may hold
-    only the keys its kind reads, and its numbers must be JSON numbers.
+    to use the bundled presets for the session's treatment. A responder moves
+    after stage 1 and a leader at stage 1; the leader's optimum is solved here,
+    so models it cannot use are an error. An entry holds only the keys its
+    kind reads, and its numbers must be JSON numbers.
     """
     kind = entry.get("kind")
     if not isinstance(kind, str) or kind not in _POLICY_KEYS:
@@ -488,8 +489,11 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
         return EquilibriumPolicy(use_joy_of_winning=False)
     if kind == "jow-spne":
         return EquilibriumPolicy(use_joy_of_winning=True)
+    stage = seq.stage_of_player(player)
+    # a responder answers an earlier stage, and a leader moves at stage 1
+    if (stage == 1) == (kind == "responder"):
+        raise ContestError(f"{kind!r} cannot move at stage {stage} of treatment {seq.label()}")
     if kind == "responder":
-        stage = seq.stage_of_player(player)
         if "model" in entry:
             model = _model_from_dict(entry["model"])
         else:

@@ -515,16 +515,17 @@ _JSON_RECORD = "  {\n" + ",\n".join(f'   "{c}": %s' for c in CSV_COLUMNS) + "\n 
 
 def _log_texts(log: SessionLog, formats: Sequence[str]) -> list[str]:
     """The text of ``log`` in each of ``formats`` ("csv" or "json"). Its
-    columns are read once, and the int and float columns (and m1 and m2 when
-    they hold no None) are spelt once for all the formats."""
+    columns are read once, and every int and float cell is spelt once for all
+    the formats; each format then spells the bools and m1's and m2's None."""
     for format in formats:
         if format not in _SPELLINGS:
             raise ContestError(f"unknown export format {format!r}")
     columns = _columns(log.records)
     _check_finite(columns)
     common = [
-        None if kind is _BOOL or (kind is _OPTIONAL and None in column)
-        else list(map(kind.text, column))
+        None if kind is _BOOL
+        else list(map(kind.text, column)) if kind is not _OPTIONAL
+        else [cell if cell is None else float.__repr__(cell) for cell in column]
         for kind, column in zip(_COLUMNS.values(), columns)
     ]
     meta = _log_meta(log)
@@ -532,9 +533,9 @@ def _log_texts(log: SessionLog, formats: Sequence[str]) -> list[str]:
     for format in formats:
         null, truth = _SPELLINGS[format]
         cells = zip(*[
-            spelt if spelt is not None
-            else map(truth.__getitem__, column) if kind is _BOOL
-            else [null if cell is None else float.__repr__(cell) for cell in column]
+            map(truth.__getitem__, column) if kind is _BOOL
+            else [null if cell is None else cell for cell in spelt] if kind is _OPTIONAL
+            else spelt
             for kind, column, spelt in zip(_COLUMNS.values(), columns, common)
         ])
         if format == "csv":

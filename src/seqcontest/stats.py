@@ -13,13 +13,16 @@ in one pass and compute on the columns. Triad totals are a stable sort on
 investments in record order from 0.0, so they are the floats a running sum
 per triad gives, whatever the order of the records or the ids.
 
-A ``SessionLog`` keeps its columns and triad totals, once read, on the
-instance (not in its fields, so ``==``, ``repr`` and ``replace`` do not see
-them): every statistic of one log reads its records once. They stay valid
-while ``log.records`` holds the same record objects in the same order (same
-length, and ``is`` against a tuple snapshot taken when they were read);
-records are frozen, so the same objects mean the same fields. Any other
-change to the list, or a new list, reads the records again.
+A ``SessionLog`` keeps its columns, triad totals and group codes (one
+``np.unique``), once read, on the instance (not in its fields, so ``==``,
+``repr`` and ``replace`` do not see them): every statistic of one log reads
+its records once. They stay valid while ``log.records`` holds the same
+record objects in the same order (same length, and ``is`` against a tuple
+snapshot taken when they were read); records are frozen, so the same objects
+mean the same fields. Any other change to the list, or a new list, reads the
+records again. Each clustered mean is ``_mean_se``, ``cluster_ols``'s floats
+on a column of ones from cluster codes; only the round trend fits through
+``cluster_ols``.
 
 ``cluster_ols`` forms X'X once and inverts it by Gauss-Jordan elimination
 (the sweep operator) in Python floats, taking the pivots in column order. A
@@ -155,18 +158,34 @@ class WaldResult(NamedTuple):
     degenerate: bool
 
 
+def _mean_se(values: np.ndarray, codes: np.ndarray, g: int) -> tuple[float, np.ndarray, float]:
+    """The mean of ``values`` and its SE clustered by ``codes`` (cluster
+    numbers below ``g``), by ``cluster_ols``'s products on a column of ones in
+    its shapes, so they are its floats. Returns the mean, each cluster's
+    residual sum (``np.bincount``, in row order) and the SE, counting only
+    the clusters present (nan below 2)."""
+    n = values.size
+    mean = (1.0 / n) * (np.ones((1, n)) @ values)[0]
+    sums = np.bincount(codes, weights=values - mean, minlength=g)
+    sums = sums[np.bincount(codes, minlength=g) > 0]
+    g = sums.size
+    half = sums[:, None] * (1.0 / n)
+    se = math.sqrt((g / (g - 1.0)) * (half.T @ half)[0, 0]) if g > 1 else float("nan")
+    return float(mean), sums, se
+
+
 def wald_mean(values, clusters, hypothesized: float) -> WaldResult:
     """Cluster-robust Wald test of H0: mean == hypothesized.
 
-    The mean and its standard error come from an intercept-only cluster OLS;
-    the squared t-ratio is referred to chi-square(1). Zero-variance samples
-    are flagged degenerate: the test reports p = 1 when the mean matches the
-    hypothesis (to float precision) and p = 0 otherwise.
+    The mean and SE are an intercept-only cluster OLS's (``_mean_se``), and
+    the squared t-ratio is referred to chi-square(1); under 2 clusters raise
+    :class:`TooFewClusters`. Zero-variance samples are flagged degenerate:
+    p = 1 when the mean matches the hypothesis (to float precision), else 0.
     """
-    values = np.asarray(values, dtype=float)
-    fit = cluster_ols(values, np.ones((values.size, 1)), clusters)
-    mean = float(fit.params[0])
-    se = float(fit.se[0])
+    ids, codes = np.unique(np.asarray(clusters), return_inverse=True)
+    if ids.size < 2:
+        raise TooFewClusters("clustered inference needs at least 2 clusters")
+    mean, _, se = _mean_se(np.asarray(values, dtype=float), codes, ids.size)
     scale = max(1.0, abs(hypothesized), abs(mean))
     if se <= 1e-12 * scale:
         if abs(mean - hypothesized) <= 1e-9 * scale:
@@ -289,17 +308,22 @@ class _Columns:
         return _column([r.investment for r in self.records], float)
 
     @cached_property
-    def triad_totals(self) -> tuple[np.ndarray, np.ndarray]:
+    def group_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        # the log's groups in order, and each record's as its index among them
+        return np.unique(self.group, return_inverse=True)
+
+    @cached_property
+    def triad_totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # the stable sort keeps each triad's records in record order, and
         # bincount adds them in that order from 0.0: the floats of a running
         # sum per triad
-        order = np.lexsort((self.triad, self.round, self.group))
-        group, rnd, triad = self.group[order], self.round[order], self.triad[order]
+        order = np.lexsort((self.triad, self.round, self.group_codes[1]))
+        codes, rnd, triad = self.group_codes[1][order], self.round[order], self.triad[order]
         first = np.ones(order.size, dtype=bool)
-        first[1:] = (group[1:] != group[:-1]) | (rnd[1:] != rnd[:-1]) | (triad[1:] != triad[:-1])
+        first[1:] = (codes[1:] != codes[:-1]) | (rnd[1:] != rnd[:-1]) | (triad[1:] != triad[:-1])
         totals = np.bincount(np.cumsum(first) - 1, weights=self.investment[order])
         # float64 when empty too (bincount of nothing is an int array)
-        return totals.astype(float, copy=False), group[first]
+        return totals.astype(float, copy=False), self.group[order][first], codes[first]
 
 
 _MEMO = "_stats_columns"  # the attribute that keeps a SessionLog's _Columns
@@ -327,7 +351,7 @@ def last_rounds(log: SessionLog, k: int) -> SessionLog:
 def triad_totals(log_or_records) -> tuple[np.ndarray, np.ndarray]:
     """Total investment of each triad-round, sorted by (group, round, triad),
     and the matching group each total belongs to."""
-    totals, groups = _columns(log_or_records).triad_totals
+    totals, groups, _ = _columns(log_or_records).triad_totals
     return totals.copy(), groups.copy()
 
 
@@ -368,14 +392,6 @@ class TreatmentSummary:
     n_rounds: int
 
 
-def _se_of_mean(values: np.ndarray, clusters: np.ndarray) -> float:
-    # fewer than 2 clusters, told by min and max (np.unique would load numpy.ma)
-    if not clusters.size or clusters.min() == clusters.max():
-        return float("nan")
-    fit = cluster_ols(values, np.ones((values.size, 1)), clusters)
-    return float(fit.se[0])
-
-
 def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[TreatmentSummary]:
     """Per-treatment means of individual investment by role and of aggregate
     triad investment, with standard errors clustered by matching group.
@@ -395,6 +411,7 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
         if not log.records:
             raise EmptyLog(f"log for {log.sequence.label()} has no records")
         columns = _columns(log)
+        groups, codes = columns.group_codes
         seq = log.sequence
         role_means: list[float] = []
         role_ses: list[float] = []
@@ -403,21 +420,19 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
             values = columns.investment[in_stage]
             if not values.size:
                 raise EmptyLog(f"log for {seq.label()} has no records in stage {stage}")
-            mean = float(values.mean())
-            se = _se_of_mean(values, columns.group[in_stage])
-            role_means.extend([mean] * count)
-            role_ses.extend([se] * count)
+            role_means.extend([float(values.mean())] * count)
+            role_ses.extend([_mean_se(values, codes[in_stage], groups.size)[2]] * count)
 
-        totals, groups = columns.triad_totals
+        totals, _, total_codes = columns.triad_totals
         out.append(
             TreatmentSummary(
                 sequence=seq,
                 role_means=tuple(role_means),
                 role_ses=tuple(role_ses),
                 aggregate_mean=float(totals.mean()),
-                aggregate_se=_se_of_mean(totals, groups),
+                aggregate_se=_mean_se(totals, total_codes, groups.size)[2],
                 nobs=len(log.records),
-                n_clusters=len(set(groups.tolist())),
+                n_clusters=groups.size,
                 n_rounds=len(set(columns.round.tolist())),
             )
         )
@@ -429,7 +444,7 @@ def group_aggregate_means(log: SessionLog) -> np.ndarray:
     of observation for nonparametric across-treatment tests."""
     if not log.records:
         raise EmptyLog(f"log for {log.sequence.label()} has no records")
-    totals, groups = _columns(log).triad_totals
+    totals, _, codes = _columns(log).triad_totals
     # the totals are sorted by group, so each group's are one slice
-    starts = np.flatnonzero(groups[1:] != groups[:-1]) + 1
+    starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     return np.array([float(part.mean()) for part in np.split(totals, starts)])

@@ -22,7 +22,9 @@ library's results are checked against.
   library reads record fields as columns and must give the same floats and
   dtypes. They share the library's arithmetic where it is not about
   columns: X'X inverted by the sweep operator in column order, the
-  covariance as a Gram matrix, and rounds counted from the first.
+  covariance as a Gram matrix, and rounds counted from the first. Every
+  clustered mean here (``wald_mean`` and the summary's SEs) is a regression
+  on a column of ones, which the library computes without one.
 """
 
 import itertools
@@ -41,7 +43,7 @@ from seqcontest.equilibrium import (
     _horner,
     bisect,
 )
-from seqcontest.stats import OLSFit, TooFewGroups, TreatmentSummary
+from seqcontest.stats import OLSFit, TooFewGroups, TreatmentSummary, WaldResult
 
 # ---------------------------------------------------------------------------
 # Full-grid root search
@@ -409,6 +411,21 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     sst = float(((y - y.mean()) ** 2).sum())
     r_squared = 1.0 - ssr / sst if sst > 0 else float("nan")
     return OLSFit(params=params, cov=cov, r_squared=r_squared, nobs=n, n_clusters=g)
+
+
+def wald_mean(values, clusters, hypothesized: float) -> WaldResult:
+    """``stats.wald_mean`` with its mean and SE from an intercept-only
+    ``cluster_ols``."""
+    values = np.asarray(values, dtype=float)
+    fit = cluster_ols(values, np.ones((values.size, 1)), clusters)
+    mean, se = float(fit.params[0]), float(fit.se[0])
+    scale = max(1.0, abs(hypothesized), abs(mean))
+    if se <= 1e-12 * scale:
+        if abs(mean - hypothesized) <= 1e-9 * scale:
+            return WaldResult(0.0, 1.0, mean, se, True)
+        return WaldResult(float("inf"), 0.0, mean, se, True)
+    statistic = ((mean - hypothesized) / se) ** 2
+    return WaldResult(float(statistic), math.erfc(math.sqrt(statistic / 2.0)), mean, se, False)
 
 
 def triad_totals(records) -> tuple[np.ndarray, np.ndarray]:

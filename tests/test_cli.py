@@ -471,6 +471,12 @@ class TestSimulate:
             ({"schema": 1, "sessions": [{"treatment": [1, 1, 1], "policies": [
                 {"kind": "spne"}, {"kind": "imitator"}, {"kind": "imitator"}]}]},
              "unknown policy kind 'imitator'"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 2], "policies": [
+                {"kind": "responder", "model": {"intercept": 5}}, *[{"kind": "responder"}] * 2]}]},
+             "'responder' cannot move at stage 1 of treatment (1,2)"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 2], "policies": [
+                {"kind": "spne"}, {"kind": "optimizing-leader"}, {"kind": "responder"}]}]},
+             "'optimizing-leader' cannot move at stage 2 of treatment (1,2)"),
             ({"schema": True, "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
              "unsupported config schema True"),
             ({"schema": 1.0, "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
@@ -489,7 +495,8 @@ class TestSimulate:
              "seed-negative", "prize-bool", "prize-string", "noise-sd-string",
              "top-level-unknown-key", "session-unknown-key",
              "policy-unknown-key", "leader-models-missing-stage", "leader-stage-key-fullwidth",
-             "policy-kind-uppercase", "policy-kind-imitator", "schema-true", "schema-float",
+             "policy-kind-uppercase", "policy-kind-imitator", "responder-at-stage-1",
+             "leader-at-stage-2", "schema-true", "schema-float",
              "replications-zero", "replications-negative"],
     )
     def test_invalid_config_exits_2(self, capsys, tmp_path, raw, detail):

@@ -9,6 +9,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from seqcontest import behavior
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import (
     EmpiricalResponder,
@@ -578,6 +579,26 @@ class TestSessionConfigFromDict:
     def test_missing_key_rejected(self):
         with pytest.raises(ContestError):
             session_config_from_dict({"treatment": [3]})
+
+    @pytest.mark.parametrize(
+        "policies, detail",
+        [
+            ([{"kind": "responder", "model": {"intercept": 5.0}}, {"kind": "responder"},
+              {"kind": "responder"}], "'responder' cannot move at stage 1 of treatment (1,2)"),
+            ([{"kind": "spne"}, {"kind": "optimizing-leader"}, {"kind": "responder"}],
+             "'optimizing-leader' cannot move at stage 2 of treatment (1,2)"),
+        ],
+        ids=["responder-at-stage-1", "leader-at-stage-2"],
+    )
+    def test_role_at_the_wrong_stage_rejected(self, policies, detail, monkeypatch):
+        # refused when the config is read, before a leader's optimum is solved
+        def unsolved(*args):
+            raise AssertionError("solved a leader's optimum")
+
+        monkeypatch.setattr(behavior, "_leader_optimum", unsolved)
+        with pytest.raises(ContestError) as caught:
+            session_config_from_dict({"treatment": [1, 2], "policies": policies})
+        assert str(caught.value) == detail
 
     def test_responder_inline_model(self):
         # a responder's "model" replaces the bundled one, and play follows it

@@ -590,7 +590,7 @@ class TestColumnsMatchRecordWalk:
     (``oracles``) they give the same floats and dtypes."""
 
     @pytest.mark.parametrize("variant", sorted(LOG_VARIANTS))
-    def test_same_bits(self, preset_run, variant, monkeypatch):
+    def test_same_bits(self, preset_run, variant):
         logs = [LOG_VARIANTS[variant](log) for log in preset_run]
         assert exact(treatment_summary(logs)) == exact(
             [oracles.treatment_summary(log) for log in logs]
@@ -602,11 +602,9 @@ class TestColumnsMatchRecordWalk:
             assert exact(group_aggregate_means(log)) == exact(
                 oracles.group_aggregate_means(log)
             )
-            walds = [wald_mean(*totals, 180.0)]
-            with monkeypatch.context() as patch:
-                patch.setattr(stats, "cluster_ols", oracles.cluster_ols)
-                walds.append(wald_mean(*oracles.triad_totals(log.records), 180.0))
-            assert exact(walds[0]) == exact(walds[1])
+            assert exact(wald_mean(*totals, 180.0)) == exact(
+                oracles.wald_mean(*oracles.triad_totals(log.records), 180.0)
+            )
 
     def test_empty_records(self):
         assert exact(triad_totals([])) == exact(oracles.triad_totals([]))
@@ -614,6 +612,109 @@ class TestColumnsMatchRecordWalk:
         for statistic in (treatment_summary, trend_by_round, group_aggregate_means):
             with pytest.raises(EmptyLog):
                 statistic(log)
+
+
+def clustered_sample(name):
+    """Values and their cluster ids: 90 draws in 9 clusters, changed as
+    ``name`` says."""
+    rng = np.random.default_rng(31)
+    values = rng.uniform(0.0, 240.0, 90)
+    clusters = rng.integers(0, 9, 90)
+    if name == "two-clusters":
+        clusters %= 2
+    elif name == "unsorted-ids":
+        clusters = np.array([40, -7, 3, 12, -300, 8, 5, 77, 0])[clusters]
+    elif name == "huge-ids":
+        clusters = np.array([2**70 - 3 * c for c in clusters.tolist()], dtype=object)
+    elif name == "mixed-magnitudes":
+        values *= 10.0 ** rng.integers(-6, 3, 90)
+    elif name == "constant":
+        values[:] = solve_spne(ContestSpec(MoveSequence((3,)))).scaled_stage_investments[0]
+    return values, clusters
+
+
+SAMPLES = ["nine-clusters", "two-clusters", "unsorted-ids", "huge-ids", "mixed-magnitudes",
+           "constant"]
+
+
+def noisy_log(group_ids, drop):
+    """A (1,2) SPNE log with noisy investments, its groups 1, 2, ... named
+    ``group_ids``, and the stage-2 records of the groups in ``drop`` left out."""
+    log = spne_log((1, 2), groups=len(group_ids), rounds=4)
+    rng = np.random.default_rng(17)
+    return replace(log, records=[
+        replace(r, group=group_ids[r.group - 1], investment=r.investment + rng.uniform(-20, 20))
+        for r in log.records
+        if not (r.stage == 2 and group_ids[r.group - 1] in drop)
+    ])
+
+
+def regression_on_ones(values, clusters):
+    """The mean and SE of ``cluster_ols`` on a column of ones."""
+    fit = cluster_ols(values, np.ones((len(values), 1)), clusters)
+    return float(fit.params[0]), float(fit.se[0])
+
+
+class TestClusteredMean:
+    """Every clustered mean is ``stats._mean_se``: the floats of
+    ``cluster_ols`` on a column of ones, without the regression."""
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_same_floats_as_a_regression_on_ones(self, name):
+        values, clusters = clustered_sample(name)
+        ids, codes = np.unique(clusters, return_inverse=True)
+        mean, sums, se = stats._mean_se(values, codes, ids.size)
+        assert exact((mean, se)) == exact(regression_on_ones(values, clusters))
+        oracle = oracles.cluster_ols(values, np.ones((values.size, 1)), clusters)
+        assert exact((mean, se)) == exact((float(oracle.params[0]), float(oracle.se[0])))
+        # each cluster's residuals added row by row, in the order of the ids
+        expected = np.zeros(ids.size)
+        np.add.at(expected, codes, values - mean)
+        assert exact(sums) == exact(expected)
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_wald_mean_is_the_regression_on_ones(self, name):
+        values, clusters = clustered_sample(name)
+        for h0 in (0.0, float(values[0]), float(np.mean(values)), 300.0):
+            result = wald_mean(values, clusters, h0)
+            assert exact(result) == exact(oracles.wald_mean(values, clusters, h0))
+            if name == "constant":
+                # the SE is rounding noise, and the test is flagged degenerate
+                assert result.se <= 1e-12 * 300.0 and result.degenerate
+                assert result.pvalue == (0.0 if h0 in (0.0, 300.0) else 1.0)
+
+    def test_clusters_absent_from_the_codes_are_not_counted(self):
+        values, clusters = clustered_sample("nine-clusters")
+        kept = clusters != 4
+        ids, codes = np.unique(clusters, return_inverse=True)
+        _, sums, se = stats._mean_se(values[kept], codes[kept], ids.size)
+        assert sums.size == 8
+        assert exact(se) == exact(regression_on_ones(values[kept], clusters[kept])[1])
+
+    def test_one_cluster(self):
+        values = np.array([1.0, 2.0, 4.0])
+        mean, sums, se = stats._mean_se(values, np.zeros(3, dtype=np.intp), 1)
+        assert mean == pytest.approx(7.0 / 3.0) and sums.size == 1 and math.isnan(se)
+        with pytest.raises(TooFewClusters):
+            wald_mean(values, [2**70] * 3, 0.0)
+
+    @pytest.mark.parametrize("drop, present", [((), 3), ((4,), 2), ((4, 2), 1)],
+                             ids=["all-groups", "one-group-left-out", "two-groups-left-out"])
+    def test_summary_counts_the_clusters_each_stage_has(self, drop, present):
+        # groups 9, 4 and 2, out of order; stage 2 of the groups in drop has no record
+        log = noisy_log((9, 4, 2), drop)
+        summary = treatment_summary(log)[0]
+        assert exact(summary) == exact(oracles.treatment_summary(log))
+        for stage, se in ((1, summary.role_ses[0]), (2, summary.role_ses[1])):
+            kept = [r for r in log.records if r.stage == stage]
+            if {r.group for r in kept} == {9}:
+                assert math.isnan(se)
+            else:
+                values, groups = [r.investment for r in kept], [r.group for r in kept]
+                assert exact(se) == exact(regression_on_ones(values, groups)[1])
+        assert len({r.group for r in log.records if r.stage == 2}) == present
+        assert exact(summary.aggregate_se) == exact(regression_on_ones(*triad_totals(log))[1])
+        assert summary.n_clusters == 3
 
 
 def analysis(log):
@@ -626,6 +727,20 @@ def analysis(log):
     ])
 
 
+def edits(log):
+    """Change ``log.records`` in each way the column memo must notice,
+    yielding after each."""
+    first, last = log.records[0], log.records[-1]
+    log.records[0] = replace(first, investment=first.investment + 1.0)
+    yield
+    del log.records[-1]
+    yield
+    log.records.append(replace(last, investment=last.investment + 2.0))
+    yield
+    log.records = [replace(r, investment=r.investment + 0.5) for r in log.records]
+    yield
+
+
 class TestColumnMemo:
     """A log keeps the columns its statistics read, while its records stay
     the same objects in the same order."""
@@ -633,22 +748,31 @@ class TestColumnMemo:
     def test_statistics_follow_edits_to_the_records(self):
         log = spne_log((1, 2), groups=2, rounds=3)
         analysis(log)
-        first = log.records[0]
-        last = log.records[-1]
-
-        def edits():
-            log.records[0] = replace(first, investment=first.investment + 1.0)
-            yield
-            del log.records[-1]
-            yield
-            log.records.append(replace(last, investment=last.investment + 2.0))
-            yield
-            log.records = [replace(r, investment=r.investment + 0.5) for r in log.records]
-            yield
-
-        for _ in edits():
+        for _ in edits(log):
             fresh = replace(log, records=list(log.records))
             assert analysis(log) == analysis(fresh)
+
+    def test_groups_are_coded_once(self, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        def unique_calls():
+            calls.clear()
+            treatment_summary(log)
+            group_aggregate_means(log)
+            triad_totals(log)
+            return len(calls)
+
+        monkeypatch.setattr(np, "unique", counted)
+        log = spne_log((1, 2), groups=2, rounds=3)
+        assert unique_calls() == 1
+        assert unique_calls() == 0
+        for _ in edits(log):
+            assert unique_calls() == 1
 
     def test_each_column_is_read_once(self, monkeypatch):
         reads = []
