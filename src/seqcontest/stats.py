@@ -8,21 +8,23 @@ matching-group means with the normal approximation (tie-corrected variance).
 
 The record-level summaries (triad totals, treatment summaries, the round
 trend, matching-group means) read each record field they use into an array
-in one pass and compute on the columns. Triad totals are a stable sort on
-(group, round, triad) and a ``np.bincount``, which adds each triad's
-investments in record order from 0.0, so they are the floats a running sum
-per triad gives, whatever the order of the records or the ids.
+in one pass and compute on the columns. Triad totals are a ``np.bincount``
+over runs of equal (group, round, triad) keys, in record order from 0.0: the
+floats a running sum per triad gives, whatever the order of the records or
+the ids (records out of the key order ``run_session`` writes are first put
+in it by a stable ``np.lexsort``). Integer cluster ids that arrive
+non-decreasing are coded by run length, others by ``np.unique``, to the same
+arrays (``_codes``).
 
-A ``SessionLog`` keeps its columns, triad totals and group codes (one
-``np.unique``), once read, on the instance (not in its fields, so ``==``,
-``repr`` and ``replace`` do not see them): every statistic of one log reads
-its records once. They stay valid while ``log.records`` holds the same
-record objects in the same order (same length, and ``is`` against a tuple
-snapshot taken when they were read); records are frozen, so the same objects
-mean the same fields. Any other change to the list, or a new list, reads the
-records again. Each clustered mean is ``_mean_se``, ``cluster_ols``'s floats
-on a column of ones from cluster codes; only the round trend fits through
-``cluster_ols``.
+A ``SessionLog`` keeps its columns, triad totals and group codes, once read,
+on the instance (not in its fields, so ``==``, ``repr`` and ``replace`` do
+not see them): every statistic of one log reads its records once. They stay
+valid while ``log.records`` is ``==`` a list snapshot taken when they were
+read (a record that is the same object is equal without its fields being
+compared), so a record replaced by an equal one keeps them. Any other change
+reads the records again. Each clustered mean is ``_mean_se``,
+``cluster_ols``'s floats on a column of ones from cluster codes; only the
+round trend fits through ``cluster_ols``.
 
 ``cluster_ols`` forms X'X once and inverts it by Gauss-Jordan elimination
 (the sweep operator) in Python floats, taking the pivots in column order. A
@@ -39,7 +41,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
-from operator import is_
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -105,6 +106,29 @@ def _inverse(a: list[list[float]]) -> list[list[float]]:
     return a
 
 
+def _runs(keys: Sequence[np.ndarray]) -> np.ndarray | None:
+    """Where each run of equal rows of ``keys`` (the last key most significant,
+    as in ``np.lexsort``) starts, or None when the rows are out of order."""
+    tie = np.ones(keys[0].size, dtype=bool)  # a row equal to the one before in each key so far
+    for key in reversed(keys):
+        if (tie[1:] & (key[1:] < key[:-1])).any():
+            return None
+        tie[1:] &= key[1:] == key[:-1]
+    tie[:1] = False
+    return ~tie
+
+
+def _codes(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` of ``n`` cluster ids, else raise."""
+    ids = np.asarray(ids)
+    if ids.shape != (n,):
+        raise ContestError(f"clusters has shape {ids.shape}, expected ({n},)")
+    first = _runs([ids]) if ids.dtype.kind in "iu" else None
+    if first is None:
+        return np.unique(ids, return_inverse=True)
+    return ids[first], np.cumsum(first, dtype=np.intp) - 1
+
+
 def cluster_ols(y, design, clusters) -> OLSFit:
     """Pooled OLS with a cluster-robust (sandwich) covariance matrix.
 
@@ -112,7 +136,8 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     small-sample factor c = G/(G-1) * (N-1)/(N-K). With every observation in
     its own cluster this reduces to HC1. The design is rank deficient, and
     raises, when a column's part unexplained by the columns before it is at
-    most 1e-10 of its sum of squares (module docstring).
+    most 1e-10 of its sum of squares (module docstring). ``clusters`` holds
+    one id per observation, else :class:`ContestError` is raised.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
@@ -124,7 +149,7 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     if n <= k:
         raise RankDeficientDesign(f"{n} observations cannot identify {k} coefficients")
     bread = np.array(_inverse((X.T @ X).tolist()))
-    codes, inverse = np.unique(np.asarray(clusters), return_inverse=True)
+    codes, inverse = _codes(clusters, n)
     g = codes.size
     if g < 2:
         raise TooFewClusters("clustered inference needs at least 2 clusters")
@@ -178,14 +203,16 @@ def wald_mean(values, clusters, hypothesized: float) -> WaldResult:
     """Cluster-robust Wald test of H0: mean == hypothesized.
 
     The mean and SE are an intercept-only cluster OLS's (``_mean_se``), and
-    the squared t-ratio is referred to chi-square(1); under 2 clusters raise
+    the squared t-ratio is referred to chi-square(1). ``clusters`` holds one
+    id per value, else raise :class:`ContestError`; under 2 clusters raise
     :class:`TooFewClusters`. Zero-variance samples are flagged degenerate:
     p = 1 when the mean matches the hypothesis (to float precision), else 0.
     """
-    ids, codes = np.unique(np.asarray(clusters), return_inverse=True)
+    values = np.asarray(values, dtype=float)
+    ids, codes = _codes(clusters, values.size)
     if ids.size < 2:
         raise TooFewClusters("clustered inference needs at least 2 clusters")
-    mean, _, se = _mean_se(np.asarray(values, dtype=float), codes, ids.size)
+    mean, _, se = _mean_se(values, codes, ids.size)
     scale = max(1.0, abs(hypothesized), abs(mean))
     if se <= 1e-12 * scale:
         if abs(mean - hypothesized) <= 1e-9 * scale:
@@ -277,15 +304,16 @@ def _column(values: list, dtype: type) -> np.ndarray:
 
 
 class _Columns:
-    """The fields of a snapshot of records as arrays in record order, and
-    their triad totals, each read in one pass on first use."""
+    """The fields of a list snapshot of records as arrays in record order,
+    their group codes and triad totals, each read on first use; a record
+    replaced by an equal one keeps them (module docstring)."""
 
     def __init__(self, records):
-        self.records = tuple(records)
+        self.records = list(records)
 
     def holds(self, records: list) -> bool:
-        """Whether ``records`` are the snapshot's record objects, in order."""
-        return len(records) == len(self.records) and all(map(is_, records, self.records))
+        """Whether ``records`` equal the snapshot, compared in C."""
+        return records == self.records
 
     @cached_property
     def group(self) -> np.ndarray:
@@ -310,20 +338,22 @@ class _Columns:
     @cached_property
     def group_codes(self) -> tuple[np.ndarray, np.ndarray]:
         # the log's groups in order, and each record's as its index among them
-        return np.unique(self.group, return_inverse=True)
+        return _codes(self.group, self.group.size)
 
     @cached_property
     def triad_totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the stable sort keeps each triad's records in record order, and
-        # bincount adds them in that order from 0.0: the floats of a running
-        # sum per triad
-        order = np.lexsort((self.triad, self.round, self.group_codes[1]))
-        codes, rnd, triad = self.group_codes[1][order], self.round[order], self.triad[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (codes[1:] != codes[:-1]) | (rnd[1:] != rnd[:-1]) | (triad[1:] != triad[:-1])
-        totals = np.bincount(np.cumsum(first) - 1, weights=self.investment[order])
+        # records out of key order are sorted, stably, so each triad's stay
+        # in record order; bincount adds each run in that order from 0.0:
+        # the floats of a running sum per triad
+        keys = [self.triad, self.round, self.group_codes[1]]
+        investment, group, first = self.investment, self.group, _runs(keys)
+        if first is None:
+            order = np.lexsort(keys)
+            keys, investment, group = [k[order] for k in keys], investment[order], group[order]
+            first = _runs(keys)
+        totals = np.bincount(np.cumsum(first) - 1, weights=investment)
         # float64 when empty too (bincount of nothing is an int array)
-        return totals.astype(float, copy=False), self.group[order][first], codes[first]
+        return totals.astype(float, copy=False), group[first], keys[2][first]
 
 
 _MEMO = "_stats_columns"  # the attribute that keeps a SessionLog's _Columns

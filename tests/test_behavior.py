@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from seqcontest import behavior
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import (
     _bundled_models,
@@ -28,6 +29,7 @@ from seqcontest.behavior import (
     policy_from_config,
     turning_point,
 )
+import oracles
 from oracles import optimal_first_mover_walk
 
 SEQ_12 = MoveSequence((1, 2))
@@ -178,6 +180,26 @@ OPTIMUM_DIGESTS = {
     (2, 1): "eddb305be6996e134ab6e3edf4242a88feb01674498be4664730507ab7f910b7",
     (1, 1, 1): "06d67da83485d6ba7f33ce39aa7eeabecf5458cb6b14d5d2f67223874b8ddebf",
 }
+
+
+def random_response_models(stages):
+    """320 random response models for the later stages of ``stages``, each
+    with a joy of winning: some clamp responses, some are rescaled, and their
+    optima lie at the ends as well as inside."""
+    rng = random.Random(20)
+    for _ in range(320):
+        models = {
+            stage: ResponseModel(
+                intercept=rng.uniform(-120.0, 200.0),
+                m1_coef=rng.uniform(-1.5, 1.5),
+                m1_sq_coef=rng.uniform(-0.01, 0.01),
+                m2_coef=rng.uniform(-1.5, 1.5) if stage == 3 else 0.0,
+                m2_sq_coef=rng.uniform(-0.01, 0.01) if stage == 3 else 0.0,
+                fit_effective_prize=rng.choice([None, rng.uniform(100.0, 500.0)]),
+            )
+            for stage in range(2, len(stages) + 1)
+        }
+        yield models, rng.choice([0.0, rng.uniform(0.0, 300.0)])
 
 
 class TestOptimalFirstMover:
@@ -344,22 +366,9 @@ class TestOptimalFirstMover:
         # the flat first-order function must give the closure walk's result
         # to the bit, on random models that clamp responses, rescale or not,
         # and put optima at the ends as well as inside
-        rng = random.Random(20)
         seq = MoveSequence(stages)
         clamped = rescaled = boundary = 0
-        for _ in range(320):
-            models = {
-                stage: ResponseModel(
-                    intercept=rng.uniform(-120.0, 200.0),
-                    m1_coef=rng.uniform(-1.5, 1.5),
-                    m1_sq_coef=rng.uniform(-0.01, 0.01),
-                    m2_coef=rng.uniform(-1.5, 1.5) if stage == 3 else 0.0,
-                    m2_sq_coef=rng.uniform(-0.01, 0.01) if stage == 3 else 0.0,
-                    fit_effective_prize=rng.choice([None, rng.uniform(100.0, 500.0)]),
-                )
-                for stage in range(2, len(stages) + 1)
-            }
-            jow = rng.choice([0.0, rng.uniform(0.0, 300.0)])
+        for models, jow in random_response_models(stages):
             res = optimal_first_mover(seq, models, 240.0, jow)
             walk = optimal_first_mover_walk(seq, models, 240.0, jow)
             assert repr(res) == repr(walk), (models, jow)  # a float's repr is its bits
@@ -371,6 +380,37 @@ class TestOptimalFirstMover:
             boundary += res.at_boundary
         counts = (clamped, rescaled, 320 - rescaled, boundary, 320 - boundary)
         assert min(counts) >= 30, counts
+
+    @pytest.mark.parametrize("stages", sorted(OPTIMUM_DIGESTS))
+    def test_first_order_values_match_closure_walk_on_the_grid(self, stages, monkeypatch):
+        # the flat first-order function (the one handed to bisect) takes the
+        # closure walk's value (its function handed to _roots) at every
+        # 0.5-point grid point, to the bit, not only where the optimum lands
+        handed = {}
+
+        def keeping(name, walk):
+            def kept(f, *args, **kwargs):
+                handed[name] = f
+                return walk(f, *args, **kwargs)
+            return kept
+
+        monkeypatch.setattr(behavior, "bisect", keeping("flat", behavior.bisect))
+        monkeypatch.setattr(oracles, "_roots", keeping("closures", oracles._roots))
+        seq = MoveSequence(stages)
+        grid = [i * 0.5 for i in range(481)]
+        compared = 0
+        for models, jow in random_response_models(stages):
+            handed.clear()
+            optimal_first_mover(seq, models, 240.0, jow)
+            optimal_first_mover_walk(seq, models, 240.0, jow)
+            if "flat" not in handed:
+                continue  # no sign change to bisect: the flat function is not handed out
+            flat, closures = handed["flat"], handed["closures"]
+            # a float's repr is its bits
+            assert [repr(flat(x)) for x in grid] == [repr(closures(x)) for x in grid], (
+                models, jow)
+            compared += 1
+        assert compared >= 100, compared
 
     @pytest.mark.parametrize(
         "kwargs, message",

@@ -4,6 +4,7 @@ The 2-cluster regression fixture was computed by hand with exact rational
 arithmetic; the decimal expected values below are exact.
 """
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -151,6 +152,11 @@ class TestClusterOls:
             column.r_squared, column.nobs, column.n_clusters
         )
 
+    @pytest.mark.parametrize("clusters, shape", [([1, 2, 2], 3), ([1, 1, 2, 2, 3], 5)])
+    def test_clusters_of_another_length_rejected(self, clusters, shape):
+        with pytest.raises(ContestError, match=rf"clusters has shape \({shape},\), expected \(4,\)"):
+            cluster_ols([1.0, 2.0, 3.0, 4.0], np.ones(4), clusters)
+
     def test_y_of_another_length_rejected(self):
         with pytest.raises(ContestError, match=r"y has shape \(3,\), expected \(4,\)"):
             cluster_ols(FIXTURE_Y[:3], FIXTURE_X, FIXTURE_CLUSTERS)
@@ -226,6 +232,11 @@ class TestWaldMean:
     def test_too_few_clusters(self):
         with pytest.raises(TooFewClusters):
             wald_mean([1.0, 2.0], [0, 0], 0.0)
+
+    @pytest.mark.parametrize("clusters, shape", [([1, 1, 2], 3), ([1, 1, 2, 2, 3], 5)])
+    def test_clusters_of_another_length_rejected(self, clusters, shape):
+        with pytest.raises(ContestError, match=rf"clusters has shape \({shape},\), expected \(4,\)"):
+            wald_mean([1.0, 2.0, 3.0, 4.0], clusters, 2.0)
 
 
 def brute_force_jt(groups):
@@ -567,6 +578,11 @@ def uneven(log):
     ])
 
 
+def triads_reversed(log):
+    # in key order but for the triads, which run backwards within each round
+    return replace(log, records=sorted(log.records, key=lambda r: (r.group, r.round, -r.triad)))
+
+
 LOG_VARIANTS = {
     "as-run": lambda log: log,
     "shuffled": shuffled,
@@ -577,6 +593,7 @@ LOG_VARIANTS = {
     "huge-ids": lambda log: shuffled(relabeled(log, lambda g: 2**70 - g, lambda n: n)),
     # round ids no int64 holds
     "huge-rounds": lambda log: shuffled(relabeled(log, lambda g: g, lambda n: n - 2**65)),
+    "uneven-triads-reversed": lambda log: triads_reversed(uneven(log)),
 }
 
 
@@ -653,6 +670,52 @@ def regression_on_ones(values, clusters):
     """The mean and SE of ``cluster_ols`` on a column of ones."""
     fit = cluster_ols(values, np.ones((len(values), 1)), clusters)
     return float(fit.params[0]), float(fit.se[0])
+
+
+# cluster ids of each kind, in order and out of it
+CLUSTER_IDS = {
+    "sorted-ints": np.array([-4, -4, 0, 3, 3, 3, 9]),
+    "sorted-int32": np.array([1, 1, 2, 5], dtype=np.int32),
+    "sorted-uint64": np.array([0, 2**63, 2**63, 2**64 - 1], dtype=np.uint64),
+    "sorted-list": [2, 2, 3, 8],
+    "shuffled-ints": np.array([3, -4, 9, 3, 0, -4, 3]),
+    "beyond-int64": np.array([2**70, 5, 2**70, -(2**64)], dtype=object),
+    "sorted-beyond-int64": np.array([5, 2**70, 2**70], dtype=object),
+    "floats-with-nan": np.array([1.5, np.nan, -2.0, np.nan, 1.5]),
+    "signed-zeros": np.array([0.0, -0.0, 1.0, -0.0, 0.0]),
+    "sorted-signed-zeros": np.array([-0.0, 0.0, 0.0, 1.0]),
+    "strings": np.array(["b", "a", "b", "c"]),
+    "one-id": np.array([7]),
+    "no-ids": np.array([], dtype=np.int64),
+    "empty-list": [],
+}
+CODED_BY_RUN_LENGTH = {"sorted-ints", "sorted-int32", "sorted-uint64", "sorted-list", "one-id",
+                       "no-ids"}
+
+
+class TestClusterCodes:
+    """``stats._codes`` codes cluster ids to ``np.unique``'s arrays and
+    dtypes, by run length where integer ids arrive non-decreasing."""
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_IDS))
+    def test_same_arrays_as_np_unique(self, name, monkeypatch):
+        ids = CLUSTER_IDS[name]
+        expected = np.unique(ids, return_inverse=True)
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        assert exact(list(stats._codes(ids, len(ids)))) == exact(list(expected))
+        # integer ids in order are coded by run length, without the sort
+        assert len(calls) == (name not in CODED_BY_RUN_LENGTH)
+
+    def test_another_number_of_ids_rejected(self):
+        with pytest.raises(ContestError, match=r"clusters has shape \(2, 2\), expected \(4,\)"):
+            stats._codes([[1, 1], [2, 2]], 4)
 
 
 class TestClusteredMean:
@@ -753,26 +816,46 @@ class TestColumnMemo:
             assert analysis(log) == analysis(fresh)
 
     def test_groups_are_coded_once(self, monkeypatch):
-        calls = []
-        unique = np.unique
+        # a log's groups are coded once per reading of its records: by run
+        # length and summed where they stand in key order, by np.unique and
+        # one np.lexsort out of it
+        calls = collections.Counter()
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return unique(*args, **kwargs)
+        def counted(name, function):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return count
 
-        def unique_calls():
+        def coding_calls(log):
             calls.clear()
             treatment_summary(log)
             group_aggregate_means(log)
             triad_totals(log)
-            return len(calls)
+            return calls["codes"], calls["unique"], calls["lexsort"]
 
-        monkeypatch.setattr(np, "unique", counted)
+        monkeypatch.setattr(stats, "_codes", counted("codes", stats._codes))
+        monkeypatch.setattr(np, "unique", counted("unique", np.unique))
+        monkeypatch.setattr(np, "lexsort", counted("lexsort", np.lexsort))
         log = spne_log((1, 2), groups=2, rounds=3)
-        assert unique_calls() == 1
-        assert unique_calls() == 0
+        assert coding_calls(log) == (1, 0, 0)
+        assert coding_calls(log) == (0, 0, 0)
         for _ in edits(log):
-            assert unique_calls() == 1
+            assert coding_calls(log) == (1, 0, 0)
+        log = shuffled(spne_log((1, 2), groups=2, rounds=3))
+        assert coding_calls(log) == (1, 1, 1)
+        assert coding_calls(log) == (0, 0, 0)
+
+    def test_a_record_replaced_by_an_equal_one_keeps_the_columns(self):
+        log = spne_log((1, 2), groups=2, rounds=3)
+        expected = analysis(log)
+        memo = getattr(log, stats._MEMO)
+        log.records[0] = replace(log.records[0])
+        log.records[-1] = replace(log.records[-1])
+        assert log.records[0] is not memo.records[0]
+        assert analysis(log) == expected
+        assert getattr(log, stats._MEMO) is memo
+        assert analysis(replace(log, records=list(log.records))) == expected
 
     def test_each_column_is_read_once(self, monkeypatch):
         reads = []
