@@ -470,6 +470,18 @@ _POLICY_KEYS = {
 }
 
 
+def _check_m2_terms(model: ResponseModel, seq: MoveSequence, stage: int) -> None:
+    """Refuse a model with m2 terms at a stage that observes no m2 (one before
+    stage 3), which would drop them."""
+    if stage < 3:
+        for name in ("m2_coef", "m2_sq_coef"):
+            if getattr(model, name):
+                raise ContestError(
+                    f"stage {stage} of treatment {seq.label()} observes no m2, "
+                    f"so its response model cannot set {name}"
+                )
+
+
 def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> BehaviorPolicy:
     """Build a policy from one JSON config entry for the given player slot.
 
@@ -477,8 +489,10 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
     "optimizing-leader". Responder and leader entries may omit "model"/"models"
     to use the bundled presets for the session's treatment. A responder moves
     after stage 1 and a leader at stage 1; the leader's optimum is solved here,
-    so models it cannot use are an error. An entry holds only the keys its
-    kind reads, and its numbers must be JSON numbers.
+    so models it cannot use are an error, and its "models" name only the
+    treatment's later stages. A model for a stage before 3 sets no m2 term,
+    since that stage observes no m2. An entry holds only the keys its kind
+    reads, and its numbers must be JSON numbers.
     """
     kind = entry.get("kind")
     if not isinstance(kind, str) or kind not in _POLICY_KEYS:
@@ -506,6 +520,7 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
             model = bundled[stage]
         if "noise_sd" in entry:
             model = replace(model, noise_sd=_json_number(entry["noise_sd"], "noise_sd"))
+        _check_m2_terms(model, seq, stage)
         return EmpiricalResponder(model)
     # an optimizing leader
     if "models" in entry:
@@ -515,4 +530,12 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
     jow = _json_number(entry.get("joy_of_winning", spec.joy_of_winning), "joy_of_winning")
     # solved now, so that a treatment or models it cannot use are a config error
     _leader_optimum(spec, tuple(sorted(models.items())), jow)
+    later = range(2, len(seq.stages) + 1)
+    for stage, model in models.items():
+        if stage not in later:
+            raise ContestError(
+                f"an optimizing leader's models name stage {stage}, but the later "
+                f"stages of treatment {seq.label()} are {', '.join(map(str, later))}"
+            )
+        _check_m2_terms(model, seq, stage)
     return OptimizingLeader(models=models, joy_of_winning=jow)

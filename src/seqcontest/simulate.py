@@ -43,6 +43,12 @@ counted in one pass, and the records built from the columns. The files are
 exactly what ``json.dumps(..., indent=1)`` and ``csv.writer`` write. The
 meta is written and read through the table of session parameters
 (``_SESSION_PARAMETERS``) that configs use.
+
+:func:`run_session` lays out its log's group, round, triad and stage columns
+(``array('q')`` s, by repetition) once the session is played, beside a list
+snapshot of the records; ``SessionLog._layout_columns`` hands them to
+``stats`` only while ``records`` is ``==`` that snapshot, so any edit turns
+them off. A log read, ``replace`` d or built by hand has none.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import json
 import math
 import operator
 import os
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
@@ -206,7 +213,12 @@ class SessionConfig:
 
 @dataclass
 class SessionLog:
-    """All round records of one session plus the metadata to interpret them."""
+    """All round records of one session plus the metadata to interpret them.
+
+    A log from :func:`run_session` also keeps its layout columns, valid while
+    ``records`` equal the records laid out (module docstring); they are not
+    a field, so ``==``, ``repr`` and ``replace`` do not see them.
+    """
 
     spec: ContestSpec
     groups: int
@@ -215,9 +227,20 @@ class SessionLog:
     seed: int
     records: list[RoundRecord] = field(default_factory=list)
 
+    # (snapshot of records, {column name: array('q')}), set by run_session
+    _layout = None
+
     @property
     def sequence(self) -> MoveSequence:
         return self.spec.sequence
+
+    def _layout_columns(self) -> dict[str, array] | None:
+        """The layout columns while ``records`` equal their snapshot, compared
+        in C; else None."""
+        layout = self._layout
+        if layout is None or self.records != layout[0]:
+            return None
+        return layout[1]
 
 
 def play_round(
@@ -322,7 +345,23 @@ def run_session(config: SessionConfig) -> SessionLog:
                         subjects=subjects,
                     )
                 )
+    # each record's group, round, triad and stage, in the order played above
+    per_round = SUBJECTS_PER_ROLE * n  # records of one group's round
+    log._layout = (list(log.records), {
+        "group": _repeated(range(1, config.groups + 1), config.rounds * per_round, 1),
+        "round": _repeated(range(1, config.rounds + 1), per_round, config.groups),
+        "triad": _repeated(range(1, SUBJECTS_PER_ROLE + 1), n, config.groups * config.rounds),
+        "stage": _repeated(map(seq.stage_of_player, range(n)), 1, len(log.records) // n),
+    })
     return log
+
+
+def _repeated(values, each: int, times: int) -> array:
+    """``values``, each ``each`` times in a row, the whole ``times`` times."""
+    out = array("q")
+    for value in values:
+        out += array("q", [value]) * each
+    return out * times
 
 
 def _derived_seed(seed: int, replication: int) -> int:

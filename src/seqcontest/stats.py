@@ -22,9 +22,13 @@ not see them): every statistic of one log reads its records once. They stay
 valid while ``log.records`` is ``==`` a list snapshot taken when they were
 read (a record that is the same object is equal without its fields being
 compared), so a record replaced by an equal one keeps them. Any other change
-reads the records again. Each clustered mean is ``_mean_se``,
-``cluster_ols``'s floats on a column of ones from cluster codes; only the
-round trend fits through ``cluster_ols``.
+reads the records again. A log from ``run_session`` whose records still
+equal those it was played with hands over the group, round, triad and stage
+columns it laid out (``SessionLog._layout_columns``), viewed in place as
+read-only arrays, so only the investments are read from its records; any
+other log's records are read field by field. Each clustered mean is
+``_mean_se``, ``cluster_ols``'s floats on a column of ones from cluster
+codes; only the round trend fits through ``cluster_ols``.
 
 ``cluster_ols`` forms X'X once and inverts it by Gauss-Jordan elimination
 (the sweep operator) in Python floats, taking the pivots in column order. A
@@ -305,11 +309,18 @@ def _column(values: list, dtype: type) -> np.ndarray:
 
 class _Columns:
     """The fields of a list snapshot of records as arrays in record order,
-    their group codes and triad totals, each read on first use; a record
-    replaced by an equal one keeps them (module docstring)."""
+    their group codes, triad totals and round count, each read on first use,
+    but for the ``layout`` columns given; a record replaced by an equal one
+    keeps them (module docstring)."""
 
-    def __init__(self, records):
+    def __init__(self, records, layout: dict | None = None):
         self.records = list(records)
+        for name, column in (layout or {}).items():
+            # an array('q') holds int64s: in the dtype _column reads ints to,
+            # without a copy where that is int64
+            view = np.frombuffer(column, np.int64).astype(int, copy=False)
+            view.flags.writeable = False  # the log's own column
+            self.__dict__[name] = view
 
     def holds(self, records: list) -> bool:
         """Whether ``records`` equal the snapshot, compared in C."""
@@ -341,7 +352,7 @@ class _Columns:
         return _codes(self.group, self.group.size)
 
     @cached_property
-    def triad_totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def triad_totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # records out of key order are sorted, stably, so each triad's stay
         # in record order; bincount adds each run in that order from 0.0:
         # the floats of a running sum per triad
@@ -352,8 +363,14 @@ class _Columns:
             keys, investment, group = [k[order] for k in keys], investment[order], group[order]
             first = _runs(keys)
         totals = np.bincount(np.cumsum(first) - 1, weights=investment)
-        # float64 when empty too (bincount of nothing is an int array)
-        return totals.astype(float, copy=False), group[first], keys[2][first]
+        # each triad row's total (float64 when empty too: bincount of nothing
+        # is an int array), group, group code and round
+        return totals.astype(float, copy=False), group[first], keys[2][first], keys[1][first]
+
+    @cached_property
+    def n_rounds(self) -> int:
+        # on the triad rows, a third of the records at most
+        return len(set(self.triad_totals[3].tolist()))
 
 
 _MEMO = "_stats_columns"  # the attribute that keeps a SessionLog's _Columns
@@ -366,7 +383,7 @@ def _columns(log_or_records) -> _Columns:
         return _Columns(log_or_records)
     memo = getattr(log_or_records, _MEMO, None)
     if memo is None or not memo.holds(log_or_records.records):
-        memo = _Columns(log_or_records.records)
+        memo = _Columns(log_or_records.records, log_or_records._layout_columns())
         setattr(log_or_records, _MEMO, memo)
     return memo
 
@@ -381,7 +398,7 @@ def last_rounds(log: SessionLog, k: int) -> SessionLog:
 def triad_totals(log_or_records) -> tuple[np.ndarray, np.ndarray]:
     """Total investment of each triad-round, sorted by (group, round, triad),
     and the matching group each total belongs to."""
-    totals, groups, _ = _columns(log_or_records).triad_totals
+    totals, groups, _, _ = _columns(log_or_records).triad_totals
     return totals.copy(), groups.copy()
 
 
@@ -453,7 +470,7 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
             role_means.extend([float(values.mean())] * count)
             role_ses.extend([_mean_se(values, codes[in_stage], groups.size)[2]] * count)
 
-        totals, _, total_codes = columns.triad_totals
+        totals, _, total_codes, _ = columns.triad_totals
         out.append(
             TreatmentSummary(
                 sequence=seq,
@@ -463,7 +480,7 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
                 aggregate_se=_mean_se(totals, total_codes, groups.size)[2],
                 nobs=len(log.records),
                 n_clusters=groups.size,
-                n_rounds=len(set(columns.round.tolist())),
+                n_rounds=columns.n_rounds,
             )
         )
     return out
@@ -474,7 +491,7 @@ def group_aggregate_means(log: SessionLog) -> np.ndarray:
     of observation for nonparametric across-treatment tests."""
     if not log.records:
         raise EmptyLog(f"log for {log.sequence.label()} has no records")
-    totals, _, codes = _columns(log).triad_totals
+    totals, _, codes, _ = _columns(log).triad_totals
     # the totals are sorted by group, so each group's are one slice
     starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     return np.array([float(part.mean()) for part in np.split(totals, starts)])

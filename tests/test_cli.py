@@ -487,6 +487,41 @@ class TestSimulate:
             ({"schema": 1, "replications": -1,
               "sessions": [{"treatment": [3], "policies": SPNE_POLICIES}]},
              "replications must be at least 1"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 2], "policies": [
+                {"kind": "spne"}, {"kind": "responder", "model": {"intercept": 10, "m2_coef": 5}},
+                {"kind": "responder"}]}]},
+             "stage 2 of treatment (1,2) observes no m2, so its response model cannot set "
+             "m2_coef"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 1, 1], "policies": [
+                {"kind": "spne"},
+                {"kind": "responder", "model": {"intercept": 10, "m2_sq_coef": -0.001}},
+                {"kind": "responder"}]}]},
+             "stage 2 of treatment (1,1,1) observes no m2, so its response model cannot set "
+             "m2_sq_coef"),
+            ({"schema": 1, "sessions": [{"treatment": [2, 1], "policies": [
+                {"kind": "optimizing-leader", "models": {"2": {"intercept": 50, "m2_coef": 1}}},
+                {"kind": "spne"}, {"kind": "responder"}]}]},
+             "stage 2 of treatment (2,1) observes no m2, so its response model cannot set "
+             "m2_coef"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 1, 1], "policies": [
+                {"kind": "optimizing-leader", "models": {
+                    "2": {"intercept": 50, "m2_sq_coef": 0.01},
+                    "3": {"intercept": 50, "m2_coef": 0.5}}},
+                {"kind": "responder"}, {"kind": "responder"}]}]},
+             "stage 2 of treatment (1,1,1) observes no m2, so its response model cannot set "
+             "m2_sq_coef"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 2], "policies": [
+                {"kind": "optimizing-leader", "models": {
+                    "2": {"intercept": 50}, "3": {"intercept": 999}, "7": {"intercept": 5}}},
+                *[{"kind": "responder"}] * 2]}]},
+             "an optimizing leader's models name stage 3, but the later stages of treatment "
+             "(1,2) are 2"),
+            ({"schema": 1, "sessions": [{"treatment": [1, 1, 1], "policies": [
+                {"kind": "optimizing-leader", "models": {
+                    "1": {"intercept": 5}, "2": {"intercept": 50}, "3": {"intercept": 50}}},
+                *[{"kind": "responder"}] * 2]}]},
+             "an optimizing leader's models name stage 1, but the later stages of treatment "
+             "(1,1,1) are 2, 3"),
         ],
         ids=["empty-sessions", "top-level-list", "session-list", "treatment-int",
              "policy-int", "replications-list", "responder-without-model",
@@ -497,7 +532,10 @@ class TestSimulate:
              "policy-unknown-key", "leader-models-missing-stage", "leader-stage-key-fullwidth",
              "policy-kind-uppercase", "policy-kind-imitator", "responder-at-stage-1",
              "leader-at-stage-2", "schema-true", "schema-float",
-             "replications-zero", "replications-negative"],
+             "replications-zero", "replications-negative", "responder-m2-at-stage-2",
+             "responder-m2-sq-at-stage-2-of-1-1-1", "leader-model-m2-at-stage-2",
+             "leader-model-m2-sq-at-stage-2-of-1-1-1", "leader-models-stages-3-and-7",
+             "leader-models-stage-1"],
     )
     def test_invalid_config_exits_2(self, capsys, tmp_path, raw, detail):
         bad = tmp_path / "bad.json"

@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from seqcontest import behavior
+from seqcontest import behavior, stats
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import (
     EmpiricalResponder,
@@ -336,6 +336,54 @@ class TestGoldenStream:
         log = run_session(config)
         assert len(log.records) == 54
         assert calls == [(policy, stage) for stage, policy in enumerate(config.policies, 1)]
+
+
+def golden_log(name, **changes):
+    """The session ``name`` of ``GOLDEN_SESSIONS``, its entry updated by ``changes``."""
+    treatment, policies, extra = GOLDEN_SESSIONS[name]
+    return run_session(session_config_from_dict({
+        "treatment": treatment, "groups": 2, "rounds": 3, "seed": 11,
+        "policies": policies, **extra, **changes,
+    }))
+
+
+LAYOUT_COLUMNS = ("group", "round", "triad", "stage")
+
+
+class TestSessionLayout:
+    """A log from ``run_session`` carries the group, round, triad and stage
+    columns it laid out; any other log reads them from its records."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SESSIONS))
+    def test_layout_is_the_record_walk(self, name):
+        # 2 groups, 4 rounds and 3 triads, so no two of them line up
+        log = golden_log(name, rounds=4)
+        layout = log._layout_columns()
+        assert sorted(layout) == sorted(LAYOUT_COLUMNS)
+        for column in LAYOUT_COLUMNS:
+            assert layout[column].typecode == "q"
+            assert layout[column].tolist() == [getattr(r, column) for r in log.records]
+        # as stats reads them: the arrays and dtypes of the record walk, bit for bit
+        laid_out, walked = stats._Columns(log.records, layout), stats._Columns(log.records)
+        for column in LAYOUT_COLUMNS:
+            got, want = getattr(laid_out, column), getattr(walked, column)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_other_logs_carry_no_layout(self, tmp_path):
+        log = golden_log("leader-noisy-1-2")
+        assert log._layout_columns() is not None
+        for fmt in ("json", "csv"):
+            export_log(log, fmt, tmp_path / f"log.{fmt}")
+        others = [
+            replace(log),
+            replace(log, records=list(log.records)),
+            stats.last_rounds(log, 2),
+            load_log(tmp_path / "log.json"),
+            load_log(tmp_path / "log.csv"),
+        ]
+        for other in others:
+            assert other._layout is None and other._layout_columns() is None
+        assert others[0] == log and others[3] == log and others[4] == log
 
 
 class TestRunBatch:

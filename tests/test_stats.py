@@ -488,6 +488,19 @@ class TestTreatmentSummary:
         assert kept == set(range(21, 26))
         assert summary.nobs == 2 * 5 * 9
 
+    @pytest.mark.parametrize("offset", [0, 2**70], ids=["int64-rounds", "rounds-beyond-int64"])
+    @pytest.mark.parametrize("order", ["as-run", "shuffled"])
+    def test_rounds_counted_once_each(self, offset, order):
+        # group g plays rounds g, 2g, 3g and 4g (plus the offset): 8 distinct
+        # rounds, not 4 per group, nor the 12 (group, round) pairs
+        log = spne_log((1, 2), groups=3, rounds=4)
+        log = replace(log, records=[replace(r, round=offset + r.round * r.group)
+                                    for r in log.records])
+        log = shuffled(log) if order == "shuffled" else log
+        summary = treatment_summary(log)[0]
+        assert summary.n_rounds == len({r.round for r in log.records}) == 8
+        assert exact(summary) == exact(oracles.treatment_summary(log))
+
     def test_permutation_invariance_to_subject_relabeling(self):
         log = spne_log((1, 2), groups=2, rounds=4)
         base = treatment_summary(log)[0]
@@ -810,8 +823,11 @@ class TestColumnMemo:
 
     def test_statistics_follow_edits_to_the_records(self):
         log = spne_log((1, 2), groups=2, rounds=3)
+        assert log._layout_columns() is not None
         analysis(log)
         for _ in edits(log):
+            # run_session's layout is refused after any edit
+            assert log._layout_columns() is None
             fresh = replace(log, records=list(log.records))
             assert analysis(log) == analysis(fresh)
 
@@ -861,18 +877,44 @@ class TestColumnMemo:
         reads = []
 
         def counted(values, dtype):
-            reads.append(dtype)
+            reads.append(dtype.__name__)
             return column(values, dtype)
+
+        def read_columns(log):
+            reads.clear()
+            treatment_summary(log)
+            trend_by_round(log)
+            group_aggregate_means(log)
+            triad_totals(log)
+            return sorted(reads)
 
         column = stats._column
         monkeypatch.setattr(stats, "_column", counted)
         log = spne_log((1, 2), groups=2, rounds=3)
-        treatment_summary(log)
-        trend_by_round(log)
-        group_aggregate_means(log)
-        triad_totals(log)
-        # group, round, triad and stage as ints, investment as floats
-        assert sorted(dtype.__name__ for dtype in reads) == ["float"] + ["int"] * 4
+        # run_session laid out group, round, triad and stage: only the
+        # investments are read from the records
+        assert read_columns(log) == ["float"]
+        # the twin has no layout: group, round, triad and stage as ints,
+        # investment as floats
+        assert read_columns(replace(log)) == ["float"] + ["int"] * 4
+
+    def test_a_regrouped_record_is_read_from_the_records(self):
+        # a record moved to another group: the layout's group is no longer its own
+        log = spne_log((1, 2), groups=2, rounds=3)
+        analysis(log)
+        log.records[0] = replace(log.records[0], group=2)
+        assert log._layout_columns() is None
+        assert stats._columns(log).group[0] == 2
+        assert analysis(log) == analysis(replace(log, records=list(log.records)))
+
+    def test_handed_out_columns_cannot_change_the_layout(self):
+        log = spne_log((1, 2), groups=2, rounds=3)
+        layout = {name: column.tolist() for name, column in log._layout_columns().items()}
+        columns = stats._columns(log)
+        for name in layout:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(columns, name)[0] = 99
+        assert {name: column.tolist() for name, column in log._layout_columns().items()} == layout
 
     def test_triad_totals_are_the_callers_own(self):
         log = spne_log((1, 2), groups=2, rounds=3)
