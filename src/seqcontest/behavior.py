@@ -139,6 +139,18 @@ class PreemptionResult(NamedTuple):
     at_boundary: bool
 
 
+def _check_m2_terms(model: ResponseModel, seq: MoveSequence, stage: int) -> None:
+    """Refuse a model with m2 terms at a stage that observes no m2 (one before
+    stage 3), which would drop them."""
+    if stage < 3:
+        for name in ("m2_coef", "m2_sq_coef"):
+            if getattr(model, name):
+                raise ContestError(
+                    f"stage {stage} of treatment {seq.label()} observes no m2, "
+                    f"so its response model cannot set {name}"
+                )
+
+
 def optimal_first_mover(
     treatment: MoveSequence,
     models: Mapping[int, ResponseModel],
@@ -150,8 +162,10 @@ def optimal_first_mover(
     responses.
 
     ``models`` maps stage index (2, and 3 for the three-stage treatment) to
-    the responder model for that stage. Only the deterministic part of each
-    model is used, clamped to [0, endowment] as play clamps it
+    the responder model for that stage. A model for any other stage, or one
+    with m2 terms at stage 2 (which observes no m2), would be dropped, so it
+    raises :class:`ContestError`. Only the deterministic part of each model
+    is used, clamped to [0, endowment] as play clamps it
     (:func:`eval_response`). Models carrying ``fit_effective_prize`` are
     rescaled homogeneously to the effective prize V = prize + joy_of_winning,
     so varying the joy of winning scales the optimum proportionally. The
@@ -174,10 +188,18 @@ def optimal_first_mover(
             f"optimal preemption is defined for (1,2), (2,1), (1,1,1); "
             f"got {treatment.label()}"
         )
-    for stage in range(2, len(stages) + 1):
+    later = range(2, len(stages) + 1)
+    for stage in later:
         if stage not in models:
             raise ContestError(f"{treatment.label()} needs a response model for stage {stage}")
     _check_contest_numbers(prize, endowment, joy_of_winning)
+    for stage, model in models.items():
+        if stage not in later:
+            raise ContestError(
+                f"an optimizing leader's models name stage {stage}, but the later "
+                f"stages of treatment {treatment.label()} are {', '.join(map(str, later))}"
+            )
+        _check_m2_terms(model, treatment, stage)
     p_eff = prize + joy_of_winning
 
     def rescaled(model: ResponseModel) -> tuple:
@@ -470,18 +492,6 @@ _POLICY_KEYS = {
 }
 
 
-def _check_m2_terms(model: ResponseModel, seq: MoveSequence, stage: int) -> None:
-    """Refuse a model with m2 terms at a stage that observes no m2 (one before
-    stage 3), which would drop them."""
-    if stage < 3:
-        for name in ("m2_coef", "m2_sq_coef"):
-            if getattr(model, name):
-                raise ContestError(
-                    f"stage {stage} of treatment {seq.label()} observes no m2, "
-                    f"so its response model cannot set {name}"
-                )
-
-
 def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> BehaviorPolicy:
     """Build a policy from one JSON config entry for the given player slot.
 
@@ -530,12 +540,4 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
     jow = _json_number(entry.get("joy_of_winning", spec.joy_of_winning), "joy_of_winning")
     # solved now, so that a treatment or models it cannot use are a config error
     _leader_optimum(spec, tuple(sorted(models.items())), jow)
-    later = range(2, len(seq.stages) + 1)
-    for stage, model in models.items():
-        if stage not in later:
-            raise ContestError(
-                f"an optimizing leader's models name stage {stage}, but the later "
-                f"stages of treatment {seq.label()} are {', '.join(map(str, later))}"
-            )
-        _check_m2_terms(model, seq, stage)
     return OptimizingLeader(models=models, joy_of_winning=jow)

@@ -26,11 +26,13 @@ resolve a policy (``behavior._policy_rule``) only on the first call for that
 policy, spec and stage, so a session resolves its policies once; only
 responder noise and the winner draw touch the stream inside a triad.
 
-Logs. Records are slotted frozen :class:`RoundRecord` s. The log is written
-and read column by column, through one table (``_COLUMNS``) that gives each
-column its JSON cell types and check and its spelling. One writer,
-``_log_texts``, serves :func:`export_log` and ``simulate``: it reads each
-record field in one pass, spells the int and float columns (and m1 and m2
+Logs. A :class:`RoundRecord` is a frozen dataclass on a tuple of its 11
+cells, and :func:`play_round` and :func:`load_log` build each one in C
+(``tuple.__new__``) from its cells. The log is written and read column by
+column, through one table (``_COLUMNS``) that gives each column its JSON
+cell types and check and its spelling. One writer, ``_log_texts``, serves
+:func:`export_log` and ``simulate``: it transposes the records to their
+columns in one ``zip``, spells the int and float columns (and m1 and m2
 when they hold no None) once for all the formats asked for, so ``--format
 both`` spells them once per log, and fills one template per record.
 :func:`load_log` checks a JSON column in one pass over its cell types and
@@ -45,10 +47,12 @@ meta is written and read through the table of session parameters
 (``_SESSION_PARAMETERS``) that configs use.
 
 :func:`run_session` lays out its log's group, round, triad and stage columns
-(``array('q')`` s, by repetition) once the session is played, beside a list
-snapshot of the records; ``SessionLog._layout_columns`` hands them to
-``stats`` only while ``records`` is ``==`` that snapshot, so any edit turns
-them off. A log read, ``replace`` d or built by hand has none.
+(``array('q')`` s, by repetition) and its investment column (an
+``array('d')``) once the session is played, beside a list snapshot of the
+records; ``SessionLog._layout_columns`` hands them to ``stats`` only while
+``records`` is ``==`` that snapshot, so any edit turns them off. ``stats``
+keeps that snapshot as its own. A log read, ``replace`` d or built by hand
+has none.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ import operator
 import os
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -141,8 +146,8 @@ class NotASessionLog(ContestError):
     """The file is a run manifest, not a session log."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RoundRecord:
+@dataclass(frozen=True, init=False, eq=False)
+class RoundRecord(NamedTuple):
     """One subject-round observation.
 
     ``stage``/``slot`` locate the subject's role (stage of play, position
@@ -150,6 +155,16 @@ class RoundRecord:
     stage observes, encoded as in the response models: m1 is the (average)
     first-stage investment, m2 the second-stage investment for third movers.
     Both are None where the treatment reveals nothing.
+
+    A record is a tuple of its cells in ``CSV_COLUMNS`` order, built in C: it
+    indexes and iterates as one, and equals and hashes as the plain tuple of
+    its cells. It is also a frozen dataclass: setting or deleting a field
+    raises :class:`dataclasses.FrozenInstanceError`, and ``replace``,
+    ``fields``, ``asdict`` and pickling work as on any dataclass. Read a few
+    columns of many records field by field: ``zip(*records)`` makes one
+    iterator per record, and takes about as long (3 ms per 15k records on
+    Python 3.11) as reading four columns so. It pays only when all eleven
+    columns are read, as the log writer reads them.
     """
 
     group: int
@@ -163,29 +178,6 @@ class RoundRecord:
     investment: float
     won: bool
     payoff: float
-
-    def __init__(
-        self, group, round, triad, subject, stage, slot, m1, m2, investment, won, payoff
-    ):
-        # each slot set through its descriptor: a frozen dataclass's own
-        # __init__ goes through object.__setattr__ once per field
-        _set_group(self, group)
-        _set_round(self, round)
-        _set_triad(self, triad)
-        _set_subject(self, subject)
-        _set_stage(self, stage)
-        _set_slot(self, slot)
-        _set_m1(self, m1)
-        _set_m2(self, m2)
-        _set_investment(self, investment)
-        _set_won(self, won)
-        _set_payoff(self, payoff)
-
-
-(
-    _set_group, _set_round, _set_triad, _set_subject, _set_stage, _set_slot,
-    _set_m1, _set_m2, _set_investment, _set_won, _set_payoff,
-) = (getattr(RoundRecord, column).__set__ for column in CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -279,13 +271,12 @@ def play_round(
 
     winner = draw_winner(investments, float(rng.random()))
     payoffs = round_payoffs(spec, investments, winner).tolist()
+    # each record built in C from its cells, in CSV_COLUMNS order
     return [
-        RoundRecord(
-            group, round_number, triad, int(subject), stage, slot, m1, m2, x, i == winner, paid
+        tuple.__new__(
+            RoundRecord, (group, round_number, triad, int(subject), *role, x, i == winner, paid)
         )
-        for i, (subject, (stage, slot, m1, m2), x, paid) in enumerate(
-            zip(subjects, roles, investments, payoffs)
-        )
+        for i, (subject, role, x, paid) in enumerate(zip(subjects, roles, investments, payoffs))
     ]
 
 
@@ -321,37 +312,44 @@ def run_session(config: SessionConfig) -> SessionLog:
         integer_rounding=config.integer_rounding,
         seed=config.seed,
     )
+    records = log.records
+    policies, spec, rounding = config.policies, config.spec, config.integer_rounding
     for g in range(config.groups):
         rng = _group_rng(config.seed, g)
-        base_subject = g * n * SUBJECTS_PER_ROLE
+        # the subject ids of each role; shuffling them draws what shuffling
+        # their indices would
+        first = g * n * SUBJECTS_PER_ROLE + 1
+        role_subjects = [
+            range(first + r * SUBJECTS_PER_ROLE, first + (r + 1) * SUBJECTS_PER_ROLE)
+            for r in range(n)
+        ]
         for round_number in range(1, config.rounds + 1):
-            matching = [list(range(SUBJECTS_PER_ROLE)) for _ in range(n)]
+            matching = list(map(list, role_subjects))
             for order in matching:
                 rng.shuffle(order)
-            for triad in range(1, SUBJECTS_PER_ROLE + 1):
-                subjects = [
-                    base_subject + r * SUBJECTS_PER_ROLE + matching[r][triad - 1] + 1
-                    for r in range(n)
-                ]
-                log.records.extend(
+            # triad k takes the k-th subject of each role
+            for triad, subjects in enumerate(zip(*matching), start=1):
+                records.extend(
                     play_round(
-                        config.policies,
-                        config.spec,
+                        policies,
+                        spec,
                         rng,
-                        integer_rounding=config.integer_rounding,
+                        integer_rounding=rounding,
                         group=g + 1,
                         round_number=round_number,
                         triad=triad,
                         subjects=subjects,
                     )
                 )
-    # each record's group, round, triad and stage, in the order played above
+    # each record's group, round, triad, stage and investment, in the order
+    # played above
     per_round = SUBJECTS_PER_ROLE * n  # records of one group's round
-    log._layout = (list(log.records), {
+    log._layout = (list(records), {
         "group": _repeated(range(1, config.groups + 1), config.rounds * per_round, 1),
         "round": _repeated(range(1, config.rounds + 1), per_round, config.groups),
         "triad": _repeated(range(1, SUBJECTS_PER_ROLE + 1), n, config.groups * config.rounds),
-        "stage": _repeated(map(seq.stage_of_player, range(n)), 1, len(log.records) // n),
+        "stage": _repeated(map(seq.stage_of_player, range(n)), 1, len(records) // n),
+        "investment": array("d", [r.investment for r in records]),
     })
     return log
 
@@ -484,7 +482,8 @@ def _check_widths(rows) -> None:
 
 
 def _transpose(rows) -> list:
-    """The log columns of ``rows`` of 11 cells each."""
+    """The log columns of ``rows`` of 11 cells each (records, or cells read
+    from a file), in one C call."""
     return list(zip(*rows)) or [()] * len(CSV_COLUMNS)
 
 
@@ -528,24 +527,7 @@ def _csv_cells(kind: _Column, column, name: str):
 
 def _records(columns) -> list[RoundRecord]:
     _check_finite(columns)
-    return list(map(RoundRecord, *columns))
-
-
-def _columns(records) -> list[list]:
-    """The log columns of ``records`` in file order, one field at a time."""
-    return [
-        [r.group for r in records],
-        [r.round for r in records],
-        [r.triad for r in records],
-        [r.subject for r in records],
-        [r.stage for r in records],
-        [r.slot for r in records],
-        [r.m1 for r in records],
-        [r.m2 for r in records],
-        [r.investment for r in records],
-        [r.won for r in records],
-        [r.payoff for r in records],
-    ]
+    return list(map(tuple.__new__, repeat(RoundRecord), zip(*columns)))
 
 
 # one JSON record, indented as json.dumps(payload, indent=1) indents it
@@ -559,7 +541,7 @@ def _log_texts(log: SessionLog, formats: Sequence[str]) -> list[str]:
     for format in formats:
         if format not in _SPELLINGS:
             raise ContestError(f"unknown export format {format!r}")
-    columns = _columns(log.records)
+    columns = _transpose(log.records)
     _check_finite(columns)
     common = [
         None if kind is _BOOL

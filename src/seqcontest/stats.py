@@ -23,12 +23,13 @@ valid while ``log.records`` is ``==`` a list snapshot taken when they were
 read (a record that is the same object is equal without its fields being
 compared), so a record replaced by an equal one keeps them. Any other change
 reads the records again. A log from ``run_session`` whose records still
-equal those it was played with hands over the group, round, triad and stage
-columns it laid out (``SessionLog._layout_columns``), viewed in place as
-read-only arrays, so only the investments are read from its records; any
-other log's records are read field by field. Each clustered mean is
-``_mean_se``, ``cluster_ols``'s floats on a column of ones from cluster
-codes; only the round trend fits through ``cluster_ols``.
+equal those it was played with hands over the group, round, triad, stage
+and investment columns it laid out (``SessionLog._layout_columns``), viewed
+in place as read-only arrays, and its snapshot of the records, so no field
+is read from its records and no second snapshot is taken; any other log's
+records are read field by field. Each clustered mean is ``_mean_se``,
+``cluster_ols``'s floats on a column of ones from cluster codes; only the
+round trend fits through ``cluster_ols``.
 
 ``cluster_ols`` forms X'X once and inverts it by Gauss-Jordan elimination
 (the sweep operator) in Python floats, taking the pivots in column order. A
@@ -313,12 +314,15 @@ class _Columns:
     but for the ``layout`` columns given; a record replaced by an equal one
     keeps them (module docstring)."""
 
-    def __init__(self, records, layout: dict | None = None):
-        self.records = list(records)
+    def __init__(self, records: list, layout: dict | None = None):
+        self.records = records  # never changed, so it may be shared
         for name, column in (layout or {}).items():
-            # an array('q') holds int64s: in the dtype _column reads ints to,
-            # without a copy where that is int64
-            view = np.frombuffer(column, np.int64).astype(int, copy=False)
+            # an array('q') holds int64s and an array('d') float64s: in the
+            # dtypes _column reads ints and floats to, without a copy where
+            # int is int64
+            ints = column.typecode == "q"
+            view = np.frombuffer(column, np.int64 if ints else np.float64)
+            view = view.astype(int if ints else float, copy=False)
             view.flags.writeable = False  # the log's own column
             self.__dict__[name] = view
 
@@ -380,10 +384,12 @@ def _columns(log_or_records) -> _Columns:
     """The columns of a log, read once while its records stay the same
     objects (module docstring), or of an iterable of records."""
     if not isinstance(log_or_records, SessionLog):
-        return _Columns(log_or_records)
+        return _Columns(list(log_or_records))
     memo = getattr(log_or_records, _MEMO, None)
     if memo is None or not memo.holds(log_or_records.records):
-        memo = _Columns(log_or_records.records, log_or_records._layout_columns())
+        layout = log_or_records._layout_columns()
+        snapshot = list(log_or_records.records) if layout is None else log_or_records._layout[0]
+        memo = _Columns(snapshot, layout)
         setattr(log_or_records, _MEMO, memo)
     return memo
 

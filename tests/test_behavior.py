@@ -302,6 +302,27 @@ class TestOptimalFirstMover:
         with pytest.raises(ContestError, match=f"response model for stage {missing}$"):
             optimal_first_mover(seq, models, 240.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "seq, models, message",
+        [
+            (SEQ_12, {2: ResponseModel(10.0, m2_coef=5.0)},
+             "stage 2 of treatment [(]1,2[)] observes no m2, so its response model cannot set "
+             "m2_coef"),
+            (SEQ_111, {2: ResponseModel(10.0, m2_sq_coef=0.1), 3: ResponseModel(5.0)},
+             "stage 2 of treatment [(]1,1,1[)] observes no m2, so its response model cannot set "
+             "m2_sq_coef"),
+            (SEQ_12, {2: ResponseModel(10.0), 3: ResponseModel(999.0), 7: ResponseModel(5.0)},
+             "models name stage 3, but the later stages of treatment [(]1,2[)] are 2$"),
+            (SEQ_21, {1: ResponseModel(10.0), 2: ResponseModel(10.0)},
+             "models name stage 1, but the later stages of treatment [(]2,1[)] are 2$"),
+        ],
+        ids=["1-2-m2-term", "1-1-1-m2-term-at-stage-2", "1-2-extra-stages", "2-1-stage-1"],
+    )
+    def test_models_it_cannot_use_rejected(self, seq, models, message):
+        # each was dropped without a word, and (1,2) returned 49.282...
+        with pytest.raises(ContestError, match=message):
+            optimal_first_mover(seq, models, 240.0, 0.0)
+
     @pytest.mark.parametrize("stages", [(1, 2), (1, 1, 1)])
     def test_one_leader_optimum_matches_derivative_reference(self, stages):
         # the payoff's 0.01-point grid maximum brackets the root of its

@@ -1,10 +1,12 @@
 """Tests for the session simulator: protocol fidelity, determinism, logs."""
 
+import copy
 import hashlib
 import json
+import pickle
 import re
 from collections import defaultdict
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -347,12 +349,14 @@ def golden_log(name, **changes):
     }))
 
 
-LAYOUT_COLUMNS = ("group", "round", "triad", "stage")
+# each column run_session lays out, with its array typecode
+LAYOUT_COLUMNS = {"group": "q", "round": "q", "triad": "q", "stage": "q", "investment": "d"}
 
 
 class TestSessionLayout:
-    """A log from ``run_session`` carries the group, round, triad and stage
-    columns it laid out; any other log reads them from its records."""
+    """A log from ``run_session`` carries the group, round, triad, stage and
+    investment columns it laid out; any other log reads them from its
+    records."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SESSIONS))
     def test_layout_is_the_record_walk(self, name):
@@ -360,8 +364,8 @@ class TestSessionLayout:
         log = golden_log(name, rounds=4)
         layout = log._layout_columns()
         assert sorted(layout) == sorted(LAYOUT_COLUMNS)
-        for column in LAYOUT_COLUMNS:
-            assert layout[column].typecode == "q"
+        for column, typecode in LAYOUT_COLUMNS.items():
+            assert layout[column].typecode == typecode
             assert layout[column].tolist() == [getattr(r, column) for r in log.records]
         # as stats reads them: the arrays and dtypes of the record walk, bit for bit
         laid_out, walked = stats._Columns(log.records, layout), stats._Columns(log.records)
@@ -600,6 +604,38 @@ class TestRoundRecord:
         assert hash(replace(moved, investment=40.0)) == hash(record)
         assert hash(record) == hash(self.CELLS)
         assert len({record, RoundRecord(*self.CELLS), moved}) == 2
+
+    def test_a_record_is_the_tuple_of_its_cells(self):
+        record = RoundRecord(*self.CELLS)
+        assert record == self.CELLS and tuple(record) == self.CELLS
+        assert record[8] == record.investment == 40.0
+
+    def test_pickle_and_deepcopy_round_trips(self):
+        record = RoundRecord(*self.CELLS)
+        copies = [copy.deepcopy(record), copy.copy(record)]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copies.append(pickle.loads(pickle.dumps(record, protocol)))
+        for other in copies:
+            assert type(other) is RoundRecord and other == record
+            assert repr(other) == repr(record)
+
+    def test_dataclass_helpers(self):
+        record = RoundRecord(*self.CELLS)
+        assert [f.name for f in fields(RoundRecord)] == list(CSV_COLUMNS)
+        assert asdict(record) == dict(zip(CSV_COLUMNS, self.CELLS))
+        assert astuple(record) == self.CELLS
+        assert type(replace(record, won=False)) is RoundRecord
+
+    def test_every_record_is_a_round_record(self, tmp_path):
+        log = golden_log("leader-noisy-1-2")
+        triad = play_round((EquilibriumPolicy(),) * 3, log.spec, _group_rng(0, 0))
+        logs = [log]
+        for fmt in ("json", "csv"):
+            export_log(log, fmt, tmp_path / f"log.{fmt}")
+            logs.append(load_log(tmp_path / f"log.{fmt}"))
+        assert logs[1] == logs[2] == log
+        for records in (triad, *[other.records for other in logs]):
+            assert {type(r) for r in records} == {RoundRecord}
 
 
 class TestSessionConfigFromDict:

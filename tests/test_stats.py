@@ -891,12 +891,21 @@ class TestColumnMemo:
         column = stats._column
         monkeypatch.setattr(stats, "_column", counted)
         log = spne_log((1, 2), groups=2, rounds=3)
-        # run_session laid out group, round, triad and stage: only the
-        # investments are read from the records
-        assert read_columns(log) == ["float"]
+        # run_session laid out group, round, triad, stage and investment:
+        # no field is read from the records
+        assert read_columns(log) == []
         # the twin has no layout: group, round, triad and stage as ints,
         # investment as floats
         assert read_columns(replace(log)) == ["float"] + ["int"] * 4
+
+    def test_the_memo_shares_the_layout_snapshot(self):
+        # a laid-out log holds one list snapshot of its records, not two
+        log = spne_log((1, 2), groups=2, rounds=3)
+        assert stats._columns(log).records is log._layout[0]
+        log.records[0] = replace(log.records[0], investment=1.0)
+        memo = stats._columns(log)
+        assert memo.records == log.records
+        assert memo.records is not log.records and memo.records is not log._layout[0]
 
     def test_a_regrouped_record_is_read_from_the_records(self):
         # a record moved to another group: the layout's group is no longer its own
