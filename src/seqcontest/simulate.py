@@ -46,13 +46,16 @@ exactly what ``json.dumps(..., indent=1)`` and ``csv.writer`` write. The
 meta is written and read through the table of session parameters
 (``_SESSION_PARAMETERS``) that configs use.
 
-:func:`run_session` lays out its log's group, round, triad and stage columns
-(``array('q')`` s, by repetition) and its investment column (an
-``array('d')``) once the session is played, beside a list snapshot of the
-records; ``SessionLog._layout_columns`` hands them to ``stats`` only while
-``records`` is ``==`` that snapshot, so any edit turns them off. ``stats``
-keeps that snapshot as its own. A log read, ``replace`` d or built by hand
-has none.
+Column store. A log keeps one private store, outside its fields: a copy of
+the records it was read from and their group, round, triad, stage and
+investment columns (``SessionLog._columns``), in which ``stats`` also keeps
+what it derives from them. :func:`run_session` seeds it with the columns it
+lays out once the session is played (``array('q')`` s, by repetition, and an
+``array('d')`` of investments), and :func:`load_log` with the columns it has
+checked. The store holds while ``records`` is ``==`` its copy, compared in C,
+so a record replaced by an equal one keeps it; after any other edit, and in a
+log made by ``replace``, ``copy``, ``pickle`` or by hand, the records are
+read again (``_transpose``) into a new store.
 """
 
 from __future__ import annotations
@@ -136,6 +139,10 @@ _COLUMNS = {
 }
 CSV_COLUMNS = tuple(_COLUMNS)
 _FINITE = [i for i, kind in enumerate(_COLUMNS.values()) if kind in (_FLOAT, _OPTIONAL)]
+# the columns a log's store holds (module docstring), with their index
+_STORED = {
+    name: CSV_COLUMNS.index(name) for name in ("group", "round", "triad", "stage", "investment")
+}
 
 
 class BadGroupComposition(ContestError):
@@ -160,11 +167,10 @@ class RoundRecord(NamedTuple):
     indexes and iterates as one, and equals and hashes as the plain tuple of
     its cells. It is also a frozen dataclass: setting or deleting a field
     raises :class:`dataclasses.FrozenInstanceError`, and ``replace``,
-    ``fields``, ``asdict`` and pickling work as on any dataclass. Read a few
-    columns of many records field by field: ``zip(*records)`` makes one
-    iterator per record, and takes about as long (3 ms per 15k records on
-    Python 3.11) as reading four columns so. It pays only when all eleven
-    columns are read, as the log writer reads them.
+    ``fields``, ``asdict`` and pickling work as on any dataclass. The log
+    writer and a log's column store read records by ``zip(*records)``
+    (``_transpose``), all eleven columns in about the time (3 ms per 15k
+    records on Python 3.11) that reading four field by field takes.
     """
 
     group: int
@@ -207,9 +213,8 @@ class SessionConfig:
 class SessionLog:
     """All round records of one session plus the metadata to interpret them.
 
-    A log from :func:`run_session` also keeps its layout columns, valid while
-    ``records`` equal the records laid out (module docstring); they are not
-    a field, so ``==``, ``repr`` and ``replace`` do not see them.
+    Its column store (module docstring) is not a field, so ``==``, ``repr``,
+    ``replace``, copies and pickles do not see it.
     """
 
     spec: ContestSpec
@@ -219,20 +224,22 @@ class SessionLog:
     seed: int
     records: list[RoundRecord] = field(default_factory=list)
 
-    # (snapshot of records, {column name: array('q')}), set by run_session
-    _layout = None
+    _store = None  # (copy of records, {column name: column})
 
     @property
     def sequence(self) -> MoveSequence:
         return self.spec.sequence
 
-    def _layout_columns(self) -> dict[str, array] | None:
-        """The layout columns while ``records`` equal their snapshot, compared
-        in C; else None."""
-        layout = self._layout
-        if layout is None or self.records != layout[0]:
-            return None
-        return layout[1]
+    def _columns(self) -> dict:
+        """The column store, read again unless ``records`` equal its copy."""
+        store = self._store
+        if store is None or self.records != store[0]:
+            store = self._store = (self.records[:], _stored(_transpose(self.records)))
+        return store[1]
+
+    def __getstate__(self) -> dict:
+        # pickle, copy and deepcopy leave the store out
+        return {name: value for name, value in self.__dict__.items() if name != "_store"}
 
 
 def play_round(
@@ -344,7 +351,7 @@ def run_session(config: SessionConfig) -> SessionLog:
     # each record's group, round, triad, stage and investment, in the order
     # played above
     per_round = SUBJECTS_PER_ROLE * n  # records of one group's round
-    log._layout = (list(records), {
+    log._store = (records[:], {
         "group": _repeated(range(1, config.groups + 1), config.rounds * per_round, 1),
         "round": _repeated(range(1, config.rounds + 1), per_round, config.groups),
         "triad": _repeated(range(1, SUBJECTS_PER_ROLE + 1), n, config.groups * config.rounds),
@@ -485,6 +492,12 @@ def _transpose(rows) -> list:
     """The log columns of ``rows`` of 11 cells each (records, or cells read
     from a file), in one C call."""
     return list(zip(*rows)) or [()] * len(CSV_COLUMNS)
+
+
+def _stored(columns) -> dict:
+    """The columns of ``columns`` (all 11, in file order) that a log's store
+    holds, by name."""
+    return {name: columns[i] for name, i in _STORED.items()}
 
 
 def _json_cells(kind: _Column, column, name: str):
@@ -630,10 +643,12 @@ def load_log(path) -> SessionLog:
             _check_widths(rows)
             columns = _transpose(rows)
             read = _csv_cells
-        records = _records([
+        columns = [
             read(kind, column, name) for (name, kind), column in zip(_COLUMNS.items(), columns)
-        ])
-        return _log_from_meta(meta, records)
+        ]
+        log = _log_from_meta(meta, _records(columns))
+        log._store = (log.records[:], _stored(columns))
+        return log
     except NotASessionLog:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

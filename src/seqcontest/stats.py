@@ -7,27 +7,19 @@ trend across ordered treatments uses the Jonckheere-Terpstra test on
 matching-group means with the normal approximation (tie-corrected variance).
 
 The record-level summaries (triad totals, treatment summaries, the round
-trend, matching-group means) read each record field they use into an array
-in one pass and compute on the columns. Triad totals are a ``np.bincount``
-over runs of equal (group, round, triad) keys, in record order from 0.0: the
-floats a running sum per triad gives, whatever the order of the records or
-the ids (records out of the key order ``run_session`` writes are first put
-in it by a stable ``np.lexsort``). Integer cluster ids that arrive
-non-decreasing are coded by run length, others by ``np.unique``, to the same
-arrays (``_codes``).
-
-A ``SessionLog`` keeps its columns, triad totals and group codes, once read,
-on the instance (not in its fields, so ``==``, ``repr`` and ``replace`` do
-not see them): every statistic of one log reads its records once. They stay
-valid while ``log.records`` is ``==`` a list snapshot taken when they were
-read (a record that is the same object is equal without its fields being
-compared), so a record replaced by an equal one keeps them. Any other change
-reads the records again. A log from ``run_session`` whose records still
-equal those it was played with hands over the group, round, triad, stage
-and investment columns it laid out (``SessionLog._layout_columns``), viewed
-in place as read-only arrays, and its snapshot of the records, so no field
-is read from its records and no second snapshot is taken; any other log's
-records are read field by field. Each clustered mean is ``_mean_se``,
+trend, matching-group means) read the group, round, triad, stage and
+investment columns of a log's column store (``seqcontest.simulate`` module
+docstring) and compute on them as arrays. Each array, the group codes, the
+triad totals and the round count are made on first use and kept in that
+store, so every statistic of one log reads its records at most once, and
+they go with the store when the records change. Records not in a log are
+read into a store of their own on each call. Triad totals are a
+``np.bincount`` over runs of equal (group, round, triad) keys, in record
+order from 0.0: the floats a running sum per triad gives, whatever the order
+of the records or the ids (records out of the key order ``run_session``
+writes are first put in it by a stable ``np.lexsort``). Integer cluster ids
+that arrive non-decreasing are coded by run length, others by ``np.unique``,
+to the same arrays (``_codes``). Each clustered mean is ``_mean_se``,
 ``cluster_ols``'s floats on a column of ones from cluster codes; only the
 round trend fits through ``cluster_ols``.
 
@@ -43,8 +35,8 @@ solved from X'X keep fewer than about six significant digits.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
@@ -52,7 +44,7 @@ import numpy as np
 
 from . import _LAZY_EXPORTS
 from .core import ContestError, MoveSequence
-from .simulate import SessionLog
+from .simulate import SessionLog, _stored, _transpose
 
 __all__ = list(_LAZY_EXPORTS["stats"])
 
@@ -294,10 +286,10 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]]) -> JTResult:
 _INT64_MAX = 2**63 - 1
 
 
-def _column(values: list, dtype: type) -> np.ndarray:
-    """A list of Python ints (``dtype`` int) or floats as an array, read with
-    its dtype named, which is about twice as fast as ``np.array`` inferring
-    it."""
+def _column(values: Sequence, dtype: type) -> np.ndarray:
+    """A list or tuple of Python ints (``dtype`` int) or floats as an array,
+    read with its dtype named, which is about twice as fast as ``np.array``
+    inferring it."""
     if not values:
         return np.array(values)  # float64, as np.array makes an empty list
     try:
@@ -308,90 +300,69 @@ def _column(values: list, dtype: type) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-class _Columns:
-    """The fields of a list snapshot of records as arrays in record order,
-    their group codes, triad totals and round count, each read on first use,
-    but for the ``layout`` columns given; a record replaced by an equal one
-    keeps them (module docstring)."""
-
-    def __init__(self, records: list, layout: dict | None = None):
-        self.records = records  # never changed, so it may be shared
-        for name, column in (layout or {}).items():
-            # an array('q') holds int64s and an array('d') float64s: in the
-            # dtypes _column reads ints and floats to, without a copy where
-            # int is int64
-            ints = column.typecode == "q"
-            view = np.frombuffer(column, np.int64 if ints else np.float64)
-            view = view.astype(int if ints else float, copy=False)
-            view.flags.writeable = False  # the log's own column
-            self.__dict__[name] = view
-
-    def holds(self, records: list) -> bool:
-        """Whether ``records`` equal the snapshot, compared in C."""
-        return records == self.records
-
-    @cached_property
-    def group(self) -> np.ndarray:
-        return _column([r.group for r in self.records], int)
-
-    @cached_property
-    def round(self) -> np.ndarray:
-        return _column([r.round for r in self.records], int)
-
-    @cached_property
-    def triad(self) -> np.ndarray:
-        return _column([r.triad for r in self.records], int)
-
-    @cached_property
-    def stage(self) -> np.ndarray:
-        return _column([r.stage for r in self.records], int)
-
-    @cached_property
-    def investment(self) -> np.ndarray:
-        return _column([r.investment for r in self.records], float)
-
-    @cached_property
-    def group_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        # the log's groups in order, and each record's as its index among them
-        return _codes(self.group, self.group.size)
-
-    @cached_property
-    def triad_totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # records out of key order are sorted, stably, so each triad's stay
-        # in record order; bincount adds each run in that order from 0.0:
-        # the floats of a running sum per triad
-        keys = [self.triad, self.round, self.group_codes[1]]
-        investment, group, first = self.investment, self.group, _runs(keys)
-        if first is None:
-            order = np.lexsort(keys)
-            keys, investment, group = [k[order] for k in keys], investment[order], group[order]
-            first = _runs(keys)
-        totals = np.bincount(np.cumsum(first) - 1, weights=investment)
-        # each triad row's total (float64 when empty too: bincount of nothing
-        # is an int array), group, group code and round
-        return totals.astype(float, copy=False), group[first], keys[2][first], keys[1][first]
-
-    @cached_property
-    def n_rounds(self) -> int:
-        # on the triad rows, a third of the records at most
-        return len(set(self.triad_totals[3].tolist()))
+def _array(columns: dict, name: str) -> np.ndarray:
+    """The store's column ``name`` as a read-only array, investment as floats
+    and the others as ints, made on first use and kept in the column's place."""
+    column = columns[name]
+    if isinstance(column, np.ndarray):
+        return column
+    dtype = float if name == "investment" else int
+    # an array('q') holds int64s and an array('d') float64s, the dtypes
+    # _column reads ints and floats to: viewed in place where int is int64
+    column = np.asarray(column, dtype) if isinstance(column, array) else _column(column, dtype)
+    column.flags.writeable = False  # the store's own
+    columns[name] = column
+    return column
 
 
-_MEMO = "_stats_columns"  # the attribute that keeps a SessionLog's _Columns
+def _kept(make):
+    """``make(columns)``, made on first use and kept in the store under
+    ``make``'s name."""
+
+    def kept(columns: dict):
+        if make.__name__ not in columns:
+            columns[make.__name__] = make(columns)
+        return columns[make.__name__]
+
+    return kept
 
 
-def _columns(log_or_records) -> _Columns:
-    """The columns of a log, read once while its records stay the same
-    objects (module docstring), or of an iterable of records."""
-    if not isinstance(log_or_records, SessionLog):
-        return _Columns(list(log_or_records))
-    memo = getattr(log_or_records, _MEMO, None)
-    if memo is None or not memo.holds(log_or_records.records):
-        layout = log_or_records._layout_columns()
-        snapshot = list(log_or_records.records) if layout is None else log_or_records._layout[0]
-        memo = _Columns(snapshot, layout)
-        setattr(log_or_records, _MEMO, memo)
-    return memo
+@_kept
+def _group_codes(columns: dict) -> tuple[np.ndarray, np.ndarray]:
+    # the log's groups in order, and each record's as its index among them
+    group = _array(columns, "group")
+    return _codes(group, group.size)
+
+
+@_kept
+def _triad_totals(columns: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # records out of key order are sorted, stably, so each triad's stay in
+    # record order; bincount adds each run in that order from 0.0: the
+    # floats of a running sum per triad
+    keys = [_array(columns, "triad"), _array(columns, "round"), _group_codes(columns)[1]]
+    investment, group = _array(columns, "investment"), _array(columns, "group")
+    first = _runs(keys)
+    if first is None:
+        order = np.lexsort(keys)
+        keys, investment, group = [k[order] for k in keys], investment[order], group[order]
+        first = _runs(keys)
+    totals = np.bincount(np.cumsum(first) - 1, weights=investment)
+    # each triad row's total (float64 when empty too: bincount of nothing is
+    # an int array), group, group code and round
+    return totals.astype(float, copy=False), group[first], keys[2][first], keys[1][first]
+
+
+@_kept
+def _n_rounds(columns: dict) -> int:
+    # on the triad rows, a third of the records at most
+    return len(set(_triad_totals(columns)[3].tolist()))
+
+
+def _columns(log_or_records) -> dict:
+    """The column store of a log, or a new one of an iterable of records."""
+    if isinstance(log_or_records, SessionLog):
+        return log_or_records._columns()
+    return _stored(_transpose(log_or_records))
 
 
 def last_rounds(log: SessionLog, k: int) -> SessionLog:
@@ -404,7 +375,7 @@ def last_rounds(log: SessionLog, k: int) -> SessionLog:
 def triad_totals(log_or_records) -> tuple[np.ndarray, np.ndarray]:
     """Total investment of each triad-round, sorted by (group, round, triad),
     and the matching group each total belongs to."""
-    totals, groups, _, _ = _columns(log_or_records).triad_totals
+    totals, groups, _, _ = _triad_totals(_columns(log_or_records))
     return totals.copy(), groups.copy()
 
 
@@ -418,7 +389,7 @@ def trend_by_round(log_or_records) -> OLSFit:
     fitted investment at the first round, not at round 0.
     """
     columns = _columns(log_or_records)
-    rounds = columns.round
+    rounds = _array(columns, "round")
     if not rounds.size:
         raise EmptyLog("no records")
     first, last = rounds.min(), rounds.max()
@@ -428,7 +399,7 @@ def trend_by_round(log_or_records) -> OLSFit:
         # the differences could overflow int64: take them as Python ints
         rounds, first = rounds.astype(object), int(first)
     design = np.column_stack([np.ones(rounds.size), (rounds - first).astype(float)])
-    return cluster_ols(columns.investment, design, columns.group)
+    return cluster_ols(_array(columns, "investment"), design, _array(columns, "group"))
 
 
 @dataclass
@@ -464,19 +435,20 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
         if not log.records:
             raise EmptyLog(f"log for {log.sequence.label()} has no records")
         columns = _columns(log)
-        groups, codes = columns.group_codes
+        groups, codes = _group_codes(columns)
+        stages, investment = _array(columns, "stage"), _array(columns, "investment")
         seq = log.sequence
         role_means: list[float] = []
         role_ses: list[float] = []
         for stage, count in enumerate(seq.stages, start=1):
-            in_stage = columns.stage == stage
-            values = columns.investment[in_stage]
+            in_stage = stages == stage
+            values = investment[in_stage]
             if not values.size:
                 raise EmptyLog(f"log for {seq.label()} has no records in stage {stage}")
             role_means.extend([float(values.mean())] * count)
             role_ses.extend([_mean_se(values, codes[in_stage], groups.size)[2]] * count)
 
-        totals, _, total_codes, _ = columns.triad_totals
+        totals, _, total_codes, _ = _triad_totals(columns)
         out.append(
             TreatmentSummary(
                 sequence=seq,
@@ -486,7 +458,7 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
                 aggregate_se=_mean_se(totals, total_codes, groups.size)[2],
                 nobs=len(log.records),
                 n_clusters=groups.size,
-                n_rounds=columns.n_rounds,
+                n_rounds=_n_rounds(columns),
             )
         )
     return out
@@ -497,7 +469,7 @@ def group_aggregate_means(log: SessionLog) -> np.ndarray:
     of observation for nonparametric across-treatment tests."""
     if not log.records:
         raise EmptyLog(f"log for {log.sequence.label()} has no records")
-    totals, _, codes, _ = _columns(log).triad_totals
+    totals, _, codes, _ = _triad_totals(_columns(log))
     # the totals are sorted by group, so each group's are one slice
     starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     return np.array([float(part.mean()) for part in np.split(totals, starts)])

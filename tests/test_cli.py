@@ -1,5 +1,6 @@
 """Tests for the command-line interface (driven through main())."""
 
+import ast
 import glob
 import hashlib
 import json
@@ -1154,6 +1155,37 @@ def test_readme_command_line_runs(capsys, tmp_path, monkeypatch):
         code, _, err = run_cli(capsys, *args)
         assert code == 0, (argv, err)
 
+
+
+def test_readme_library_quickstart_runs():
+    # both Python blocks of README's "Library quickstart", run in one
+    # namespace: each "# value" comment is its line's value (an expression's,
+    # or the name an assignment binds), to the digits it shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1].split("\n## ", 1)[0]
+    blocks = [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace, checked = {}, []
+    for block in blocks:
+        lines = block.splitlines()
+        for statement in ast.parse(block).body:
+            if isinstance(statement, ast.Expr):
+                code = compile(ast.Expression(statement.value), "README.md", "eval")
+                value = eval(code, namespace)
+            else:
+                exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+                value = namespace[statement.targets[0].id] if isinstance(
+                    statement, ast.Assign) else None
+            comment = lines[statement.end_lineno - 1].partition("#")[2].strip()
+            if not re.fullmatch(r"[\d.(), ]+", comment):
+                continue
+            shown = re.findall(r"\d+\.(\d+)", comment)
+            values = value if isinstance(value, tuple) else (value,)
+            assert len(values) == len(shown), comment
+            spelt = [f"{v:.{len(digits)}f}" for v, digits in zip(values, shown)]
+            assert spelt == re.findall(r"\d+\.\d+", comment), (comment, values)
+            checked.append(comment)
+    assert checked == ["(90.0, 45.0)", "180.0", "119.73", "83.11", "(90.0, 45.0, 45.0)"]
 
 # sha256 of CLI outputs, the presets simulated at --seed 7. A change meant to
 # leave behaviour alone must leave these alone: a change to any number, its

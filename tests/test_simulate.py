@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
 import numpy as np
 import pytest
 
-from seqcontest import behavior, stats
+from seqcontest import behavior, simulate, stats
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import (
     EmpiricalResponder,
@@ -28,6 +28,7 @@ from seqcontest.simulate import (
     NotASessionLog,
     RoundRecord,
     SessionConfig,
+    SessionLog,
     _group_rng,
     export_log,
     load_log,
@@ -354,41 +355,54 @@ LAYOUT_COLUMNS = {"group": "q", "round": "q", "triad": "q", "stage": "q", "inves
 
 
 class TestSessionLayout:
-    """A log from ``run_session`` carries the group, round, triad, stage and
-    investment columns it laid out; any other log reads them from its
-    records."""
+    """A log from ``run_session`` or ``load_log`` has its column store seeded
+    with the group, round, triad, stage and investment columns; any other log
+    reads them from its records."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SESSIONS))
     def test_layout_is_the_record_walk(self, name):
         # 2 groups, 4 rounds and 3 triads, so no two of them line up
         log = golden_log(name, rounds=4)
-        layout = log._layout_columns()
+        layout = dict(log._columns())
         assert sorted(layout) == sorted(LAYOUT_COLUMNS)
         for column, typecode in LAYOUT_COLUMNS.items():
             assert layout[column].typecode == typecode
             assert layout[column].tolist() == [getattr(r, column) for r in log.records]
         # as stats reads them: the arrays and dtypes of the record walk, bit for bit
-        laid_out, walked = stats._Columns(log.records, layout), stats._Columns(log.records)
+        laid_out, walked = log._columns(), stats._columns(log.records)
         for column in LAYOUT_COLUMNS:
-            got, want = getattr(laid_out, column), getattr(walked, column)
+            got, want = stats._array(laid_out, column), stats._array(walked, column)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
-    def test_other_logs_carry_no_layout(self, tmp_path):
+    def test_which_logs_are_seeded(self, tmp_path, monkeypatch):
         log = golden_log("leader-noisy-1-2")
-        assert log._layout_columns() is not None
         for fmt in ("json", "csv"):
             export_log(log, fmt, tmp_path / f"log.{fmt}")
+        seeded = [log, load_log(tmp_path / "log.json"), load_log(tmp_path / "log.csv")]
         others = [
             replace(log),
             replace(log, records=list(log.records)),
             stats.last_rounds(log, 2),
-            load_log(tmp_path / "log.json"),
-            load_log(tmp_path / "log.csv"),
+            SessionLog(log.spec, log.groups, log.rounds, log.integer_rounding, log.seed,
+                       list(log.records)),
         ]
-        for other in others:
-            assert other._layout is None and other._layout_columns() is None
-        assert others[0] == log and others[3] == log and others[4] == log
-
+        transposed = []
+        transpose = simulate._transpose
+        monkeypatch.setattr(
+            simulate, "_transpose", lambda rows: transposed.append(rows) or transpose(rows)
+        )
+        for each in seeded:
+            columns = each._columns()
+            assert sorted(columns) == sorted(LAYOUT_COLUMNS)
+            for name in LAYOUT_COLUMNS:
+                assert list(columns[name]) == [getattr(r, name) for r in each.records]
+        # the seeded logs read no field from their records; the others read them once
+        assert transposed == []
+        for each in others:
+            assert each._store is None
+            assert each._columns() is each._columns()
+            assert transposed.pop() is each.records and transposed == []
+        assert seeded[1] == log and seeded[2] == log and others[0] == log
 
 class TestRunBatch:
     def test_replications_have_distinct_streams(self):

@@ -5,10 +5,12 @@ arithmetic; the decimal expected values below are exact.
 """
 
 import collections
+import copy
 import dataclasses
 import itertools
 import json
 import math
+import pickle
 from dataclasses import replace
 from importlib import resources
 
@@ -19,10 +21,12 @@ from scipy import stats as sps
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import EquilibriumPolicy
 from seqcontest.equilibrium import solve_spne
-from seqcontest import stats
+from seqcontest import simulate, stats
 from seqcontest.simulate import (
     RoundRecord,
     SessionConfig,
+    export_log,
+    load_log,
     run_batch,
     run_session,
     session_config_from_dict,
@@ -817,19 +821,48 @@ def edits(log):
     yield
 
 
-class TestColumnMemo:
-    """A log keeps the columns its statistics read, while its records stay
-    the same objects in the same order."""
+LOG_SOURCES = ["run_session", "json", "csv"]
+LAYOUT_NAMES = ["group", "round", "triad", "stage", "investment"]
 
-    def test_statistics_follow_edits_to_the_records(self):
+
+def sourced_log(source, tmp_path):
+    """A (1,2) SPNE log as ``run_session`` made it, or read back by ``load_log``
+    from the format ``source``."""
+    log = spne_log((1, 2), groups=2, rounds=3)
+    if source == "run_session":
+        return log
+    path = tmp_path / f"log.{source}"
+    export_log(log, source, path)
+    return load_log(path)
+
+
+class TestColumnMemo:
+    """A log keeps the columns its statistics read in its column store, while
+    its records stay the same objects in the same order."""
+
+    def test_statistics_follow_edits_to_the_records(self, tmp_path):
+        for source in LOG_SOURCES:
+            log = sourced_log(source, tmp_path)
+            store = log._columns()
+            analysis(log)
+            for _ in edits(log):
+                # the seeded store is dropped after any edit
+                assert log._columns() is not store
+                store = log._columns()
+                fresh = replace(log, records=list(log.records))
+                assert analysis(log) == analysis(fresh)
+
+    def test_tuple_records_keep_their_store(self):
         log = spne_log((1, 2), groups=2, rounds=3)
-        assert log._layout_columns() is not None
-        analysis(log)
-        for _ in edits(log):
-            # run_session's layout is refused after any edit
-            assert log._layout_columns() is None
-            fresh = replace(log, records=list(log.records))
-            assert analysis(log) == analysis(fresh)
+        twin = replace(log, records=tuple(log.records))
+        expected = analysis(log)
+        assert analysis(twin) == expected
+        store = twin._store
+        assert store[0] is twin.records
+        assert analysis(twin) == expected and twin._store is store
+        twin.records = tuple(replace(r, investment=r.investment + 0.5) for r in twin.records)
+        assert analysis(twin) == analysis(replace(log, records=list(twin.records)))
+        assert twin._store is not store
 
     def test_groups_are_coded_once(self, monkeypatch):
         # a log's groups are coded once per reading of its records: by run
@@ -865,16 +898,16 @@ class TestColumnMemo:
     def test_a_record_replaced_by_an_equal_one_keeps_the_columns(self):
         log = spne_log((1, 2), groups=2, rounds=3)
         expected = analysis(log)
-        memo = getattr(log, stats._MEMO)
+        store = log._store
         log.records[0] = replace(log.records[0])
         log.records[-1] = replace(log.records[-1])
-        assert log.records[0] is not memo.records[0]
+        assert log.records[0] is not store[0][0]
         assert analysis(log) == expected
-        assert getattr(log, stats._MEMO) is memo
+        assert log._store is store
         assert analysis(replace(log, records=list(log.records))) == expected
 
-    def test_each_column_is_read_once(self, monkeypatch):
-        reads = []
+    def test_each_column_is_read_once(self, monkeypatch, tmp_path):
+        reads, transposed = [], []
 
         def counted(values, dtype):
             reads.append(dtype.__name__)
@@ -882,48 +915,65 @@ class TestColumnMemo:
 
         def read_columns(log):
             reads.clear()
+            transposed.clear()
             treatment_summary(log)
             trend_by_round(log)
             group_aggregate_means(log)
             triad_totals(log)
-            return sorted(reads)
+            return sorted(reads), len(transposed)
 
-        column = stats._column
+        loaded = [sourced_log("json", tmp_path), sourced_log("csv", tmp_path)]
+        column, transpose = stats._column, simulate._transpose
         monkeypatch.setattr(stats, "_column", counted)
+        monkeypatch.setattr(
+            simulate, "_transpose", lambda rows: transposed.append(rows) or transpose(rows)
+        )
         log = spne_log((1, 2), groups=2, rounds=3)
         # run_session laid out group, round, triad, stage and investment:
-        # no field is read from the records
-        assert read_columns(log) == []
-        # the twin has no layout: group, round, triad and stage as ints,
-        # investment as floats
-        assert read_columns(replace(log)) == ["float"] + ["int"] * 4
+        # no field is read from the records, and no column is converted
+        assert read_columns(log) == ([], 0)
+        # load_log's columns become arrays once: group, round, triad and stage
+        # as ints, investment as floats; no field is read from the records
+        for back in loaded:
+            assert read_columns(back) == (["float"] + ["int"] * 4, 0)
+            assert read_columns(back) == ([], 0)
+        # the twins, with their records in a list or a tuple, have no store:
+        # their records are read once
+        for twin in (replace(log), replace(log, records=tuple(log.records))):
+            assert read_columns(twin) == (["float"] + ["int"] * 4, 1)
+            assert read_columns(twin) == ([], 0)
 
     def test_the_memo_shares_the_layout_snapshot(self):
-        # a laid-out log holds one list snapshot of its records, not two
+        # a laid-out log holds one copy of its records, not two, and the
+        # statistics keep their arrays in the store run_session seeded
         log = spne_log((1, 2), groups=2, rounds=3)
-        assert stats._columns(log).records is log._layout[0]
+        records, columns = log._store
+        analysis(log)
+        assert log._store[0] is records and log._store[1] is columns
+        assert {"_group_codes", "_triad_totals", "_n_rounds"} <= columns.keys()
+        assert all(isinstance(columns[name], np.ndarray) for name in LAYOUT_NAMES)
         log.records[0] = replace(log.records[0], investment=1.0)
-        memo = stats._columns(log)
-        assert memo.records == log.records
-        assert memo.records is not log.records and memo.records is not log._layout[0]
+        analysis(log)
+        assert log._store[0] == log.records
+        assert log._store[0] is not log.records and log._store[0] is not records
 
     def test_a_regrouped_record_is_read_from_the_records(self):
         # a record moved to another group: the layout's group is no longer its own
         log = spne_log((1, 2), groups=2, rounds=3)
         analysis(log)
         log.records[0] = replace(log.records[0], group=2)
-        assert log._layout_columns() is None
-        assert stats._columns(log).group[0] == 2
+        assert stats._array(stats._columns(log), "group")[0] == 2
         assert analysis(log) == analysis(replace(log, records=list(log.records)))
 
-    def test_handed_out_columns_cannot_change_the_layout(self):
-        log = spne_log((1, 2), groups=2, rounds=3)
-        layout = {name: column.tolist() for name, column in log._layout_columns().items()}
-        columns = stats._columns(log)
-        for name in layout:
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(columns, name)[0] = 99
-        assert {name: column.tolist() for name, column in log._layout_columns().items()} == layout
+    def test_handed_out_columns_cannot_change_the_layout(self, tmp_path):
+        for source in LOG_SOURCES:
+            log = sourced_log(source, tmp_path)
+            layout = {name: list(column) for name, column in log._columns().items()}
+            columns = stats._columns(log)
+            for name in layout:
+                with pytest.raises(ValueError, match="read-only"):
+                    stats._array(columns, name)[0] = 99
+            assert {name: stats._array(columns, name).tolist() for name in layout} == layout
 
     def test_triad_totals_are_the_callers_own(self):
         log = spne_log((1, 2), groups=2, rounds=3)
@@ -939,8 +989,24 @@ class TestColumnMemo:
         text = repr(log)
         analysis(log)
         assert repr(log) == text and log == twin
-        assert [f.name for f in dataclasses.fields(type(log))] == [
-            "spec", "groups", "rounds", "integer_rounding", "seed", "records",
-        ]
+        names = [f.name for f in dataclasses.fields(type(log))]
+        assert names == ["spec", "groups", "rounds", "integer_rounding", "seed", "records"]
+        # the statistics set no attribute on a log: its store is run_session's
+        assert list(vars(log)) == [*names, "_store"]
         for derived in (replace(log), last_rounds(log, 2)):
-            assert not hasattr(derived, stats._MEMO)
+            assert derived._store is None
+
+    def test_pickles_and_copies_leave_the_store_out(self):
+        log = spne_log((1, 2), groups=2, rounds=3)
+        twin = replace(log)
+        analysis(log)
+        assert pickle.dumps(log) == pickle.dumps(twin)
+        for copied in (pickle.loads(pickle.dumps(log)), copy.copy(log), copy.deepcopy(log)):
+            assert copied == log and copied._store is None
+
+    def test_an_edited_deep_copy_reads_its_own_records(self):
+        log = spne_log((1, 2), groups=2, rounds=3)
+        analysis(log)
+        copied = copy.deepcopy(log)
+        for _ in edits(copied):
+            assert analysis(copied) == analysis(replace(copied, records=list(copied.records)))
