@@ -1,12 +1,14 @@
 """Command-line front end: solve, simulate, analyze.
 
 ``simulate`` and ``analyze`` write a ``manifest.json`` next to their outputs
-recording the command, inputs, seed, package version, output paths, and wall
-clock, so any artifact can be traced to exactly one invocation. A run's
-files, the manifest included, go through one all-or-none write
-(:func:`seqcontest.simulate.write_files`): each is written once under a temp
-name and renamed into place once, after all of them are written, so a failed
-run leaves the files already in its output directory as they were.
+with the command, package version, output file names and wall clock. A
+``simulate`` manifest also holds its config (a path or ``preset:NAME``) and
+each session's seed (``master_seed``; replications derive theirs from it); an
+``analyze`` one holds null for both and names no input log or hash (ROADMAP
+item 5). A run's files, the manifest included, go through one all-or-none
+write (:func:`seqcontest.simulate.write_files`): each is written once under a
+temp name and renamed into place once, after all of them are written, so a
+failed run leaves the files already in its output directory as they were.
 
 Each command imports the simulator and the statistics inside the function
 that uses them, so ``solve`` writing to stdout loads only the solver.
@@ -22,7 +24,6 @@ import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .core import (
@@ -33,12 +34,8 @@ from .core import (
     _json_number,
     _known_keys,
     _sequence_in_digits,
-    _whole_number,
 )
 from .equilibrium import calibrate_jow, solve_spne
-
-if TYPE_CHECKING:
-    from .simulate import SessionLog
 
 _EXIT_BAD_INPUT = 2
 _EXIT_IO = 3
@@ -191,14 +188,10 @@ def _csv_label(sequence) -> str:
     return "-".join(str(k) for k in sequence.stages)
 
 
-def _log_basename(log: SessionLog, index: int) -> str:
-    return f"session{index:02d}_seq{_csv_label(log.sequence)}"
-
-
 def cmd_simulate(args) -> int:
     from dataclasses import replace
 
-    from .simulate import _log_texts, run_batch, session_config_from_dict
+    from .simulate import _count, _log_texts, run_batch, session_config_from_dict
 
     t0 = time.time()
     try:
@@ -213,9 +206,7 @@ def cmd_simulate(args) -> int:
         configs = [session_config_from_dict(entry) for entry in sessions]
         if args.seed is not None:
             configs = [replace(cfg, seed=args.seed + i) for i, cfg in enumerate(configs)]
-        replications = _whole_number(raw.get("replications", 1), "replications")
-        if replications < 1:
-            raise ContestError("replications must be at least 1")
+        replications = _count(raw.get("replications", 1), "replications")
     except (TypeError, ValueError) as exc:  # ContestError and JSONDecodeError are ValueErrors
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
@@ -230,7 +221,7 @@ def cmd_simulate(args) -> int:
     def log_files():
         # the texts of one log at a time, its formats spelt together
         for i, log in enumerate(logs):
-            name = _log_basename(log, i)
+            name = f"session{i:02d}_seq{_csv_label(log.sequence)}"
             yield from zip([f"{name}.{fmt}" for fmt in formats], _log_texts(log, formats))
 
     seeds = [cfg.seed for cfg in configs]

@@ -44,7 +44,7 @@ same check as a JSON column; ``won`` is 0 or 1. The record widths are
 counted in one pass, and the records built from the columns. The files are
 exactly what ``json.dumps(..., indent=1)`` and ``csv.writer`` write. The
 meta is written and read through the table of session parameters
-(``_SESSION_PARAMETERS``) that configs use.
+(``_SESSION_PARAMETERS``) that configs and :class:`SessionConfig` use.
 
 Column store. A log keeps one private store, outside its fields: a copy of
 the records it was read from and their group, round, triad, stage and
@@ -146,11 +146,42 @@ _STORED = {
 
 
 class BadGroupComposition(ContestError):
-    """Matching groups cannot be formed for this configuration."""
+    """Matching groups, or a batch of sessions, cannot be formed as configured."""
 
 
 class NotASessionLog(ContestError):
     """The file is a run manifest, not a session log."""
+
+
+def _count(value, name: str) -> int:
+    if _whole_number(value, name) < 1:
+        raise BadGroupComposition(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def _nonnegative(value, name: str) -> int:
+    if _whole_number(value, name) < 0:
+        raise ContestError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
+# The session parameters in log-meta order, each with its check, (value, name)
+# -> the value as a log holds it, and its default. The ContestSpec holds prize,
+# endowment and joy_of_winning (and checks their ranges), SessionConfig and
+# SessionLog the others, the run parameters.
+_SESSION_PARAMETERS = {
+    "prize": (_json_number, 240.0),
+    "endowment": (_json_number, 240.0),
+    "joy_of_winning": (_json_number, 0.0),
+    "groups": (_count, 1),
+    "rounds": (_count, 25),
+    "integer_rounding": (_json_bool, False),
+    "seed": (_nonnegative, 0),
+}
+_SPEC_PARAMETERS = ContestSpec.__slots__[1:]  # every field but the sequence
+_RUN_PARAMETERS = [name for name in _SESSION_PARAMETERS if name not in _SPEC_PARAMETERS]
+_DEFAULTS = {name: default for name, (_, default) in _SESSION_PARAMETERS.items()}
+_META_KEYS = {"schema", "sequence", *_SESSION_PARAMETERS}
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -188,14 +219,15 @@ class RoundRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything needed to reproduce one session run."""
+    """Everything needed to reproduce one session run. The run parameters take
+    the defaults and checks of ``_SESSION_PARAMETERS``, as a config's do."""
 
     spec: ContestSpec
     policies: tuple[BehaviorPolicy, ...]
     groups: int
-    rounds: int = 25
-    integer_rounding: bool = False
-    seed: int = 0
+    rounds: int = _DEFAULTS["rounds"]
+    integer_rounding: bool = _DEFAULTS["integer_rounding"]
+    seed: int = _DEFAULTS["seed"]
 
     def __post_init__(self):
         n = self.spec.sequence.n_players
@@ -203,10 +235,8 @@ class SessionConfig:
             raise BadGroupComposition(
                 f"need one policy per player ({n}), got {len(self.policies)}"
             )
-        if self.groups < 1 or self.rounds < 1:
-            raise BadGroupComposition("groups and rounds must be at least 1")
-        if self.seed < 0:
-            raise ContestError(f"seed must be nonnegative, got {self.seed}")
+        for name in _RUN_PARAMETERS:
+            _SESSION_PARAMETERS[name][0](getattr(self, name), name)
 
 
 @dataclass
@@ -312,13 +342,7 @@ def run_session(config: SessionConfig) -> SessionLog:
             f"{seq.label()} has {seq.n_players} players"
         )
     n = seq.n_players
-    log = SessionLog(
-        spec=config.spec,
-        groups=config.groups,
-        rounds=config.rounds,
-        integer_rounding=config.integer_rounding,
-        seed=config.seed,
-    )
+    log = SessionLog(config.spec, **{name: getattr(config, name) for name in _RUN_PARAMETERS})
     records = log.records
     policies, spec, rounding = config.policies, config.spec, config.integer_rounding
     for g in range(config.groups):
@@ -383,8 +407,7 @@ def run_batch(
     """Run each config ``replications`` times with independently derived
     seeds. Results come back in (config, replication) order.
     """
-    if replications < 1:
-        raise ContestError("replications must be at least 1")
+    _count(replications, "replications")
     jobs = [
         replace(config, seed=_derived_seed(config.seed, rep))
         for config in configs
@@ -430,22 +453,6 @@ def write_files(files) -> None:
         raise
 
 
-# The session parameters in log-meta order, each with its JSON check and its
-# default in a session config. prize, endowment and joy_of_winning are held by
-# the ContestSpec, the others by SessionConfig and SessionLog.
-_SESSION_PARAMETERS = {
-    "prize": (_json_number, 240.0),
-    "endowment": (_json_number, 240.0),
-    "joy_of_winning": (_json_number, 0.0),
-    "groups": (_whole_number, 1),
-    "rounds": (_whole_number, 25),
-    "integer_rounding": (_json_bool, False),
-    "seed": (_whole_number, 0),
-}
-_SPEC_PARAMETERS = ContestSpec.__slots__[1:]  # every field but the sequence
-_META_KEYS = {"schema", "sequence", *_SESSION_PARAMETERS}
-
-
 def _session(raw: Mapping, stages_key: str) -> tuple[ContestSpec, dict]:
     """The spec and run parameters of a config or meta ``raw`` that holds
     every session parameter, with its stage counts under ``stages_key``."""
@@ -458,8 +465,8 @@ def _session(raw: Mapping, stages_key: str) -> tuple[ContestSpec, dict]:
 
 def _log_meta(log: SessionLog) -> dict:
     meta = {"schema": 1, "sequence": list(log.sequence.stages)}
-    for name in _SESSION_PARAMETERS:
-        meta[name] = getattr(log.spec if name in _SPEC_PARAMETERS else log, name)
+    for name, (check, _) in _SESSION_PARAMETERS.items():
+        meta[name] = check(getattr(log.spec if name in _SPEC_PARAMETERS else log, name), name)
     return meta
 
 
@@ -667,8 +674,7 @@ def session_config_from_dict(raw: Mapping) -> SessionConfig:
     left out; any other key is an error. Nothing is coerced.
     """
     try:
-        defaults = {name: default for name, (_, default) in _SESSION_PARAMETERS.items()}
-        spec, run = _session({**defaults, **raw}, "treatment")
+        spec, run = _session({**_DEFAULTS, **raw}, "treatment")
         # checked once the session is known to be an object with a treatment
         _known_keys(raw, ["treatment", "policies", *_SESSION_PARAMETERS], "session")
         policies = tuple(

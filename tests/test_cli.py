@@ -9,15 +9,28 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqcontest
 from seqcontest import stats
+from seqcontest.behavior import EquilibriumPolicy
 from seqcontest.cli import _build_parser, main
-from seqcontest.simulate import CSV_COLUMNS, CSV_META_PREFIX, export_log, load_log
+from seqcontest.core import ContestError, ContestSpec, MoveSequence
+from seqcontest.simulate import (
+    CSV_COLUMNS,
+    CSV_META_PREFIX,
+    SessionConfig,
+    SessionLog,
+    export_log,
+    load_log,
+    run_batch,
+    run_session,
+)
 
 
 def run_cli(capsys, *argv):
@@ -1308,3 +1321,93 @@ class TestGoldenOutputs:
         }
         expected = PRESET_DIGESTS[preset]
         assert digests == {name: d for name, d in expected.items() if not name.endswith(".json")}
+
+
+# One table of bad session-parameter values, (parameter, value, message), for
+# every path that reads or writes one: SessionConfig, a config, a log meta
+# read back, the log writer and, for the counts, run_batch.
+BAD_SESSION_VALUES = [
+    ("groups", 0, "groups must be at least 1, got 0"),
+    ("groups", -1, "groups must be at least 1, got -1"),
+    ("groups", 2.5, "groups must be a whole number, got 2.5"),
+    ("groups", True, "groups must be a whole number, got True"),
+    ("groups", np.int64(1), f"groups must be a whole number, got {np.int64(1)!r}"),
+    ("rounds", 0, "rounds must be at least 1, got 0"),
+    ("rounds", -1, "rounds must be at least 1, got -1"),
+    ("rounds", 2.0, "rounds must be a whole number, got 2.0"),
+    ("seed", -5, "seed must be nonnegative, got -5"),
+    ("seed", 1.5, "seed must be a whole number, got 1.5"),
+    ("seed", True, "seed must be a whole number, got True"),
+    ("integer_rounding", 1, "integer_rounding must be true or false, got 1"),
+    ("replications", 2.5, "replications must be a whole number, got 2.5"),
+]
+# the values of a session's run parameters, and those a JSON file can hold
+_RUN_VALUES = [case for case in BAD_SESSION_VALUES if case[0] != "replications"]
+_JSON_VALUES = [case for case in BAD_SESSION_VALUES if not isinstance(case[1], np.integer)]
+# every bad count, as a replication count (each value once)
+_COUNT_VALUES = list({
+    repr(value): ("replications", value, message.replace(name, "replications", 1))
+    for name, value, message in BAD_SESSION_VALUES
+    if name in ("groups", "rounds", "replications")
+}.values())
+
+
+def _bad_values(cases):
+    return pytest.mark.parametrize(
+        "name, value, message", cases, ids=[f"{name}={value!r}" for name, value, _ in cases]
+    )
+
+
+def _tiny_config():
+    return SessionConfig(
+        spec=ContestSpec(MoveSequence((3,))), policies=(EquilibriumPolicy(),) * 3,
+        groups=1, rounds=1, seed=1,
+    )
+
+
+class TestSessionParameterRules:
+    @_bad_values(_RUN_VALUES)
+    def test_session_config_refuses(self, name, value, message):
+        with pytest.raises(ContestError, match=re.escape(message)):
+            replace(_tiny_config(), **{name: value})
+
+    @_bad_values(_JSON_VALUES)
+    def test_config_exits_2(self, capsys, tmp_path, name, value, message):
+        session = {"treatment": [3], "policies": SPNE_POLICIES}
+        raw = {"schema": 1, "sessions": [session]}
+        (raw if name == "replications" else session)[name] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: invalid config: {message}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @_bad_values([case for case in _RUN_VALUES if case in _JSON_VALUES])
+    def test_log_meta_exits_2(self, capsys, spne_run, tmp_path, name, value, message, fmt):
+        bad = tmp_path / f"bad.{fmt}"
+        _write_meta(name, value, fmt)(spne_run[0], bad)
+        with pytest.raises(ContestError) as info:
+            load_log(bad)
+        assert str(bad) in str(info.value) and message in str(info.value)
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "analyze", str(bad), "--out", str(out_dir))
+        assert code == 2 and err.startswith("error: bad log file: ")
+        assert str(bad) in err and message in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @_bad_values(_RUN_VALUES)
+    def test_writer_refuses(self, tmp_path, name, value, message, fmt):
+        good = run_session(_tiny_config())
+        run = {"groups": 1, "rounds": 1, "integer_rounding": False, "seed": 1, name: value}
+        log = SessionLog(good.spec, **run, records=good.records)
+        with pytest.raises(ContestError, match=re.escape(message)):
+            export_log(log, fmt, tmp_path / f"log.{fmt}")
+        assert not any(tmp_path.iterdir())
+
+    @_bad_values(_COUNT_VALUES)
+    def test_run_batch_refuses(self, name, value, message):
+        with pytest.raises(ContestError, match=re.escape(message)):
+            run_batch([_tiny_config()], value)
