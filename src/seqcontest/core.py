@@ -4,7 +4,8 @@ A contest is described by a move sequence (how many players decide at each
 stage), a prize, and a per-player endowment. The winner is drawn with
 probability proportional to investment: p_i = x_i / sum(x), falling back to
 an even split 1/n when nobody invests. All functions here are pure and
-operate on plain sequences of numbers. The value types are hand-written
+operate on plain sequences of numbers; the outcome functions return tuples of
+floats, built in plain Python. The value types are hand-written
 because ``dataclasses`` loads ``inspect``: about 20 ms of every ``solve``.
 """
 
@@ -13,10 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Sequence
 
 __all__ = [
     "ContestError",
@@ -53,7 +51,7 @@ class InvestmentExceedsEndowment(ContestError):
 
 
 def _stage_count(k) -> int:
-    # operator.index takes ints and numpy integers, but no float or string
+    # operator.index takes ints and other integer types, but no float or string
     try:
         if not isinstance(k, bool):
             return operator.index(k)
@@ -260,33 +258,42 @@ def _known_keys(entry, allowed, what: str) -> None:
 
 
 def _as_investments(investments: Sequence[float]) -> list[float]:
-    """``investments`` as a nonempty list of nonnegative floats."""
+    """``investments`` as a nonempty list of finite nonnegative floats.
+
+    ``math.fsum`` takes the numbers ``float`` takes, but no string, and is
+    finite when they and their sum are; it spends an iterator, which is then
+    refused as empty."""
     try:
-        x = [float(v) for v in investments]
-    except TypeError:
-        raise ContestError("investments must be a nonempty 1-d sequence") from None
+        finite = math.isfinite(math.fsum(investments))
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    x = [float(v) for v in investments] if finite else []
     if not x:
-        raise ContestError("investments must be a nonempty 1-d sequence")
+        raise ContestError(
+            "investments must be a nonempty 1-d sequence of finite real numbers with a"
+            f" finite sum, got {investments!r}"
+        )
     if min(x) < 0.0:
         raise NegativeInvestment(f"investments must be nonnegative, got {x}")
     return x
 
 
-def win_probabilities(investments: Sequence[float]) -> np.ndarray:
-    """Win probability of each player under the lottery success function.
+def win_probabilities(investments: Sequence[float]) -> tuple[float, ...]:
+    """Win probability of each player under the lottery success function, as
+    a tuple of floats.
 
     p_i = x_i / sum(x) when total investment is positive, 1/n otherwise. The
     total is added left to right in floats.
     """
-    import numpy as np  # here, so that importing the package does not load it
-
     x = _as_investments(investments)
     total = 0.0
     for value in x:
         total += value
-    if total > 0.0:
-        return np.array([value / total for value in x])
-    return np.full(len(x), 1.0 / len(x))
+    if total == 0.0:
+        return (1.0 / len(x),) * len(x)
+    if total == math.inf:  # the exact sum is finite, but rounding carried it over
+        raise ContestError(f"investments must sum within the float range, got {x}")
+    return tuple([value / total for value in x])
 
 
 def draw_winner(investments: Sequence[float], uniform_draw: float) -> int:
@@ -299,7 +306,7 @@ def draw_winner(investments: Sequence[float], uniform_draw: float) -> int:
     """
     if not 0.0 <= uniform_draw < 1.0:
         raise ContestError(f"uniform draw must lie in [0, 1), got {uniform_draw}")
-    shares = win_probabilities(investments).tolist()
+    shares = win_probabilities(investments)
     cumulative = 0.0
     for i, share in enumerate(shares[:-1]):
         cumulative += share
@@ -310,19 +317,19 @@ def draw_winner(investments: Sequence[float], uniform_draw: float) -> int:
 
 def round_payoffs(
     spec: ContestSpec, investments: Sequence[float], winner: int
-) -> np.ndarray:
-    """Monetary payoffs for one round: endowment - own investment, plus the
-    prize for the winner. Joy of winning is a preference term and is not paid.
+) -> tuple[float, ...]:
+    """Monetary payoffs for one round, as a tuple of floats: endowment - own
+    investment, plus the prize for the winner. Joy of winning is a preference
+    term and is not paid.
     """
-    import numpy as np
-
     x = _as_investments(investments)
-    if max(x) > spec.endowment + 1e-9:
+    endowment = float(spec.endowment)
+    if max(x) > endowment + 1e-9:
         raise InvestmentExceedsEndowment(
             f"investments must not exceed the endowment {spec.endowment}, got {x}"
         )
     if not 0 <= winner < len(x):
         raise ContestError(f"winner index {winner} out of range for {len(x)} players")
-    payoffs = [spec.endowment - value for value in x]
-    payoffs[winner] += spec.prize
-    return np.array(payoffs)
+    payoffs = [endowment - value for value in x]
+    payoffs[winner] += float(spec.prize)
+    return tuple(payoffs)

@@ -220,7 +220,8 @@ class RoundRecord(NamedTuple):
 @dataclass(frozen=True)
 class SessionConfig:
     """Everything needed to reproduce one session run. The run parameters take
-    the defaults and checks of ``_SESSION_PARAMETERS``, as a config's do."""
+    their defaults from ``_SESSION_PARAMETERS``, and every session parameter,
+    the spec's numbers included, is checked by its rule there, as a config's is."""
 
     spec: ContestSpec
     policies: tuple[BehaviorPolicy, ...]
@@ -235,8 +236,7 @@ class SessionConfig:
             raise BadGroupComposition(
                 f"need one policy per player ({n}), got {len(self.policies)}"
             )
-        for name in _RUN_PARAMETERS:
-            _SESSION_PARAMETERS[name][0](getattr(self, name), name)
+        _session_values(self)
 
 
 @dataclass
@@ -307,7 +307,7 @@ def play_round(
             roles.append((stage, slot, m1, m2))
 
     winner = draw_winner(investments, float(rng.random()))
-    payoffs = round_payoffs(spec, investments, winner).tolist()
+    payoffs = round_payoffs(spec, investments, winner)
     # each record built in C from its cells, in CSV_COLUMNS order
     return [
         tuple.__new__(
@@ -463,11 +463,17 @@ def _session(raw: Mapping, stages_key: str) -> tuple[ContestSpec, dict]:
     return ContestSpec(sequence, **{name: run.pop(name) for name in _SPEC_PARAMETERS}), run
 
 
+def _session_values(session: SessionConfig | SessionLog) -> dict:
+    """Every session parameter of ``session``, read from its spec or itself,
+    as a log holds it; a value no log can hold raises."""
+    return {
+        name: check(getattr(session.spec if name in _SPEC_PARAMETERS else session, name), name)
+        for name, (check, _) in _SESSION_PARAMETERS.items()
+    }
+
+
 def _log_meta(log: SessionLog) -> dict:
-    meta = {"schema": 1, "sequence": list(log.sequence.stages)}
-    for name, (check, _) in _SESSION_PARAMETERS.items():
-        meta[name] = check(getattr(log.spec if name in _SPEC_PARAMETERS else log, name), name)
-    return meta
+    return {"schema": 1, "sequence": list(log.sequence.stages), **_session_values(log)}
 
 
 def _log_from_meta(meta: Mapping, records: list[RoundRecord]) -> SessionLog:

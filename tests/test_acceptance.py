@@ -358,7 +358,7 @@ def test_criterion_7_simulator_integrity():
     # empirical win rates over 100,000 triad-rounds vs the success function
     spec = ContestSpec(MoveSequence((1, 2)))
     policies = (EquilibriumPolicy(),) * 3
-    probs = win_probabilities(solve_spne(spec).per_player_investments())
+    probs = np.asarray(win_probabilities(solve_spne(spec).per_player_investments()))
     rng = np.random.default_rng(777)
     m = 100_000
     wins = np.zeros(3)

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -85,6 +86,20 @@ def test_solve_leaves_numpy_unloaded():
         "print(seqcontest.stats.wald_mean is seqcontest.wald_mean)\n"
     )
     assert fresh_python(code)[-2:] == ["[]", "True"]
+
+
+def test_outcome_functions_leave_numpy_unloaded():
+    # the outcome functions build tuples of floats in plain Python
+    code = (
+        "import sys\n"
+        "from seqcontest.core import ContestSpec, MoveSequence, draw_winner,"
+        " round_payoffs, win_probabilities\n"
+        "x = [20.0, 30.0, 50.0]\n"
+        "spec = ContestSpec(MoveSequence((3,)))\n"
+        "print(win_probabilities(x), draw_winner(x, 0.3), round_payoffs(spec, x, 1))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    assert fresh_python(code) == ["(0.2, 0.3, 0.5) 1 (220.0, 450.0, 190.0)", "[]"]
 
 
 def test_import_and_solve_load_only_the_solver():
@@ -1406,6 +1421,21 @@ class TestSessionParameterRules:
         with pytest.raises(ContestError, match=re.escape(message)):
             export_log(log, fmt, tmp_path / f"log.{fmt}")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", [np.float32(5), Fraction(5)], ids=repr)
+    @pytest.mark.parametrize("name", ["prize", "endowment", "joy_of_winning"])
+    def test_session_config_refuses_spec_number(self, name, value):
+        # ContestSpec takes any finite real, but a log meta holds JSON numbers
+        # only, so the session is refused before it runs, not when written
+        spec = ContestSpec(MoveSequence((3,)), **{name: value})
+        with pytest.raises(ContestError, match=re.escape(f"{name} must be a number, got {value!r}")):
+            replace(_tiny_config(), spec=spec)
+
+    @pytest.mark.parametrize("value", [5, np.float64(5)], ids=repr)
+    @pytest.mark.parametrize("name", ["prize", "endowment", "joy_of_winning"])
+    def test_session_config_takes_spec_number(self, name, value):
+        spec = ContestSpec(MoveSequence((3,)), **{name: value})
+        assert replace(_tiny_config(), spec=spec).spec == spec
 
     @_bad_values(_COUNT_VALUES)
     def test_run_batch_refuses(self, name, value, message):

@@ -1,7 +1,9 @@
 """Tests for the contest game primitives."""
 
 import copy
+import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,53 @@ from seqcontest.core import (
     round_payoffs,
     win_probabilities,
 )
+
+# Investments that no outcome function takes: not finite, not a real number
+# (float() reads the strings and bytes), beyond the float range, summing
+# beyond it, or not 1-d.
+NOT_FINITE_REALS = {
+    "nan": [math.nan, 1.0, 1.0],
+    "inf": [math.inf, 1.0, 1.0],
+    "-inf": [-math.inf, 1.0, 1.0],
+    "sum-overflows": [1e308, 1e308, 1.0],
+    "digit-string": [1.0, "2"],
+    "string": ["a", 1.0],
+    "bytes": [b"1", 1.0],
+    "int-beyond-floats": [10**400, 1.0],
+    "2-d": [[1.0, 2.0], [3.0, 4.0]],
+}
+not_finite_reals = pytest.mark.parametrize(
+    "investments", list(NOT_FINITE_REALS.values()), ids=list(NOT_FINITE_REALS)
+)
+# numbers of the types a spec or an investment may hold
+REAL_NUMBERS = {
+    "int": [240, 20, 0],
+    "np.float64": [np.float64(240.1), np.float64(86.188), np.float64(0.1)],
+    "Fraction": [Fraction(2401, 10), Fraction(1, 3), Fraction(2, 7)],
+}
+
+
+def bits(values):
+    assert all(type(v) is float for v in values), values
+    return [v.hex() for v in values]
+
+
+def numpy_shares(investments):
+    """The shares as numpy built them: left-to-right floats through np.array."""
+    x = [float(v) for v in investments]
+    total = 0.0
+    for value in x:
+        total += value
+    if total > 0.0:
+        return np.array([value / total for value in x]).tolist()
+    return np.full(len(x), 1.0 / len(x)).tolist()
+
+
+def numpy_payoffs(spec, investments, winner):
+    """The payoffs as numpy built them, from the spec's own numbers."""
+    payoffs = [spec.endowment - float(v) for v in investments]
+    payoffs[winner] += spec.prize
+    return np.array(payoffs).tolist()
 
 
 class TestMoveSequence:
@@ -204,6 +253,31 @@ class TestWinProbabilities:
         with pytest.raises(ContestError, match="nonempty 1-d sequence"):
             win_probabilities(investments)
 
+    @pytest.mark.parametrize("kind", REAL_NUMBERS)
+    def test_tuple_of_exact_floats(self, kind):
+        numbers = REAL_NUMBERS[kind]
+        for x in (numbers, numbers[1:], [numbers[2]] * 3, [0 * numbers[0]] * 3):
+            p = win_probabilities(x)
+            assert type(p) is tuple
+            assert bits(p) == bits(numpy_shares(x)), x
+
+    @not_finite_reals
+    def test_not_finite_real_refused(self, investments):
+        with pytest.raises(ContestError, match="finite real numbers"):
+            win_probabilities(investments)
+
+    def test_total_rounded_over_the_float_range_refused(self):
+        # fsum of these is the largest float, but added left to right they
+        # round up to inf, and every share would read 0
+        x = [2.0**1023 + 2.0**971, 2.0**970, 2.0**1023 - 2.0**972 - 2.0**970]
+        assert math.isfinite(math.fsum(x)) and (x[0] + x[1]) + x[2] == math.inf
+        with pytest.raises(ContestError, match="sum within the float range"):
+            win_probabilities(x)
+
+    def test_iterator_refused(self):
+        with pytest.raises(ContestError, match="nonempty 1-d sequence"):
+            win_probabilities(iter([1.0, 2.0]))
+
     def test_probability_vector_property(self):
         rng = np.random.default_rng(101)
         for _ in range(200):
@@ -211,7 +285,7 @@ class TestWinProbabilities:
             x = rng.uniform(0, 240, n)
             if rng.random() < 0.2:
                 x[rng.integers(0, n)] = 0.0
-            p = win_probabilities(x)
+            p = np.asarray(win_probabilities(x))
             assert np.all(p >= 0)
             assert abs(p.sum() - 1.0) < 1e-12
 
@@ -283,13 +357,18 @@ class TestDrawWinner:
     def test_zero_profile_equal_thirds(self):
         assert draw_winner([0, 0, 0], 0.99) == 2
 
+    @not_finite_reals
+    def test_not_finite_real_refused(self, investments):
+        with pytest.raises(ContestError, match="finite real numbers"):
+            draw_winner(investments, 0.1)
+
     def test_draw_must_be_unit_interval(self):
         with pytest.raises(ContestError):
             draw_winner([1, 1], 1.0)
 
     def test_empirical_frequencies_match_probabilities(self):
         x = [90.0, 45.0, 45.0]
-        p = win_probabilities(x)
+        p = np.asarray(win_probabilities(x))
         rng = np.random.default_rng(303)
         m = 100_000
         draws = rng.random(m)
@@ -326,10 +405,28 @@ class TestRoundPayoffs:
         with pytest.raises(ContestError):
             round_payoffs(self.spec, [1, 2, 3], 3)
 
+    @pytest.mark.parametrize("kind", REAL_NUMBERS)
+    def test_tuple_of_exact_floats(self, kind):
+        # a spec's prize and endowment of any real type pay Python floats,
+        # bit for bit those that numpy built from the spec's own numbers
+        numbers = REAL_NUMBERS[kind]
+        for prize, endowment in ((numbers[0], numbers[0]), (numbers[1] + 7, numbers[0])):
+            spec = ContestSpec(MoveSequence((3,)), prize, endowment)
+            for x in ([20.5, 30.25, 0.1], numbers, [numbers[2]] * 3):
+                for winner in range(3):
+                    payoffs = round_payoffs(spec, x, winner)
+                    assert type(payoffs) is tuple
+                    assert bits(payoffs) == bits(numpy_payoffs(spec, x, winner)), (spec, x)
+
+    @not_finite_reals
+    def test_not_finite_real_refused(self, investments):
+        with pytest.raises(ContestError, match="finite real numbers"):
+            round_payoffs(self.spec, investments, 0)
+
     def test_conservation_property(self):
         rng = np.random.default_rng(404)
         for _ in range(200):
             x = rng.uniform(0, 240, 3)
             winner = int(rng.integers(0, 3))
-            payoffs = round_payoffs(self.spec, x, winner)
+            payoffs = np.asarray(round_payoffs(self.spec, x, winner))
             assert payoffs.sum() == pytest.approx(3 * 240 + 240 - x.sum(), abs=1e-9)
