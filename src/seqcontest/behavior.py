@@ -313,14 +313,12 @@ def _leader_optimum(spec: ContestSpec, model_items: tuple, joy_of_winning: float
 def _observation_inputs(
     sequence: MoveSequence, stage: int, observed: Sequence[float]
 ) -> tuple[float | None, float | None]:
-    """Map raw prior investments to the (m1, m2) inputs of a response model.
+    """Map raw prior investments to the (m1, m2) inputs of a response model
+    at a stage after the first (stage-1 players observe nothing).
 
     m1 averages the first-stage investments (a single value in one-leader
     treatments); m2 is the second-stage investment, present only at stage 3.
-    Stage-1 players observe nothing: both are None.
     """
-    if stage < 2:
-        return None, None
     k1 = sequence.stages[0]
     m1 = math.fsum(observed[:k1]) / k1  # statistics.fmean, without its overhead
     m2 = observed[k1] if stage >= 3 else None
@@ -372,16 +370,19 @@ def act(
 ) -> float:
     """Investment chosen by ``policy`` for a player deciding at ``stage``.
 
-    ``observed`` must contain exactly the investments from strictly earlier
-    stages, in player order. Any randomness (responder noise) is drawn from
-    ``rng``; deterministic policies never touch it. The policy is resolved
-    (:func:`_policy_rule`) on the first call with this policy object, spec
-    object and stage, and reused after that, so a session resolves each of
-    its policies once.
+    ``observed`` may be any sequence (``play_round`` passes a tuple) and
+    must contain exactly the investments from strictly earlier stages, in
+    player order; a stage the sequence lacks raises :class:`IndexError`. Any
+    randomness (responder noise) is drawn from ``rng``; deterministic
+    policies never touch it. The policy is resolved (:func:`_policy_rule`)
+    on the first call with this policy object, spec object and stage, and
+    reused after that, so a session resolves each of its policies once; the
+    number of earlier investments is read then from the sequence's role plan.
     """
     key = (id(policy), id(spec), stage)
-    entry = _RESOLVED.get(key)
-    if entry is None:
+    try:
+        entry = _RESOLVED[key]
+    except KeyError:
         if len(_RESOLVED) >= _RESOLVED_MAX:
             _RESOLVED.clear()
         expected = spec.sequence.players_before_stage(stage)
@@ -392,7 +393,7 @@ def act(
             f"stage {stage} of {spec.sequence.label()} observes {expected} prior "
             f"investments, got {len(observed)}"
         )
-    if isinstance(rule, float):
+    if rule.__class__ is float:
         return rule
     m1, m2 = _observation_inputs(spec.sequence, stage, observed)
     return eval_response(rule, m1, m2, endowment=spec.endowment, rng=rng)
@@ -521,13 +522,8 @@ def policy_from_config(entry: Mapping, spec: ContestSpec, player: int) -> Behavi
         if "model" in entry:
             model = _model_from_dict(entry["model"])
         else:
-            bundled = default_response_models(seq)
-            if stage not in bundled:
-                raise ContestError(
-                    f"no bundled response model for a responder at stage {stage} "
-                    f"of treatment {seq.label()}"
-                )
-            model = bundled[stage]
+            # the bundled file has a model for every later stage of its sequences
+            model = default_response_models(seq)[stage]
         if "noise_sd" in entry:
             model = replace(model, noise_sd=_json_number(entry["noise_sd"], "noise_sd"))
         _check_m2_terms(model, seq, stage)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
@@ -121,19 +122,31 @@ class MoveSequence(_Value):
 
     def stage_of_player(self, player: int) -> int:
         """1-based stage at which 0-based ``player`` decides."""
-        seen = 0
-        for t, k in enumerate(self.stages, start=1):
-            seen += k
-            if 0 <= player < seen:
-                return t
+        if 0 <= player < self.n_players:
+            return _role_plan(self.stages)[player][0]
         raise IndexError(f"player index {player} out of range")
 
     def players_before_stage(self, stage: int) -> int:
         """Number of players deciding strictly before 1-based ``stage``."""
-        return sum(self.stages[: stage - 1])
+        for t, _, before in _role_plan(self.stages):
+            if t == stage:
+                return before
+        raise IndexError(f"stage {stage} out of range")
 
     def label(self) -> str:
         return "(" + ",".join(str(k) for k in self.stages) + ")"
+
+
+@lru_cache(maxsize=64)
+def _role_plan(stages: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """Each player's role in the move sequence of stage counts ``stages``, in
+    order of play: (1-based stage, 1-based slot within the stage, number of
+    players deciding before the stage). Every role is derived here."""
+    plan, before = [], 0
+    for stage, count in enumerate(stages, start=1):
+        plan += [(stage, slot, before) for slot in range(1, count + 1)]
+        before += count
+    return tuple(plan)
 
 
 def _finite_real(value, name: str):
@@ -262,16 +275,17 @@ def _as_investments(investments: Sequence[float]) -> list[float]:
 
     ``math.fsum`` takes the numbers ``float`` takes, but no string, and is
     finite when they and their sum are; it spends an iterator, which is then
-    refused as empty."""
+    refused as empty. A bool is refused, as :class:`ContestSpec` refuses one."""
     try:
         finite = math.isfinite(math.fsum(investments))
     except (TypeError, ValueError, OverflowError):
         finite = False
-    x = [float(v) for v in investments] if finite else []
-    if not x:
+    x = list(map(float, investments)) if finite else []
+    # a bool reads as 1.0 or 0.0, so only then are the types read
+    if not x or (1.0 in x or 0.0 in x) and bool in map(type, investments):
         raise ContestError(
-            "investments must be a nonempty 1-d sequence of finite real numbers with a"
-            f" finite sum, got {investments!r}"
+            "investments must be a nonempty 1-d sequence of finite real numbers, not bools,"
+            f" with a finite sum, got {investments!r}"
         )
     if min(x) < 0.0:
         raise NegativeInvestment(f"investments must be nonnegative, got {x}")
@@ -308,7 +322,7 @@ def draw_winner(investments: Sequence[float], uniform_draw: float) -> int:
         raise ContestError(f"uniform draw must lie in [0, 1), got {uniform_draw}")
     shares = win_probabilities(investments)
     cumulative = 0.0
-    for i, share in enumerate(shares[:-1]):
+    for i, share in enumerate(shares):
         cumulative += share
         if uniform_draw < cumulative:
             return i
@@ -320,11 +334,12 @@ def round_payoffs(
 ) -> tuple[float, ...]:
     """Monetary payoffs for one round, as a tuple of floats: endowment - own
     investment, plus the prize for the winner. Joy of winning is a preference
-    term and is not paid.
+    term and is not paid. An investment above the endowment, by any amount,
+    raises :class:`InvestmentExceedsEndowment`, so no payoff is negative.
     """
     x = _as_investments(investments)
     endowment = float(spec.endowment)
-    if max(x) > endowment + 1e-9:
+    if max(x) > endowment:
         raise InvestmentExceedsEndowment(
             f"investments must not exceed the endowment {spec.endowment}, got {x}"
         )

@@ -18,10 +18,15 @@ format: a change to it changes every log written from a given seed.
   positive ``noise_sd``, in player order, and one ``random()`` that draws
   the winner (:func:`seqcontest.core.draw_winner`).
 
-Each triad is one :func:`play_round`, which plays and books it in one pass
-over the stages: each player's role (stage, slot and the (m1, m2) its stage
-observes) is noted as the player acts, and the records are built from those
-roles once the winner is drawn and payoffs are booked. Its ``act`` calls
+Each triad is one :func:`play_round`, which walks the players in order of
+play, one step each, along the move sequence's role plan
+(``core._role_plan``: each player's stage, slot and number of players before
+its stage, derived once per sequence and also read by ``run_session``'s
+stage column and by ``act``). When a stage after the first starts, the
+investments it observes are taken as one tuple and its (m1, m2) read once
+(stage 1 observes nothing: both are None). Each player's record cells up
+to its investment are built as it acts, and its won and payoff cells once
+the winner is drawn and payoffs are booked. Its ``act`` calls
 resolve a policy (``behavior._policy_rule``) only on the first call for that
 policy, spec and stage, so a session resolves its policies once; only
 responder noise and the winner draw touch the stream inside a triad.
@@ -32,7 +37,9 @@ cells, and :func:`play_round` and :func:`load_log` build each one in C
 column, through one table (``_COLUMNS``) that gives each column its JSON
 cell types and check and its spelling. One writer, ``_log_texts``, serves
 :func:`export_log` and ``simulate``: it transposes the records to their
-columns in one ``zip``, spells the int and float columns (and m1 and m2
+columns in one ``zip``, refuses a column whose cell types (one pass each)
+fall outside the reader's (a float subclass passes as a float), spells the
+int and float columns (and m1 and m2
 when they hold no None) once for all the formats asked for, so ``--format
 both`` spells them once per log, and fills one template per record.
 :func:`load_log` checks a JSON column in one pass over its cell types and
@@ -55,7 +62,8 @@ lays out once the session is played (``array('q')`` s, by repetition, and an
 checked. The store holds while ``records`` is ``==`` its copy, compared in C,
 so a record replaced by an equal one keeps it; after any other edit, and in a
 log made by ``replace``, ``copy``, ``pickle`` or by hand, the records are
-read again (``_transpose``) into a new store.
+read again (``_transpose``) into a new store. ``stats.last_rounds`` seeds
+the cut log's store with its parent's columns, cut by one mask.
 """
 
 from __future__ import annotations
@@ -83,6 +91,7 @@ from .core import (
     _json_bool,
     _json_number,
     _known_keys,
+    _role_plan,
     _whole_number,
     draw_winner,
     round_payoffs,
@@ -289,32 +298,31 @@ def play_round(
     ``rng`` is consumed as the module docstring sets out for one triad.
     """
     seq = spec.sequence
-    n = seq.n_players
-    if len(policies) != n or len(subjects) != n:
+    plan = _role_plan(seq.stages)
+    if len(policies) != len(plan) or len(subjects) != len(plan):
         raise BadGroupComposition("one policy and one subject id per player slot")
 
     investments: list[float] = []
-    roles = []  # (stage, slot, m1, m2) of each player, in player order
-    for stage, count in enumerate(seq.stages, start=1):
-        observed = list(investments)
-        m1, m2 = _observation_inputs(seq, stage, observed)
-        for slot in range(1, count + 1):
-            x = act(policies[len(investments)], spec, stage, observed, rng)
-            if integer_rounding:
-                # lab rule: whole points only; round half to even, then clamp
-                x = float(min(max(round(x), 0), int(spec.endowment)))
-            investments.append(x)
-            roles.append((stage, slot, m1, m2))
+    observed, m1, m2 = (), None, None  # what stage 1 observes
+    heads = []  # each record's cells up to its investment, in player order
+    for policy, subject, (stage, slot, _) in zip(policies, subjects, plan):
+        if slot == 1 and stage > 1:  # a later stage observes every investment so far
+            observed = tuple(investments)
+            m1, m2 = _observation_inputs(seq, stage, observed)
+        x = act(policy, spec, stage, observed, rng)
+        if integer_rounding:
+            # lab rule: whole points only; round half to even, then clamp
+            x = float(min(max(round(x), 0), int(spec.endowment)))
+        investments.append(x)
+        heads.append((group, round_number, triad, int(subject), stage, slot, m1, m2, x))
 
     winner = draw_winner(investments, float(rng.random()))
     payoffs = round_payoffs(spec, investments, winner)
-    # each record built in C from its cells, in CSV_COLUMNS order
-    return [
-        tuple.__new__(
-            RoundRecord, (group, round_number, triad, int(subject), *role, x, i == winner, paid)
-        )
-        for i, (subject, role, x, paid) in enumerate(zip(subjects, roles, investments, payoffs))
-    ]
+    records = []  # a loop, which is faster than a comprehension before Python 3.12
+    for i, (head, paid) in enumerate(zip(heads, payoffs)):
+        # built in C from its cells, in CSV_COLUMNS order
+        records.append(tuple.__new__(RoundRecord, head + (i == winner, paid)))
+    return records
 
 
 def _group_rng(seed: int, group_index: int) -> np.random.Generator:
@@ -344,6 +352,7 @@ def run_session(config: SessionConfig) -> SessionLog:
     n = seq.n_players
     log = SessionLog(config.spec, **{name: getattr(config, name) for name in _RUN_PARAMETERS})
     records = log.records
+    extend = records.extend
     policies, spec, rounding = config.policies, config.spec, config.integer_rounding
     for g in range(config.groups):
         rng = _group_rng(config.seed, g)
@@ -360,7 +369,7 @@ def run_session(config: SessionConfig) -> SessionLog:
                 rng.shuffle(order)
             # triad k takes the k-th subject of each role
             for triad, subjects in enumerate(zip(*matching), start=1):
-                records.extend(
+                extend(
                     play_round(
                         policies,
                         spec,
@@ -379,7 +388,7 @@ def run_session(config: SessionConfig) -> SessionLog:
         "group": _repeated(range(1, config.groups + 1), config.rounds * per_round, 1),
         "round": _repeated(range(1, config.rounds + 1), per_round, config.groups),
         "triad": _repeated(range(1, SUBJECTS_PER_ROLE + 1), n, config.groups * config.rounds),
-        "stage": _repeated(map(seq.stage_of_player, range(n)), 1, len(records) // n),
+        "stage": _repeated([role[0] for role in _role_plan(seq.stages)], 1, len(records) // n),
         "investment": array("d", [r.investment for r in records]),
     })
     return log
@@ -492,6 +501,18 @@ def _check_finite(columns) -> None:
             raise ContestError(f"{CSV_COLUMNS[i]} cells must be finite")
 
 
+def _check_types(columns) -> None:
+    """Refuse a cell the reader would not load as it is: each column's cell
+    types, collected in one pass, must be among its JSON cell types
+    (``_COLUMNS``), a float subclass (``np.float64``) counting as a float."""
+    for (name, kind), column in zip(_COLUMNS.items(), columns):
+        for bad in set(map(type, column)) - kind.json_types:
+            if float not in kind.json_types or not issubclass(bad, float):
+                cell = next(cell for cell in column if type(cell) is bad)
+                types = " or ".join(sorted(t.__name__ for t in kind.json_types))
+                raise ContestError(f"{name} cells must be of type {types}, got {cell!r}")
+
+
 def _check_widths(rows) -> None:
     widths = list(map(len, rows))
     if widths.count(len(CSV_COLUMNS)) != len(widths):
@@ -568,6 +589,7 @@ def _log_texts(log: SessionLog, formats: Sequence[str]) -> list[str]:
         if format not in _SPELLINGS:
             raise ContestError(f"unknown export format {format!r}")
     columns = _transpose(log.records)
+    _check_types(columns)
     _check_finite(columns)
     common = [
         None if kind is _BOOL
@@ -603,9 +625,10 @@ def export_log(log: SessionLog, format: str, path) -> None:
     Both formats hold the same meta block and records, spelt as ``json`` and
     ``csv`` spell them: a JSON log is ``json.dumps({"meta": ..., "records":
     [...]}, indent=1)``, and a CSV log starts with one ``# seqcontest-log
-    {meta JSON}`` line, then the header and one row per record. A non-finite
-    m1, m2, investment or payoff, which :func:`load_log` would refuse, raises
-    :class:`ContestError` before anything is written.
+    {meta JSON}`` line, then the header and one row per record. A cell that
+    :func:`load_log` would refuse or read as another type (an int investment,
+    a numpy int group) and a non-finite m1, m2, investment or payoff raise
+    :class:`ContestError` naming the column before anything is written.
     """
     write_files([(path, _log_texts(log, [format])[0])])
 

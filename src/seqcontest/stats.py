@@ -44,7 +44,7 @@ import numpy as np
 
 from . import _LAZY_EXPORTS
 from .core import ContestError, MoveSequence
-from .simulate import SessionLog, _stored, _transpose
+from .simulate import _STORED, SessionLog, _stored, _transpose
 
 __all__ = list(_LAZY_EXPORTS["stats"])
 
@@ -366,10 +366,18 @@ def _columns(log_or_records) -> dict:
 
 
 def last_rounds(log: SessionLog, k: int) -> SessionLog:
-    """The log cut to its last ``k`` rounds."""
-    rounds = [r.round for r in log.records]
-    cutoff = max(rounds, default=0) - k
-    return replace(log, records=list(compress(log.records, [n > cutoff for n in rounds])))
+    """The log cut to its last ``k`` rounds. Its store holds the log's stored
+    columns cut by the same mask, so the cut log reads no record field."""
+    columns = log._columns()
+    rounds = _array(columns, "round")
+    keep = rounds > (rounds.max() if rounds.size else 0) - k
+    cut = replace(log, records=list(compress(log.records, keep.tolist())))
+    store = {}
+    for name in _STORED:
+        store[name] = column = _array(columns, name)[keep]
+        column.flags.writeable = False
+    cut._store = (cut.records[:], store)
+    return cut
 
 
 def triad_totals(log_or_records) -> tuple[np.ndarray, np.ndarray]:

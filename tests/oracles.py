@@ -11,6 +11,11 @@ library's results are checked against.
   evaluated through a chain of closures (a clamped response, the later
   movers' total, the marginal payoff) and a root generator. The library's
   one flat function must return the same ``PreemptionResult``.
+* ``play_round_nested`` is the triad loop that ``simulate.play_round``'s
+  flat walk over a role plan replaced: one pass per stage, one per slot
+  within it, each stage's observed investments copied to a list and the
+  roles packed per player. Both make the same public calls, in the same
+  order, so on equal streams they must return equal records.
 * ``jonckheere_terpstra_exact`` gives exact Jonckheere-Terpstra p-values by
   enumerating every assignment of the pooled observations to the groups. It
   counts pairs with its own helper, so it shares no code with the
@@ -33,8 +38,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from seqcontest.behavior import PreemptionResult
-from seqcontest.core import ContestError, ContestSpec
+from seqcontest.behavior import PreemptionResult, _observation_inputs, act
+from seqcontest.core import ContestError, ContestSpec, draw_winner, round_payoffs
 from seqcontest.equilibrium import (
     _GRID_POINTS,
     _ROOT_TOL,
@@ -43,7 +48,50 @@ from seqcontest.equilibrium import (
     _horner,
     bisect,
 )
+from seqcontest.simulate import BadGroupComposition, RoundRecord
 from seqcontest.stats import OLSFit, TooFewGroups, TreatmentSummary, WaldResult
+
+# ---------------------------------------------------------------------------
+# Nested triad loop
+# ---------------------------------------------------------------------------
+
+
+def play_round_nested(
+    policies,
+    spec: ContestSpec,
+    rng,
+    *,
+    integer_rounding: bool = False,
+    group: int = 1,
+    round_number: int = 1,
+    triad: int = 1,
+    subjects=(1, 2, 3),
+) -> list[RoundRecord]:
+    """One triad, played stage by stage and slot by slot."""
+    seq = spec.sequence
+    n = seq.n_players
+    if len(policies) != n or len(subjects) != n:
+        raise BadGroupComposition("one policy and one subject id per player slot")
+
+    investments: list[float] = []
+    roles = []  # (stage, slot, m1, m2) of each player, in player order
+    for stage, count in enumerate(seq.stages, start=1):
+        observed = list(investments)
+        m1, m2 = _observation_inputs(seq, stage, observed) if stage > 1 else (None, None)
+        for slot in range(1, count + 1):
+            x = act(policies[len(investments)], spec, stage, observed, rng)
+            if integer_rounding:
+                x = float(min(max(round(x), 0), int(spec.endowment)))
+            investments.append(x)
+            roles.append((stage, slot, m1, m2))
+
+    winner = draw_winner(investments, float(rng.random()))
+    payoffs = round_payoffs(spec, investments, winner)
+    return [
+        RoundRecord(group, round_number, triad, int(subject), *role, x, i == winner, paid)
+        for i, (subject, role, x, paid) in enumerate(zip(subjects, roles, investments, payoffs))
+    ]
+
 
 # ---------------------------------------------------------------------------
 # Full-grid root search

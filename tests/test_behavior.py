@@ -630,6 +630,12 @@ class TestPresets:
             assert set(default_response_models(MoveSequence(stages))) == {2}
         assert set(default_response_models(SEQ_111)) == {2, 3}
 
+    def test_bundled_file_covers_every_later_stage(self):
+        # why a responder config without a model needs no check that the file
+        # has one for its stage
+        for seq, models in _bundled_models.__wrapped__().items():
+            assert set(models) == set(range(2, seq.n_stages + 1)), seq.label()
+
     def test_bundled_file_loads_under_the_key_rules(self):
         # parsed again, past the cache, so the key checks run on the file
         models = _bundled_models.__wrapped__()

@@ -22,8 +22,8 @@ from seqcontest.core import (
 )
 
 # Investments that no outcome function takes: not finite, not a real number
-# (float() reads the strings and bytes), beyond the float range, summing
-# beyond it, or not 1-d.
+# (float() reads the strings and bytes), a bool (as a spec's numbers), beyond
+# the float range, summing beyond it, or not 1-d.
 NOT_FINITE_REALS = {
     "nan": [math.nan, 1.0, 1.0],
     "inf": [math.inf, 1.0, 1.0],
@@ -32,6 +32,8 @@ NOT_FINITE_REALS = {
     "digit-string": [1.0, "2"],
     "string": ["a", 1.0],
     "bytes": [b"1", 1.0],
+    "bools": [True, False, True],
+    "bool-among-floats": [1.0, 2.0, False],
     "int-beyond-floats": [10**400, 1.0],
     "2-d": [[1.0, 2.0], [3.0, 4.0]],
 }
@@ -97,6 +99,13 @@ class TestMoveSequence:
     def test_stage_of_player_out_of_range(self, player):
         with pytest.raises(IndexError, match=f"player index {player} out of range"):
             MoveSequence([2, 1]).stage_of_player(player)
+
+    @pytest.mark.parametrize("stage", [0, 3, -1])
+    def test_players_before_stage_out_of_range(self, stage):
+        # a stage the sequence lacks has no players before it (it read as
+        # 2, 3 and 0 of them)
+        with pytest.raises(IndexError, match=f"stage {stage} out of range"):
+            MoveSequence([2, 1]).players_before_stage(stage)
 
     def test_label(self):
         assert MoveSequence([1, 1, 1]).label() == "(1,1,1)"
@@ -320,6 +329,8 @@ class TestDrawWinner:
         [240.0, 0.0, 0.0],
         [7.0, 3.0],
         [3.0, 1.0, 4.0, 1.0, 5.0],
+        # the shares sum to 1 - 2**-53: a draw above that goes to the last player
+        [1.0, 4.0, 1.0],
     ]
 
     @pytest.mark.parametrize("x", PROFILES, ids=str)
@@ -398,8 +409,10 @@ class TestRoundPayoffs:
         )
 
     def test_over_endowment_rejected(self):
-        with pytest.raises(InvestmentExceedsEndowment):
-            round_payoffs(self.spec, [241, 0, 0], 0)
+        # by any amount, so that no payoff is negative
+        for x in (241, 240 + 5e-10, math.nextafter(240.0, math.inf)):
+            with pytest.raises(InvestmentExceedsEndowment):
+                round_payoffs(self.spec, [0, x, 0], 0)
 
     def test_bad_winner_rejected(self):
         with pytest.raises(ContestError):

@@ -38,6 +38,8 @@ from seqcontest.simulate import (
     session_config_from_dict,
 )
 
+import oracles
+
 SEQ_12 = MoveSequence((1, 2))
 SEQ_21 = MoveSequence((2, 1))
 SEQ_111 = MoveSequence((1, 1, 1))
@@ -112,6 +114,34 @@ class TestPlayRound:
                 (EquilibriumPolicy(),) * 3, ContestSpec(SEQ_111), np.random.default_rng(6),
                 subjects=(1, 2),
             )
+
+    @pytest.mark.parametrize("integer_rounding", [False, True], ids=["floats", "rounded"])
+    @pytest.mark.parametrize("stages", [(2,), (1, 3), (2, 1, 3), (1, 1, 1, 1)], ids=str)
+    def test_flat_walk_matches_the_nested_loop(self, stages, integer_rounding):
+        # sequences run_session never plays, with responders that see m1 and
+        # m2 and draw noise: on equal streams play_round returns the records
+        # of the nested loop it replaced, and leaves the stream where it does
+        seq = MoveSequence(stages)
+        spec = ContestSpec(seq, joy_of_winning=30.0)
+        responders = {
+            2: ResponseModel(40.0, m1_coef=0.4, m1_sq_coef=-0.001, noise_sd=12.0),
+            3: ResponseModel(30.0, m1_coef=0.2, m2_coef=0.3, m2_sq_coef=-0.0005, noise_sd=7.0),
+            4: ResponseModel(20.0, m1_coef=0.1, m2_coef=0.1, noise_sd=3.0),
+        }
+        policies = [
+            EquilibriumPolicy(use_joy_of_winning=player % 2 == 1) if stage == 1
+            else EmpiricalResponder(responders[stage])
+            for player, stage in enumerate(map(seq.stage_of_player, range(seq.n_players)))
+        ]
+        subjects = [10 * player + 7 for player in range(seq.n_players)]
+        flat, nested = np.random.default_rng(8), np.random.default_rng(8)
+        for triad in range(1, 41):
+            kwargs = dict(integer_rounding=integer_rounding, group=2, round_number=5,
+                          triad=triad, subjects=subjects)
+            records = play_round(policies, spec, flat, **kwargs)
+            assert records == oracles.play_round_nested(policies, spec, nested, **kwargs)
+            assert all(type(r) is RoundRecord for r in records)
+        assert flat.random() == nested.random()
 
     def test_payoffs_consistent(self):
         spec = ContestSpec(SEQ_21)
@@ -378,11 +408,11 @@ class TestSessionLayout:
         log = golden_log("leader-noisy-1-2")
         for fmt in ("json", "csv"):
             export_log(log, fmt, tmp_path / f"log.{fmt}")
-        seeded = [log, load_log(tmp_path / "log.json"), load_log(tmp_path / "log.csv")]
+        seeded = [log, load_log(tmp_path / "log.json"), load_log(tmp_path / "log.csv"),
+                  stats.last_rounds(log, 2)]
         others = [
             replace(log),
             replace(log, records=list(log.records)),
-            stats.last_rounds(log, 2),
             SessionLog(log.spec, log.groups, log.rounds, log.integer_rounding, log.seed,
                        list(log.records)),
         ]
@@ -581,6 +611,33 @@ class TestExportImport:
         with pytest.raises(ContestError, match=column):
             export_log(log, fmt, tmp_path / f"log.{fmt}")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("investment", 90), ("group", np.int64(1)), ("subject", True), ("m1", 5),
+         ("won", 1), ("payoff", "240.0")],
+        ids=["int-investment", "numpy-int-group", "bool-subject", "int-m1", "int-won",
+             "string-payoff"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cell_of_another_type_refused_before_writing(self, tmp_path, column, value, fmt):
+        # a cell the reader would refuse, or read back as another type, is
+        # named with its column instead of failing in a cell's spelling
+        log = run_session(spne_config((1, 1, 1), groups=1, rounds=1))
+        log.records[-1] = replace(log.records[-1], **{column: value})
+        with pytest.raises(ContestError, match=f"^{column} cells must be of type "):
+            export_log(log, fmt, tmp_path / f"log.{fmt}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_float_cells_are_written_as_floats(self, tmp_path):
+        log = run_session(spne_config((1, 1, 1), groups=1, rounds=1))
+        log.records[:] = [
+            replace(r, investment=np.float64(r.investment), payoff=np.float64(r.payoff))
+            for r in log.records
+        ]
+        for fmt in ("csv", "json"):
+            export_log(log, fmt, tmp_path / f"log.{fmt}")
+            assert load_log(tmp_path / f"log.{fmt}") == log
 
     def test_empty_log_is_json_dumps(self, tmp_path):
         log = run_session(spne_config((1, 2), groups=1, rounds=1))

@@ -993,8 +993,31 @@ class TestColumnMemo:
         assert names == ["spec", "groups", "rounds", "integer_rounding", "seed", "records"]
         # the statistics set no attribute on a log: its store is run_session's
         assert list(vars(log)) == [*names, "_store"]
-        for derived in (replace(log), last_rounds(log, 2)):
-            assert derived._store is None
+        assert replace(log)._store is None
+
+    @pytest.mark.parametrize("offset", [0, 2**70], ids=["int64-rounds", "rounds-beyond-int64"])
+    @pytest.mark.parametrize("source", LOG_SOURCES)
+    def test_last_rounds_cuts_the_store(self, source, offset, tmp_path, monkeypatch):
+        # the cut log's store is its parent's, cut by one mask: its statistics
+        # read no record field, and equal those of a fresh log of its records
+        log = sourced_log(source, tmp_path)
+        if offset:
+            log = replace(log, records=[replace(r, round=r.round + offset) for r in log.records])
+        transposed = []
+        transpose = simulate._transpose
+        monkeypatch.setattr(
+            simulate, "_transpose", lambda rows: transposed.append(rows) or transpose(rows)
+        )
+        log._columns()
+        transposed.clear()
+        for k in (2, 3, 4):
+            cut = last_rounds(log, k)
+            got = analysis(cut)
+            assert transposed == []
+            fresh = replace(cut, records=list(cut.records))
+            assert got == analysis(fresh) and cut == fresh
+            assert {r.round - offset for r in cut.records} == set(range(max(4 - k, 1), 4))
+            transposed.clear()
 
     def test_pickles_and_copies_leave_the_store_out(self):
         log = spne_log((1, 2), groups=2, rounds=3)
