@@ -9,15 +9,17 @@ matching-group means with the normal approximation (tie-corrected variance).
 The record-level summaries (triad totals, treatment summaries, the round
 trend, matching-group means) read the group, round, triad, stage and
 investment columns of a log's column store (``seqcontest.simulate`` module
-docstring) and compute on them as arrays. Each array, the group codes, the
-triad totals and the round count are made on first use and kept in that
-store, so every statistic of one log reads its records at most once, and
-they go with the store when the records change. Records not in a log are
-read into a store of their own on each call. Triad totals are a
-``np.bincount`` over runs of equal (group, round, triad) keys, in record
-order from 0.0: the floats a running sum per triad gives, whatever the order
-of the records or the ids (records out of the key order ``run_session``
-writes are first put in it by a stable ``np.lexsort``). Integer cluster ids
+docstring) and compute on them as arrays. Each array is made on first use
+and kept in that store, and so is one derived entry, ``_triads``: the group
+codes of the records, and the triad totals with their group codes and
+rounds. So every statistic of one log reads its records at most once and
+codes its groups once, and all of it goes with the store when the records
+change. Records not in a log are read into a store of their own on each
+call. Triad totals are a ``np.bincount`` over runs of equal (group, round,
+triad) keys, in record order from 0.0: the floats a running sum per triad
+gives, whatever the order of the records or the ids (records out of the key
+order ``run_session`` writes are first put in it by a stable
+``np.lexsort``). Integer cluster ids
 that arrive non-decreasing are coded by run length, others by ``np.unique``,
 to the same arrays (``_codes``). Each clustered mean is ``_mean_se``,
 ``cluster_ols``'s floats on a column of ones from cluster codes; only the
@@ -315,47 +317,28 @@ def _array(columns: dict, name: str) -> np.ndarray:
     return column
 
 
-def _kept(make):
-    """``make(columns)``, made on first use and kept in the store under
-    ``make``'s name."""
-
-    def kept(columns: dict):
-        if make.__name__ not in columns:
-            columns[make.__name__] = make(columns)
-        return columns[make.__name__]
-
-    return kept
-
-
-@_kept
-def _group_codes(columns: dict) -> tuple[np.ndarray, np.ndarray]:
-    # the log's groups in order, and each record's as its index among them
-    group = _array(columns, "group")
-    return _codes(group, group.size)
-
-
-@_kept
-def _triad_totals(columns: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # records out of key order are sorted, stably, so each triad's stay in
-    # record order; bincount adds each run in that order from 0.0: the
-    # floats of a running sum per triad
-    keys = [_array(columns, "triad"), _array(columns, "round"), _group_codes(columns)[1]]
-    investment, group = _array(columns, "investment"), _array(columns, "group")
-    first = _runs(keys)
-    if first is None:
-        order = np.lexsort(keys)
-        keys, investment, group = [k[order] for k in keys], investment[order], group[order]
+def _triads(columns: dict) -> tuple:
+    """The log's grouping, derived on first use and kept in the store under
+    ``"_triads"`` (no column's name): the group ids in order, each record's
+    group code (its group's index among them), and each triad row's total,
+    group code and round, the rows sorted by (group, round, triad)."""
+    if "_triads" not in columns:
+        group = _array(columns, "group")
+        ids, codes = _codes(group, group.size)
+        keys = [_array(columns, "triad"), _array(columns, "round"), codes]
+        investment = _array(columns, "investment")
+        # records out of key order are sorted, stably, so each triad's stay in
+        # record order; bincount adds each run in that order from 0.0: the
+        # floats of a running sum per triad
         first = _runs(keys)
-    totals = np.bincount(np.cumsum(first) - 1, weights=investment)
-    # each triad row's total (float64 when empty too: bincount of nothing is
-    # an int array), group, group code and round
-    return totals.astype(float, copy=False), group[first], keys[2][first], keys[1][first]
-
-
-@_kept
-def _n_rounds(columns: dict) -> int:
-    # on the triad rows, a third of the records at most
-    return len(set(_triad_totals(columns)[3].tolist()))
+        if first is None:
+            order = np.lexsort(keys)
+            keys, investment = [k[order] for k in keys], investment[order]
+            first = _runs(keys)
+        # float64 when empty too: bincount of nothing is an int array
+        totals = np.bincount(np.cumsum(first) - 1, weights=investment).astype(float, copy=False)
+        columns["_triads"] = (ids, codes, totals, keys[2][first], keys[1][first])
+    return columns["_triads"]
 
 
 def _columns(log_or_records) -> dict:
@@ -383,8 +366,8 @@ def last_rounds(log: SessionLog, k: int) -> SessionLog:
 def triad_totals(log_or_records) -> tuple[np.ndarray, np.ndarray]:
     """Total investment of each triad-round, sorted by (group, round, triad),
     and the matching group each total belongs to."""
-    totals, groups, _, _ = _triad_totals(_columns(log_or_records))
-    return totals.copy(), groups.copy()
+    groups, _, totals, codes, _ = _triads(_columns(log_or_records))
+    return totals.copy(), groups[codes]
 
 
 def trend_by_round(log_or_records) -> OLSFit:
@@ -443,7 +426,7 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
         if not log.records:
             raise EmptyLog(f"log for {log.sequence.label()} has no records")
         columns = _columns(log)
-        groups, codes = _group_codes(columns)
+        groups, codes, totals, total_codes, rounds = _triads(columns)
         stages, investment = _array(columns, "stage"), _array(columns, "investment")
         seq = log.sequence
         role_means: list[float] = []
@@ -456,7 +439,6 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
             role_means.extend([float(values.mean())] * count)
             role_ses.extend([_mean_se(values, codes[in_stage], groups.size)[2]] * count)
 
-        totals, _, total_codes, _ = _triad_totals(columns)
         out.append(
             TreatmentSummary(
                 sequence=seq,
@@ -466,7 +448,7 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
                 aggregate_se=_mean_se(totals, total_codes, groups.size)[2],
                 nobs=len(log.records),
                 n_clusters=groups.size,
-                n_rounds=_n_rounds(columns),
+                n_rounds=len(set(rounds.tolist())),
             )
         )
     return out
@@ -477,7 +459,7 @@ def group_aggregate_means(log: SessionLog) -> np.ndarray:
     of observation for nonparametric across-treatment tests."""
     if not log.records:
         raise EmptyLog(f"log for {log.sequence.label()} has no records")
-    totals, _, codes, _ = _triad_totals(_columns(log))
+    _, _, totals, codes, _ = _triads(_columns(log))
     # the totals are sorted by group, so each group's are one slice
     starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     return np.array([float(part.mean()) for part in np.split(totals, starts)])

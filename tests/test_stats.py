@@ -950,7 +950,7 @@ class TestColumnMemo:
         records, columns = log._store
         analysis(log)
         assert log._store[0] is records and log._store[1] is columns
-        assert {"_group_codes", "_triad_totals", "_n_rounds"} <= columns.keys()
+        assert columns.keys() - set(LAYOUT_NAMES) == {"_triads"}
         assert all(isinstance(columns[name], np.ndarray) for name in LAYOUT_NAMES)
         log.records[0] = replace(log.records[0], investment=1.0)
         analysis(log)
