@@ -331,7 +331,9 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
 
     Equilibrium and optimizing-leader play do not depend on what the stage
     observes: they resolve to their investment, a float already clamped to
-    [0, endowment]. A responder resolves to its :class:`ResponseModel`.
+    [0, endowment]. A responder resolves to its :class:`ResponseModel`, once
+    its m2 terms are checked: a stage before 3 observes no m2, so a model that
+    sets them there raises :class:`ContestError`.
     """
     if isinstance(policy, EquilibriumPolicy):
         played = spec if policy.use_joy_of_winning else spec.without_joy()
@@ -341,6 +343,7 @@ def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
             raise RoleObservationMismatch(
                 "a responder needs at least one earlier stage to respond to"
             )
+        _check_m2_terms(policy.model, spec.sequence, stage)
         return policy.model
     elif isinstance(policy, OptimizingLeader):
         if stage != 1:

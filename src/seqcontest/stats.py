@@ -136,7 +136,8 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     its own cluster this reduces to HC1. The design is rank deficient, and
     raises, when a column's part unexplained by the columns before it is at
     most 1e-10 of its sum of squares (module docstring). ``clusters`` holds
-    one id per observation, else :class:`ContestError` is raised.
+    one id per observation, and ``y`` and ``design`` are finite, else
+    :class:`ContestError` is raised.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
@@ -145,6 +146,8 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     n, k = X.shape
     if y.shape != (n,):
         raise ContestError(f"y has shape {y.shape}, expected ({n},)")
+    if not (np.isfinite(y).all() and np.isfinite(X).all()):
+        raise ContestError("y and the design must be finite")
     if n <= k:
         raise RankDeficientDesign(f"{n} observations cannot identify {k} coefficients")
     bread = np.array(_inverse((X.T @ X).tolist()))
@@ -203,11 +206,13 @@ def wald_mean(values, clusters, hypothesized: float) -> WaldResult:
 
     The mean and SE are an intercept-only cluster OLS's (``_mean_se``), and
     the squared t-ratio is referred to chi-square(1). ``clusters`` holds one
-    id per value, else raise :class:`ContestError`; under 2 clusters raise
-    :class:`TooFewClusters`. Zero-variance samples are flagged degenerate:
+    id per value, and the values and ``hypothesized`` are finite, else raise
+    :class:`ContestError`; under 2 clusters raise :class:`TooFewClusters`. Zero-variance samples are flagged degenerate:
     p = 1 when the mean matches the hypothesis (to float precision), else 0.
     """
     values = np.asarray(values, dtype=float)
+    if not (math.isfinite(hypothesized) and np.isfinite(values).all()):
+        raise ContestError("the values and the hypothesized mean must be finite")
     ids, codes = _codes(clusters, values.size)
     if ids.size < 2:
         raise TooFewClusters("clustered inference needs at least 2 clusters")
@@ -244,18 +249,21 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]]) -> JTResult:
 
     Two-sided p-value from the normal approximation with the tie-corrected
     null variance. The statistic is rank-based, hence invariant under any
-    strictly increasing transform of the data.
+    strictly increasing transform of the data. A non-finite observation
+    raises :class:`ContestError`.
     """
     arrays = [np.asarray(g, dtype=float) for g in groups]
     if len(arrays) < 3:
         raise TooFewGroups("the trend test needs at least 3 ordered groups")
     if any(a.size == 0 for a in arrays):
         raise ContestError("every group needs at least one observation")
+    pooled = np.concatenate(arrays)
+    if not np.isfinite(pooled).all():
+        raise ContestError("every observation must be finite")
 
     statistic = _jt_statistic(arrays)
     sizes = np.array([a.size for a in arrays], dtype=float)
     total = float(sizes.sum())
-    pooled = np.concatenate(arrays)
     _, tie_counts = np.unique(pooled, return_counts=True)
     ties = tie_counts.astype(float)
 
@@ -349,11 +357,18 @@ def _columns(log_or_records) -> dict:
 
 
 def last_rounds(log: SessionLog, k: int) -> SessionLog:
-    """The log cut to its last ``k`` rounds. Its store holds the log's stored
+    """The log cut to its last ``k`` rounds, the rounds above its last round
+    less ``k``. ``k`` is a whole number of at least 1 (an int, not a bool or
+    a float), else :class:`ContestError` is raised; a ``k`` beyond the log's
+    span of rounds keeps every round. Its store holds the log's stored
     columns cut by the same mask, so the cut log reads no record field."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ContestError(f"k must be a whole number of at least 1, got {k!r}")
     columns = log._columns()
     rounds = _array(columns, "round")
-    keep = rounds > (rounds.max() if rounds.size else 0) - k
+    span = int(rounds.max()) - int(rounds.min()) if rounds.size else 0
+    # a k within the span cuts at one of the rounds, which their dtype holds
+    keep = rounds > int(rounds.max()) - int(k) if k <= span else np.ones(rounds.size, bool)
     cut = replace(log, records=list(compress(log.records, keep.tolist())))
     store = {}
     for name in _STORED:

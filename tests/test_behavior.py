@@ -29,6 +29,7 @@ from seqcontest.behavior import (
     policy_from_config,
     turning_point,
 )
+from seqcontest.simulate import SessionConfig, run_session
 import oracles
 from oracles import optimal_first_mover_walk
 
@@ -608,6 +609,41 @@ class TestAct:
             _policy_rule(policy, spec, 2)
         with pytest.raises(TypeError, match="unknown policy"):
             act(policy, spec, 2, [50.0])
+
+    @pytest.mark.parametrize("term", ["m2_coef", "m2_sq_coef"])
+    @pytest.mark.parametrize("seq", [SEQ_12, SEQ_21, SEQ_111], ids=["1-2", "2-1", "1-1-1"])
+    def test_m2_terms_before_stage_3_refused(self, seq, term):
+        # a stage-2 responder observes no m2, so its m2 terms would be dropped:
+        # act and run_session refuse the model as policy_from_config does
+        spec = ContestSpec(seq)
+        model = ResponseModel(10.0, **{term: 5.0})
+        entry = {"kind": "responder", "model": {"intercept": 10.0, term: 5.0}}
+        player = seq.stages[0]
+        with pytest.raises(ContestError) as refused:
+            policy_from_config(entry, spec, player)
+        message = str(refused.value)
+        assert message == (
+            f"stage 2 of treatment {seq.label()} observes no m2, so its response "
+            f"model cannot set {term}"
+        )
+        responder = EmpiricalResponder(model)
+        with pytest.raises(ContestError) as got:
+            act(responder, spec, 2, [50.0] * player)
+        assert str(got.value) == message
+        policies = [EquilibriumPolicy()] * seq.n_players
+        policies[player] = responder
+        with pytest.raises(ContestError) as got:
+            run_session(SessionConfig(spec, tuple(policies), groups=1, rounds=1))
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize(
+        "term, coef, played", [("m2_coef", 0.5, 40.0), ("m2_sq_coef", 0.01, 46.0)]
+    )
+    def test_a_third_mover_plays_its_m2_terms(self, term, coef, played):
+        # 10 + the m2 term at m2 = 60: stage 3 observes m2
+        model = ResponseModel(10.0, **{term: coef})
+        value = act(EmpiricalResponder(model), ContestSpec(SEQ_111), 3, [70.0, 60.0])
+        assert value == pytest.approx(played) and value == eval_response(model, 70.0, 60.0)
 
     def test_observation_count_checked(self):
         spec = ContestSpec(SEQ_111)

@@ -859,6 +859,18 @@ class TestAnalyze:
         line = (out_dir / "summary.csv").read_text().strip().split("\n")[1]
         assert line.endswith(",5")  # rounds column
 
+    def test_last_rounds_beyond_the_log_keeps_every_round(self, capsys, spne_run, tmp_path):
+        # a K past int64 keeps every round: the summary equals the uncut one
+        paths = [str(p) for p in spne_run]
+        run_cli(capsys, "analyze", *paths, "--tests", "summary", "--out", str(tmp_path / "all"))
+        code, _, err = run_cli(
+            capsys, "analyze", *paths, "--tests", "summary",
+            "--last-rounds", str(10**30), "--out", str(tmp_path / "huge"),
+        )
+        assert code == 0 and "Traceback" not in err
+        summary = [(tmp_path / d / "summary.csv").read_text() for d in ("all", "huge")]
+        assert summary[0] == summary[1]
+
     def test_flat_trend_prints_no_negative_zero(self, capsys, spne_run, tmp_path):
         # SPNE play is the same every round, so each slope is rounding noise
         # around zero, and it must print unsigned whichever way the noise falls

@@ -532,6 +532,34 @@ class TestTreatmentSummary:
         assert means == pytest.approx([180.0] * 4)
 
 
+NAN, INF = math.nan, math.inf
+NOT_FINITE_INPUTS = {
+    "wald-inf-hypothesis": lambda: wald_mean([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2], INF),
+    "wald-minus-inf-hypothesis": lambda: wald_mean([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2], -INF),
+    "wald-nan-hypothesis": lambda: wald_mean([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2], NAN),
+    "wald-nan-value": lambda: wald_mean([1.0, NAN, 3.0, 4.0], [1, 1, 2, 2], 2.5),
+    "wald-inf-value": lambda: wald_mean([1.0, 2.0, INF, 4.0], [1, 1, 2, 2], 2.5),
+    "ols-nan-y": lambda: cluster_ols([1.0, NAN, 2.0, 4.0], FIXTURE_X, FIXTURE_CLUSTERS),
+    "ols-inf-y": lambda: cluster_ols([1.0, 2.0, 2.0, -INF], FIXTURE_X, FIXTURE_CLUSTERS),
+    "ols-nan-design": lambda: cluster_ols(
+        FIXTURE_Y, [[1.0, 0.0], [1.0, NAN], [1.0, 2.0], [1.0, 3.0]], FIXTURE_CLUSTERS
+    ),
+    "ols-inf-design": lambda: cluster_ols(
+        FIXTURE_Y, [[1.0, 0.0], [1.0, 1.0], [INF, 2.0], [1.0, 3.0]], FIXTURE_CLUSTERS
+    ),
+    "jt-nan": lambda: jonckheere_terpstra([[1.0, NAN], [2.0], [3.0]]),
+    "jt-inf": lambda: jonckheere_terpstra([[1.0], [2.0, INF], [3.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_FINITE_INPUTS))
+def test_non_finite_inputs_refused(case):
+    # a NaN or an infinity among the data or the hypothesis gave numbers
+    # (W = 0 against an infinite mean, NaN coefficients, a finite JT p)
+    with pytest.raises(ContestError, match="must be finite$"):
+        NOT_FINITE_INPUTS[case]()
+
+
 class TestPValueRanges:
     def test_pvalues_in_unit_interval_statistics_finite(self):
         rng = np.random.default_rng(123)
@@ -1010,7 +1038,7 @@ class TestColumnMemo:
         )
         log._columns()
         transposed.clear()
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 10**30):
             cut = last_rounds(log, k)
             got = analysis(cut)
             assert transposed == []
@@ -1018,6 +1046,21 @@ class TestColumnMemo:
             assert got == analysis(fresh) and cut == fresh
             assert {r.round - offset for r in cut.records} == set(range(max(4 - k, 1), 4))
             transposed.clear()
+
+    @pytest.mark.parametrize(
+        "k", [0, -1, 2.5, 3.0, True, False, "2", None, np.int64(0)],
+        ids=["zero", "negative", "fraction", "whole-float", "true", "false", "text", "none",
+             "numpy-zero"],
+    )
+    def test_last_rounds_refuses_a_bad_k(self, k):
+        log = spne_log((1, 2), groups=2, rounds=4)
+        with pytest.raises(ContestError, match="^k must be a whole number of at least 1, got "):
+            last_rounds(log, k)
+
+    def test_last_rounds_takes_a_numpy_int(self):
+        log = spne_log((1, 2), groups=2, rounds=4)
+        assert last_rounds(log, np.int64(2)) == last_rounds(log, 2)
+        assert {r.round for r in last_rounds(log, 2).records} == {3, 4}
 
     def test_pickles_and_copies_leave_the_store_out(self):
         log = spne_log((1, 2), groups=2, rounds=3)
