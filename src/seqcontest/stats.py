@@ -19,11 +19,10 @@ call. Triad totals are a ``np.bincount`` over runs of equal (group, round,
 triad) keys, in record order from 0.0: the floats a running sum per triad
 gives, whatever the order of the records or the ids (records out of the key
 order ``run_session`` writes are first put in it by a stable
-``np.lexsort``). Integer cluster ids
-that arrive non-decreasing are coded by run length, others by ``np.unique``,
-to the same arrays (``_codes``). Each clustered mean is ``_mean_se``,
-``cluster_ols``'s floats on a column of ones from cluster codes; only the
-round trend fits through ``cluster_ols``.
+``np.lexsort``). Integer cluster ids that arrive non-decreasing are coded by
+run length, others by ``np.unique``, to the same arrays (``_codes``). Each
+clustered mean is ``_mean_se``, ``cluster_ols``'s floats on a column of ones
+from cluster codes; only the round trend fits through ``cluster_ols``.
 
 ``cluster_ols`` forms X'X once and inverts it by Gauss-Jordan elimination
 (the sweep operator) in Python floats, taking the pivots in column order. A
@@ -207,8 +206,9 @@ def wald_mean(values, clusters, hypothesized: float) -> WaldResult:
     The mean and SE are an intercept-only cluster OLS's (``_mean_se``), and
     the squared t-ratio is referred to chi-square(1). ``clusters`` holds one
     id per value, and the values and ``hypothesized`` are finite, else raise
-    :class:`ContestError`; under 2 clusters raise :class:`TooFewClusters`. Zero-variance samples are flagged degenerate:
-    p = 1 when the mean matches the hypothesis (to float precision), else 0.
+    :class:`ContestError`; under 2 clusters raise :class:`TooFewClusters`.
+    Zero-variance samples are flagged degenerate: p = 1 when the mean
+    matches the hypothesis (to float precision), else 0.
     """
     values = np.asarray(values, dtype=float)
     if not (math.isfinite(hypothesized) and np.isfinite(values).all()):

@@ -1038,7 +1038,7 @@ class TestColumnMemo:
         )
         log._columns()
         transposed.clear()
-        for k in (2, 3, 4, 10**30):
+        for k in (2, 3, 4, np.int64(2), 10**30):
             cut = last_rounds(log, k)
             got = analysis(cut)
             assert transposed == []
@@ -1056,11 +1056,6 @@ class TestColumnMemo:
         log = spne_log((1, 2), groups=2, rounds=4)
         with pytest.raises(ContestError, match="^k must be a whole number of at least 1, got "):
             last_rounds(log, k)
-
-    def test_last_rounds_takes_a_numpy_int(self):
-        log = spne_log((1, 2), groups=2, rounds=4)
-        assert last_rounds(log, np.int64(2)) == last_rounds(log, 2)
-        assert {r.round for r in last_rounds(log, 2).records} == {3, 4}
 
     def test_pickles_and_copies_leave_the_store_out(self):
         log = spne_log((1, 2), groups=2, rounds=3)
