@@ -11,8 +11,8 @@ trend, matching-group means) read the group, round, triad, stage and
 investment columns of a log's column store (``seqcontest.simulate`` module
 docstring) and compute on them as arrays. Each array is made on first use
 and kept in that store, and so is one derived entry, ``_triads``: the group
-codes of the records, and the triad totals with their group codes and
-rounds. So every statistic of one log reads its records at most once and
+codes of the records, the triad totals with their group codes, and the round
+count. So every statistic of one log reads its records at most once and
 codes its groups once, and all of it goes with the store when the records
 change. Records not in a log are read into a store of their own on each
 call. Triad totals are a ``np.bincount`` over runs of equal (group, round,
@@ -328,8 +328,9 @@ def _array(columns: dict, name: str) -> np.ndarray:
 def _triads(columns: dict) -> tuple:
     """The log's grouping, derived on first use and kept in the store under
     ``"_triads"`` (no column's name): the group ids in order, each record's
-    group code (its group's index among them), and each triad row's total,
-    group code and round, the rows sorted by (group, round, triad)."""
+    group code (its group's index among them), each triad row's total and
+    group code, the rows sorted by (group, round, triad), and the number of
+    rounds."""
     if "_triads" not in columns:
         group = _array(columns, "group")
         ids, codes = _codes(group, group.size)
@@ -345,7 +346,9 @@ def _triads(columns: dict) -> tuple:
             first = _runs(keys)
         # float64 when empty too: bincount of nothing is an int array
         totals = np.bincount(np.cumsum(first) - 1, weights=investment).astype(float, copy=False)
-        columns["_triads"] = (ids, codes, totals, keys[2][first], keys[1][first])
+        # the rounds counted on the triad rows, a third of the records at most
+        n_rounds = len(set(keys[1][first].tolist()))
+        columns["_triads"] = (ids, codes, totals, keys[2][first], n_rounds)
     return columns["_triads"]
 
 
@@ -441,7 +444,7 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
         if not log.records:
             raise EmptyLog(f"log for {log.sequence.label()} has no records")
         columns = _columns(log)
-        groups, codes, totals, total_codes, rounds = _triads(columns)
+        groups, codes, totals, total_codes, n_rounds = _triads(columns)
         stages, investment = _array(columns, "stage"), _array(columns, "investment")
         seq = log.sequence
         role_means: list[float] = []
@@ -463,7 +466,7 @@ def treatment_summary(logs: Iterable[SessionLog] | SessionLog) -> list[Treatment
                 aggregate_se=_mean_se(totals, total_codes, groups.size)[2],
                 nobs=len(log.records),
                 n_clusters=groups.size,
-                n_rounds=len(set(rounds.tolist())),
+                n_rounds=n_rounds,
             )
         )
     return out
