@@ -51,14 +51,14 @@ class InvestmentExceedsEndowment(ContestError):
     """An investment is above the per-player endowment."""
 
 
-def _stage_count(k) -> int:
+def _index(value, name: str) -> int:
     # operator.index takes ints and other integer types, but no float or string
     try:
-        if not isinstance(k, bool):
-            return operator.index(k)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
         pass
-    raise ContestError(f"a stage count must be a whole number, got {k!r}")
+    raise ContestError(f"{name} must be a whole number, got {value!r}")
 
 
 class _Value:
@@ -92,7 +92,7 @@ class MoveSequence(_Value):
 
     def __init__(self, stages: tuple[int, ...]):
         try:
-            counts = tuple(map(_stage_count, stages))
+            counts = tuple(_index(k, "a stage count") for k in stages)
         except TypeError:
             raise ContestError(f"stages must be stage counts, got {stages!r}") from None
         object.__setattr__(self, "stages", counts)
@@ -316,8 +316,13 @@ def draw_winner(investments: Sequence[float], uniform_draw: float) -> int:
     Player i (0-based) wins iff the draw lands in the half-open interval
     [sum(p_0..p_{i-1}), sum(p_0..p_i)) of the shares p of
     :func:`win_probabilities`, summed left to right, so the outcome is a
-    deterministic function of the draw.
+    deterministic function of the draw. The draw is a real number other
+    than a bool, else :class:`ContestError` is raised.
     """
+    if uniform_draw.__class__ is not float and (
+        isinstance(uniform_draw, bool) or not isinstance(uniform_draw, numbers.Real)
+    ):
+        raise ContestError(f"uniform draw must be a real number, got {uniform_draw!r}")
     if not 0.0 <= uniform_draw < 1.0:
         raise ContestError(f"uniform draw must lie in [0, 1), got {uniform_draw}")
     shares = win_probabilities(investments)
@@ -336,6 +341,8 @@ def round_payoffs(
     investment, plus the prize for the winner. Joy of winning is a preference
     term and is not paid. An investment above the endowment, by any amount,
     raises :class:`InvestmentExceedsEndowment`, so no payoff is negative.
+    ``winner`` is a player's 0-based index, an int or another integer type
+    but not a bool, else :class:`ContestError` is raised.
     """
     x = _as_investments(investments)
     endowment = float(spec.endowment)
@@ -343,6 +350,8 @@ def round_payoffs(
         raise InvestmentExceedsEndowment(
             f"investments must not exceed the endowment {spec.endowment}, got {x}"
         )
+    if winner.__class__ is not int:
+        winner = _index(winner, "winner")
     if not 0 <= winner < len(x):
         raise ContestError(f"winner index {winner} out of range for {len(x)} players")
     payoffs = [endowment - value for value in x]

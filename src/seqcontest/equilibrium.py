@@ -26,11 +26,12 @@ in line, giving the floats of ``_horner`` and :func:`bisect`.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import ContestError, ContestSpec, MoveSequence
+from .core import ContestError, ContestSpec, MoveSequence, _check_contest_numbers, _index
 
 __all__ = [
     "NoRootInUnitInterval",
@@ -225,13 +226,27 @@ def calibrate_jow(observed_mean: float, n: int, prize: float) -> float:
     w = n**2 * mean / (n - 1) - V. A negative estimate is clamped to zero
     with a warning: investment below the equilibrium level is attributed to
     noise, not to displeasure from winning.
+
+    The mean is a finite positive real number other than a bool (else
+    :class:`NonPositiveMean`), ``n`` a whole number of at least 2 and the
+    prize what :class:`ContestSpec` takes as one, else :class:`ContestError`.
     """
-    if not (math.isfinite(observed_mean) and observed_mean > 0):
-        raise NonPositiveMean(
-            f"observed mean must be a finite positive number, got {observed_mean}"
+    try:
+        valid = (
+            isinstance(observed_mean, numbers.Real)
+            and not isinstance(observed_mean, bool)
+            and math.isfinite(observed_mean)
+            and observed_mean > 0
         )
-    if n < 2:
+    except OverflowError:  # an int beyond floats
+        valid = False
+    if not valid:
+        raise NonPositiveMean(
+            f"observed mean must be a finite positive number, got {observed_mean!r}"
+        )
+    if _index(n, "n") < 2:
         raise ContestError("calibration needs at least two players")
+    _check_contest_numbers(prize, 0.0, 0.0)  # the prize by a contest's rule
     w = n * n * observed_mean / (n - 1) - prize
     if w < 0:
         warnings.warn(

@@ -56,14 +56,15 @@ meta is written and read through the table of session parameters
 Column store. A log keeps one private store, outside its fields: a copy of
 the records it was read from and their group, round, triad, stage and
 investment columns (``SessionLog._columns``), in which ``stats`` also keeps
-what it derives from them. :func:`run_session` seeds it with the columns it
-lays out once the session is played (``array('q')`` s, by repetition, and an
-``array('d')`` of investments), and :func:`load_log` with the columns it has
-checked. The store holds while ``records`` is ``==`` its copy, compared in C,
-so a record replaced by an equal one keeps it; after any other edit, and in a
-log made by ``replace``, ``copy``, ``pickle`` or by hand, the records are
-read again (``_transpose``) into a new store. ``stats.last_rounds`` seeds
-the cut log's store with its parent's columns, cut by one mask.
+what it derives from them. Only two functions seed a store:
+:func:`run_session`, with the columns it lays out once the session is played
+(``array('q')`` s, by repetition, and an ``array('d')`` of investments), and
+:func:`load_log`, with the columns it has checked. The store holds while
+``records`` is ``==`` its copy, compared in C, so a record replaced by an
+equal one keeps it; after any other edit, and in a log made by ``replace``,
+``copy``, ``pickle`` or by hand, the records are read once (``_transpose``)
+into a new store, on first use. So is a log cut by ``stats.last_rounds``, a
+``replace`` with the kept records.
 """
 
 from __future__ import annotations

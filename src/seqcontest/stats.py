@@ -9,12 +9,15 @@ matching-group means with the normal approximation (tie-corrected variance).
 The record-level summaries (triad totals, treatment summaries, the round
 trend, matching-group means) read the group, round, triad, stage and
 investment columns of a log's column store (``seqcontest.simulate`` module
-docstring) and compute on them as arrays. Each array is made on first use
-and kept in that store, and so is one derived entry, ``_triads``: the group
-codes of the records, the triad totals with their group codes, and the round
-count. So every statistic of one log reads its records at most once and
-codes its groups once, and all of it goes with the store when the records
-change. Records not in a log are read into a store of their own on each
+docstring) and compute on them as arrays. That store is the log's: this
+module seeds, cuts and replaces none. Each column becomes an array on first
+use (``_array``), kept in that store in the column's place, and so does one
+derived entry, ``_triads``: the group codes of the records, the triad totals
+with their group codes, and the round count. So every statistic of one log
+reads its records at most once and codes its groups once, and all of it goes
+with the store when the records change. ``last_rounds`` filters a log's
+records, and the cut log reads them into its own store on first use.
+Records not in a log are read into a store of their own on each
 call. Triad totals are a ``np.bincount`` over runs of equal (group, round,
 triad) keys, in record order from 0.0: the floats a running sum per triad
 gives, whatever the order of the records or the ids (records out of the key
@@ -36,16 +39,15 @@ solved from X'X keep fewer than about six significant digits.
 from __future__ import annotations
 
 import math
-from array import array
+import numbers
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _LAZY_EXPORTS
 from .core import ContestError, MoveSequence
-from .simulate import _STORED, SessionLog, _stored, _transpose
+from .simulate import SessionLog, _stored, _transpose
 
 __all__ = list(_LAZY_EXPORTS["stats"])
 
@@ -123,7 +125,11 @@ def _codes(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ContestError(f"clusters has shape {ids.shape}, expected ({n},)")
     first = _runs([ids]) if ids.dtype.kind in "iu" else None
     if first is None:
-        return np.unique(ids, return_inverse=True)
+        try:
+            return np.unique(ids, return_inverse=True)
+        except TypeError:  # ids that do not order, such as None among ints
+            kinds = sorted({type(i).__name__ for i in ids.tolist()})
+            raise ContestError(f"clusters must be ids of one ordered type, got {kinds}") from None
     return ids[first], np.cumsum(first, dtype=np.intp) - 1
 
 
@@ -135,13 +141,16 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     its own cluster this reduces to HC1. The design is rank deficient, and
     raises, when a column's part unexplained by the columns before it is at
     most 1e-10 of its sum of squares (module docstring). ``clusters`` holds
-    one id per observation, and ``y`` and ``design`` are finite, else
+    one id per observation (ids that order), ``design`` is 1-d or 2-d with at
+    least one column, and ``y`` and ``design`` are finite, else
     :class:`ContestError` is raised.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    if X.ndim != 2 or not X.shape[1]:
+        raise ContestError(f"design has shape {X.shape}, expected (n,) or (n, k) with k >= 1")
     n, k = X.shape
     if y.shape != (n,):
         raise ContestError(f"y has shape {y.shape}, expected ({n},)")
@@ -205,12 +214,17 @@ def wald_mean(values, clusters, hypothesized: float) -> WaldResult:
 
     The mean and SE are an intercept-only cluster OLS's (``_mean_se``), and
     the squared t-ratio is referred to chi-square(1). ``clusters`` holds one
-    id per value, and the values and ``hypothesized`` are finite, else raise
-    :class:`ContestError`; under 2 clusters raise :class:`TooFewClusters`.
+    id per value, the values are 1-d, ``hypothesized`` is a real number (not
+    a bool), and both are finite, else raise :class:`ContestError`; under 2
+    clusters raise :class:`TooFewClusters`.
     Zero-variance samples are flagged degenerate: p = 1 when the mean
     matches the hypothesis (to float precision), else 0.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ContestError(f"values has shape {values.shape}, expected 1-d")
+    if isinstance(hypothesized, bool) or not isinstance(hypothesized, numbers.Real):
+        raise ContestError(f"hypothesized must be a real number, got {hypothesized!r}")
     if not (math.isfinite(hypothesized) and np.isfinite(values).all()):
         raise ContestError("the values and the hypothesized mean must be finite")
     ids, codes = _codes(clusters, values.size)
@@ -249,14 +263,19 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]]) -> JTResult:
 
     Two-sided p-value from the normal approximation with the tie-corrected
     null variance. The statistic is rank-based, hence invariant under any
-    strictly increasing transform of the data. A non-finite observation
+    strictly increasing transform of the data. A group that is not a 1-d
+    sequence of at least one observation, or a non-finite observation,
     raises :class:`ContestError`.
     """
     arrays = [np.asarray(g, dtype=float) for g in groups]
     if len(arrays) < 3:
         raise TooFewGroups("the trend test needs at least 3 ordered groups")
-    if any(a.size == 0 for a in arrays):
-        raise ContestError("every group needs at least one observation")
+    for i, a in enumerate(arrays):
+        if a.ndim != 1 or not a.size:
+            raise ContestError(
+                f"groups[{i}] has shape {a.shape}; every group needs a 1-d sequence of"
+                " at least one observation"
+            )
     pooled = np.concatenate(arrays)
     if not np.isfinite(pooled).all():
         raise ContestError("every observation must be finite")
@@ -296,30 +315,20 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]]) -> JTResult:
 _INT64_MAX = 2**63 - 1
 
 
-def _column(values: Sequence, dtype: type) -> np.ndarray:
-    """A list or tuple of Python ints (``dtype`` int) or floats as an array,
-    read with its dtype named, which is about twice as fast as ``np.array``
-    inferring it."""
-    if not values:
-        return np.array(values)  # float64, as np.array makes an empty list
-    try:
-        return np.fromiter(values, dtype, len(values))
-    except OverflowError:
-        # an id beyond int64: an array of Python ints keeps ids exact, as the
-        # records hold them
-        return np.array(values, dtype=object)
-
-
 def _array(columns: dict, name: str) -> np.ndarray:
     """The store's column ``name`` as a read-only array, investment as floats
-    and the others as ints, made on first use and kept in the column's place."""
+    and the others as ints, made on first use and kept in the column's place.
+    An ``array('q')`` or ``array('d')`` is viewed in place (int is int64), a
+    list or tuple is read with its dtype named, an id beyond int64 makes an
+    array of Python ints, which keeps the ids exact, and an empty column is
+    float64, as ``np.array`` makes an empty list."""
     column = columns[name]
     if isinstance(column, np.ndarray):
         return column
-    dtype = float if name == "investment" else int
-    # an array('q') holds int64s and an array('d') float64s, the dtypes
-    # _column reads ints and floats to: viewed in place where int is int64
-    column = np.asarray(column, dtype) if isinstance(column, array) else _column(column, dtype)
+    try:
+        column = np.asarray(column, int if name != "investment" and len(column) else float)
+    except OverflowError:
+        column = np.array(column, dtype=object)
     column.flags.writeable = False  # the store's own
     columns[name] = column
     return column
@@ -361,24 +370,15 @@ def _columns(log_or_records) -> dict:
 
 def last_rounds(log: SessionLog, k: int) -> SessionLog:
     """The log cut to its last ``k`` rounds, the rounds above its last round
-    less ``k``. ``k`` is a whole number of at least 1 (an int, not a bool or
-    a float), else :class:`ContestError` is raised; a ``k`` beyond the log's
-    span of rounds keeps every round. Its store holds the log's stored
-    columns cut by the same mask, so the cut log reads no record field."""
+    less ``k``, taken in Python ints, so any ``k`` and any round id cut
+    exactly and a ``k`` beyond the log's span of rounds keeps every round.
+    ``k`` is a whole number of at least 1 (an int, not a bool or a float),
+    else :class:`ContestError` is raised. The cut log is a ``replace`` of
+    ``log``: it reads its records into a store of its own on first use."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ContestError(f"k must be a whole number of at least 1, got {k!r}")
-    columns = log._columns()
-    rounds = _array(columns, "round")
-    span = int(rounds.max()) - int(rounds.min()) if rounds.size else 0
-    # a k within the span cuts at one of the rounds, which their dtype holds
-    keep = rounds > int(rounds.max()) - int(k) if k <= span else np.ones(rounds.size, bool)
-    cut = replace(log, records=list(compress(log.records, keep.tolist())))
-    store = {}
-    for name in _STORED:
-        store[name] = column = _array(columns, name)[keep]
-        column.flags.writeable = False
-    cut._store = (cut.records[:], store)
-    return cut
+    cutoff = max((r.round for r in log.records), default=0) - int(k)
+    return replace(log, records=[r for r in log.records if r.round > cutoff])
 
 
 def triad_totals(log_or_records) -> tuple[np.ndarray, np.ndarray]:

@@ -40,6 +40,11 @@ NOT_FINITE_REALS = {
 not_finite_reals = pytest.mark.parametrize(
     "investments", list(NOT_FINITE_REALS.values()), ids=list(NOT_FINITE_REALS)
 )
+# Winners that round_payoffs refuses: a bool (True would count as player 1),
+# and a float or a string, which index no list.
+BAD_WINNERS = {"true": True, "false": False, "float": 1.0, "string": "1", "none": None}
+# Draws that draw_winner refuses: a bool (False would draw 0.0) and a string.
+BAD_DRAWS = {"true": True, "false": False, "string": "0.5", "none": None}
 # numbers of the types a spec or an investment may hold
 REAL_NUMBERS = {
     "int": [240, 20, 0],
@@ -373,6 +378,18 @@ class TestDrawWinner:
         with pytest.raises(ContestError, match="finite real numbers"):
             draw_winner(investments, 0.1)
 
+    @pytest.mark.parametrize("draw", list(BAD_DRAWS.values()), ids=list(BAD_DRAWS))
+    def test_draw_not_a_real_number_refused(self, draw):
+        with pytest.raises(ContestError, match="^uniform draw must be a real number, got "):
+            draw_winner([10.0, 20.0, 30.0], draw)
+
+    def test_draw_of_a_real_type_taken(self):
+        # a float subclass, an int and a Fraction draw as the float they equal
+        for draw in (np.float64(0.5), 0, Fraction(1, 2)):
+            assert draw_winner([10.0, 20.0, 30.0], draw) == draw_winner(
+                [10.0, 20.0, 30.0], float(draw)
+            )
+
     def test_draw_must_be_unit_interval(self):
         with pytest.raises(ContestError):
             draw_winner([1, 1], 1.0)
@@ -417,6 +434,18 @@ class TestRoundPayoffs:
     def test_bad_winner_rejected(self):
         with pytest.raises(ContestError):
             round_payoffs(self.spec, [1, 2, 3], 3)
+
+    @pytest.mark.parametrize("winner", list(BAD_WINNERS.values()), ids=list(BAD_WINNERS))
+    def test_winner_not_a_whole_number_refused(self, winner):
+        spec = ContestSpec(MoveSequence((1, 2)))
+        with pytest.raises(ContestError, match="^winner must be a whole number, got "):
+            round_payoffs(spec, [10.0, 20.0, 30.0], winner)
+
+    def test_numpy_integer_winner_taken(self):
+        for winner in (np.int64(1), np.uint8(1), np.intp(1)):
+            assert round_payoffs(self.spec, [10.0, 20.0, 30.0], winner) == round_payoffs(
+                self.spec, [10.0, 20.0, 30.0], 1
+            )
 
     @pytest.mark.parametrize("kind", REAL_NUMBERS)
     def test_tuple_of_exact_floats(self, kind):

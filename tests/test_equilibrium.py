@@ -9,6 +9,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
@@ -362,6 +363,44 @@ class TestCalibrateJow:
     def test_non_finite_mean_rejected(self, mean):
         with pytest.raises(NonPositiveMean, match="finite positive"):
             calibrate_jow(mean, 3, 240.0)
+
+    @pytest.mark.parametrize(
+        "mean", [True, "80", None, 10**400], ids=["true", "text", "none", "int-beyond-floats"]
+    )
+    def test_mean_not_a_real_number_rejected(self, mean):
+        # True read as a mean of 1
+        with pytest.raises(NonPositiveMean, match="finite positive"):
+            calibrate_jow(mean, 3, 240.0)
+
+    @pytest.mark.parametrize(
+        "n", [3.5, 3.0, True, "3", None], ids=["fraction", "whole-float", "true", "text", "none"]
+    )
+    def test_n_not_a_whole_number_rejected(self, n):
+        # 3.5 players gave a number
+        with pytest.raises(ContestError, match="^n must be a whole number, got "):
+            calibrate_jow(80.0, n, 240.0)
+
+    @pytest.mark.parametrize(
+        "prize, message",
+        [
+            (-240.0, "prize must be positive"),
+            (0.0, "prize must be positive"),
+            (math.inf, "prize must be finite"),
+            (math.nan, "prize must be finite"),
+            (True, "prize must be a real number"),
+            ("240", "prize must be a real number"),
+        ],
+        ids=["negative", "zero", "inf", "nan", "true", "text"],
+    )
+    def test_prize_a_contest_refuses_is_rejected(self, prize, message):
+        # a negative prize gave 600.0
+        with pytest.raises(ContestError, match=f"^{message}"):
+            calibrate_jow(80.0, 3, prize)
+        with pytest.raises(ContestError, match=f"^{message}"):
+            ContestSpec(MoveSequence((3,)), prize)
+
+    def test_numbers_of_other_real_types_taken(self):
+        assert calibrate_jow(Fraction(80), np.int64(3), 240) == calibrate_jow(80.0, 3, 240.0)
 
 
 def brute_force_grid_spne(stages, prize, endowment, step):

@@ -408,13 +408,14 @@ class TestSessionLayout:
         log = golden_log("leader-noisy-1-2")
         for fmt in ("json", "csv"):
             export_log(log, fmt, tmp_path / f"log.{fmt}")
-        seeded = [log, load_log(tmp_path / "log.json"), load_log(tmp_path / "log.csv"),
-                  stats.last_rounds(log, 2)]
+        seeded = [log, load_log(tmp_path / "log.json"), load_log(tmp_path / "log.csv")]
+        # a log cut by last_rounds is a replace: stats seeds no store
         others = [
             replace(log),
             replace(log, records=list(log.records)),
             SessionLog(log.spec, log.groups, log.rounds, log.integer_rounding, log.seed,
                        list(log.records)),
+            stats.last_rounds(log, 2),
         ]
         transposed = []
         transpose = simulate._transpose

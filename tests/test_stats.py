@@ -560,6 +560,47 @@ def test_non_finite_inputs_refused(case):
         NOT_FINITE_INPUTS[case]()
 
 
+BAD_SHAPES_AND_TYPES = {
+    # 4 values of 2-d shape blamed the clusters
+    "wald-2-d-values": (lambda: wald_mean([[1.0, 2.0], [3.0, 4.0]], [1, 2], 1.0),
+                        "values has shape (2, 2), expected 1-d"),
+    "wald-scalar-values": (lambda: wald_mean(1.0, [1], 1.0), "values has shape (), expected 1-d"),
+    # True was taken as 1.0, "1" raised a raw TypeError
+    "wald-true-hypothesis": (lambda: wald_mean([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2], True),
+                             "hypothesized must be a real number, got True"),
+    "wald-text-hypothesis": (lambda: wald_mean([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2], "1"),
+                             "hypothesized must be a real number, got '1'"),
+    # numpy's unpacking and broadcast ValueErrors
+    "ols-3-d-design": (lambda: cluster_ols(FIXTURE_Y, np.ones((4, 2, 1)), FIXTURE_CLUSTERS),
+                       "design has shape (4, 2, 1), expected (n,) or (n, k) with k >= 1"),
+    "ols-no-column": (lambda: cluster_ols(FIXTURE_Y, np.ones((4, 0)), FIXTURE_CLUSTERS),
+                      "design has shape (4, 0), expected (n,) or (n, k) with k >= 1"),
+    "ols-scalar-design": (lambda: cluster_ols(FIXTURE_Y, 1.0, FIXTURE_CLUSTERS),
+                          "design has shape (), expected (n,) or (n, k) with k >= 1"),
+    # np.unique's raw TypeError
+    "ols-unordered-clusters": (lambda: cluster_ols(FIXTURE_Y, FIXTURE_X, [None, 1, None, 1]),
+                               "clusters must be ids of one ordered type, got ['NoneType', 'int']"),
+    "wald-unordered-clusters": (lambda: wald_mean(FIXTURE_Y, [1, None, 1, None], 2.0),
+                                "clusters must be ids of one ordered type, got ['NoneType', 'int']"),
+    # numpy's concatenate ValueError, or all groups 2-d and pooled as rows
+    "jt-2-d-group": (lambda: jonckheere_terpstra([[[1.0, 2.0]], [3.0], [4.0]]),
+                     "groups[0] has shape (1, 2); every group needs a 1-d sequence"),
+    "jt-all-2-d": (lambda: jonckheere_terpstra([[[1.0]], [[2.0]], [[3.0]]]),
+                   "groups[0] has shape (1, 1); every group needs a 1-d sequence"),
+    "jt-scalar-group": (lambda: jonckheere_terpstra([[1.0], 2.0, [3.0]]),
+                        "groups[1] has shape (); every group needs a 1-d sequence"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES_AND_TYPES))
+def test_bad_shapes_and_types_refused(case):
+    # each names the argument it refuses
+    call, message = BAD_SHAPES_AND_TYPES[case]
+    with pytest.raises(ContestError) as caught:
+        call()
+    assert str(caught.value).startswith(message)
+
+
 class TestPValueRanges:
     def test_pvalues_in_unit_interval_statistics_finite(self):
         rng = np.random.default_rng(123)
@@ -937,9 +978,12 @@ class TestColumnMemo:
     def test_each_column_is_read_once(self, monkeypatch, tmp_path):
         reads, transposed = [], []
 
-        def counted(values, dtype):
-            reads.append(dtype.__name__)
-            return column(values, dtype)
+        def counted(values, *args, **kwargs):
+            # a store column made an array: the one conversion, to int or float
+            dtype = args[0] if args else kwargs.get("dtype")
+            if dtype in (int, float) and not isinstance(values, np.ndarray):
+                reads.append(dtype.__name__)
+            return asarray(values, *args, **kwargs)
 
         def read_columns(log):
             reads.clear()
@@ -951,18 +995,16 @@ class TestColumnMemo:
             return sorted(reads), len(transposed)
 
         loaded = [sourced_log("json", tmp_path), sourced_log("csv", tmp_path)]
-        column, transpose = stats._column, simulate._transpose
-        monkeypatch.setattr(stats, "_column", counted)
+        asarray, transpose = np.asarray, simulate._transpose
+        monkeypatch.setattr(np, "asarray", counted)
         monkeypatch.setattr(
             simulate, "_transpose", lambda rows: transposed.append(rows) or transpose(rows)
         )
         log = spne_log((1, 2), groups=2, rounds=3)
-        # run_session laid out group, round, triad, stage and investment:
-        # no field is read from the records, and no column is converted
-        assert read_columns(log) == ([], 0)
-        # load_log's columns become arrays once: group, round, triad and stage
-        # as ints, investment as floats; no field is read from the records
-        for back in loaded:
+        # run_session's and load_log's columns become arrays once: group,
+        # round, triad and stage as ints, investment as floats; no field is
+        # read from the records
+        for back in [log, *loaded]:
             assert read_columns(back) == (["float"] + ["int"] * 4, 0)
             assert read_columns(back) == ([], 0)
         # the twins, with their records in a list or a tuple, have no store:
@@ -1026,8 +1068,8 @@ class TestColumnMemo:
     @pytest.mark.parametrize("offset", [0, 2**70], ids=["int64-rounds", "rounds-beyond-int64"])
     @pytest.mark.parametrize("source", LOG_SOURCES)
     def test_last_rounds_cuts_the_store(self, source, offset, tmp_path, monkeypatch):
-        # the cut log's store is its parent's, cut by one mask: its statistics
-        # read no record field, and equal those of a fresh log of its records
+        # the cut log reads its kept records once, into a store of its own,
+        # and its statistics equal those of a fresh log of its records
         log = sourced_log(source, tmp_path)
         if offset:
             log = replace(log, records=[replace(r, round=r.round + offset) for r in log.records])
@@ -1041,7 +1083,7 @@ class TestColumnMemo:
         for k in (2, 3, 4, np.int64(2), 10**30):
             cut = last_rounds(log, k)
             got = analysis(cut)
-            assert transposed == []
+            assert len(transposed) == 1 and transposed[0] is cut.records
             fresh = replace(cut, records=list(cut.records))
             assert got == analysis(fresh) and cut == fresh
             assert {r.round - offset for r in cut.records} == set(range(max(4 - k, 1), 4))
