@@ -244,7 +244,8 @@ def calibrate_jow(observed_mean: float, n: int, prize: float) -> float:
         raise NonPositiveMean(
             f"observed mean must be a finite positive number, got {observed_mean!r}"
         )
-    if _index(n, "n") < 2:
+    n = _index(n, "n")  # a Python int: n * n of a numpy integer may wrap
+    if n < 2:
         raise ContestError("calibration needs at least two players")
     _check_contest_numbers(prize, 0.0, 0.0)  # the prize by a contest's rule
     w = n * n * observed_mean / (n - 1) - prize

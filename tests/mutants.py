@@ -1,7 +1,7 @@
 """A catalogue of mutants of the package, and a runner that checks that the
 tests named for each one kill it.
 
-    python tests/mutants.py [mutant name ...]
+    python tests/mutants.py
 
 Each entry of ``MUTANTS`` changes one exact text of one module under
 ``src/seqcontest`` (the text occurs there exactly once, else the run fails)
@@ -11,11 +11,12 @@ there, and runs the named tests with ``PYTHONPATH`` pointing at the copy:
 the mutant is killed when every named test fails or errors, and survives
 when any of them passes. A pytest exit status other than 0 or 1, such as
 for a node id that names no test, is an error. The run exits 0 when every
-mutant it ran was killed. It needs nothing beyond the standard library and
+mutant was killed. It needs nothing beyond the standard library and
 the test dependencies.
 
 ``EQUIVALENT`` lists, apart, changes that no test can kill, each with the
-reason its behaviour is the original's; the runner does not run them.
+reason its behaviour is the original's; the runner checks that each text
+still occurs exactly once, but does not run them.
 """
 
 from __future__ import annotations
@@ -181,16 +182,22 @@ EQUIVALENT = [
 ]
 
 
+def read_once(src: str, file: str, text: str, label: str) -> str:
+    """The module ``file`` under ``src`` (the package's parent), which must
+    hold ``text`` exactly once."""
+    with open(os.path.join(src, "seqcontest", file), encoding="utf-8") as fh:
+        module = fh.read()
+    count = module.count(text)
+    if count != 1:
+        raise ValueError(f"{label}: the text occurs {count} times in {file}")
+    return module
+
+
 def apply(src: str, mutant: Mutant) -> None:
     """Apply ``mutant`` to the copy of ``src`` (the package's parent)."""
-    path = os.path.join(src, "seqcontest", mutant.file)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    count = text.count(mutant.text)
-    if count != 1:
-        raise ValueError(f"{mutant.name}: the text occurs {count} times in {mutant.file}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text.replace(mutant.text, mutant.replacement))
+    module = read_once(src, mutant.file, mutant.text, mutant.name)
+    with open(os.path.join(src, "seqcontest", mutant.file), "w", encoding="utf-8") as fh:
+        fh.write(module.replace(mutant.text, mutant.replacement))
 
 
 def run(mutant: Mutant) -> list[str]:
@@ -227,14 +234,11 @@ def run(mutant: Mutant) -> list[str]:
     return [test for test in mutant.tests if test not in failed]
 
 
-def main(names: list[str]) -> int:
-    known = {m.name: m for m in MUTANTS}
-    unknown = sorted(set(names) - known.keys())
-    if unknown:
-        print(f"unknown mutants: {unknown}")
-        return 2
+def main() -> int:
+    for file, text, _, _ in EQUIVALENT:
+        read_once(os.path.join(ROOT, "src"), file, text, f"equivalent {text!r}")
     survivors = []
-    for mutant in [known[name] for name in names] if names else MUTANTS:
+    for mutant in MUTANTS:
         passed = run(mutant)
         outcome = "survived" if passed else "killed"
         print(f"{outcome:8} {mutant.name}: {mutant.breaks}", *passed, sep="\n  ", flush=True)
@@ -246,4 +250,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -401,6 +401,8 @@ class TestCalibrateJow:
 
     def test_numbers_of_other_real_types_taken(self):
         assert calibrate_jow(Fraction(80), np.int64(3), 240) == calibrate_jow(80.0, 3, 240.0)
+        n = 2**32  # n * n wraps to 0 in int64
+        assert calibrate_jow(80.0, np.int64(n), 240.0) == calibrate_jow(80.0, n, 240.0) > 0
 
 
 def brute_force_grid_spne(stages, prize, endowment, step):
