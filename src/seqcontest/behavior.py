@@ -97,12 +97,20 @@ def eval_response(
     feasible investment range.
 
     For treatments with two first movers, callers pass ``m1`` as the average
-    of the two observed first-stage investments.
+    of the two observed first-stage investments. ``m1`` and ``m2`` (when
+    given) lie in [0, endowment], else :class:`InputOutOfRange` is raised; one
+    that is not a float must first be a finite real number other than a bool,
+    else :class:`ContestError` is raised.
     """
+    if m1.__class__ is not float:
+        _finite_real(m1, "m1")
     if not 0.0 <= m1 <= endowment:
         raise InputOutOfRange(f"m1={m1} outside [0, {endowment}]")
-    if m2 is not None and not 0.0 <= m2 <= endowment:
-        raise InputOutOfRange(f"m2={m2} outside [0, {endowment}]")
+    if m2 is not None:
+        if m2.__class__ is not float:
+            _finite_real(m2, "m2")
+        if not 0.0 <= m2 <= endowment:
+            raise InputOutOfRange(f"m2={m2} outside [0, {endowment}]")
     value = model.mean_response(m1, m2)
     if rng is not None and model.noise_sd > 0.0:
         value += model.noise_sd * rng.standard_normal()

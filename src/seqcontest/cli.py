@@ -272,6 +272,12 @@ def _summary_text(summaries) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
+    tests = [t.strip() for t in args.tests.split(",") if t.strip()]
+    unknown = set(tests) - {"summary", "trend", "jt", "wald"}
+    if unknown:  # refused before any log is read or numpy is loaded
+        print(f"error: unknown tests {sorted(unknown)}", file=sys.stderr)
+        return _EXIT_BAD_INPUT
+
     # imported here, so that solve loads neither module: stats loads numpy
     from . import stats as st
     from .simulate import NotASessionLog, load_log
@@ -291,11 +297,6 @@ def cmd_analyze(args) -> int:
         print(f"error: bad log file: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
 
-    tests = [t.strip() for t in args.tests.split(",") if t.strip()]
-    unknown = set(tests) - {"summary", "trend", "jt", "wald"}
-    if unknown:
-        print(f"error: unknown tests {sorted(unknown)}", file=sys.stderr)
-        return _EXIT_BAD_INPUT
     if "jt" in tests and len(logs) < 3:
         print("error: the JT test needs at least 3 logs", file=sys.stderr)
         return _EXIT_BAD_INPUT

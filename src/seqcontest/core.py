@@ -150,7 +150,9 @@ def _role_plan(stages: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
 
 
 def _finite_real(value, name: str):
-    """``value``, which must be a finite real number other than a bool."""
+    """``value``, which must be a finite real number other than a bool, else
+    :class:`ContestError` names it ``name``. This is the one rule for a real
+    number a caller passes in: every check of one goes through here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ContestError(f"{name} must be a real number, got {value!r}")
     try:
@@ -319,10 +321,8 @@ def draw_winner(investments: Sequence[float], uniform_draw: float) -> int:
     deterministic function of the draw. The draw is a real number other
     than a bool, else :class:`ContestError` is raised.
     """
-    if uniform_draw.__class__ is not float and (
-        isinstance(uniform_draw, bool) or not isinstance(uniform_draw, numbers.Real)
-    ):
-        raise ContestError(f"uniform draw must be a real number, got {uniform_draw!r}")
+    if uniform_draw.__class__ is not float:
+        _finite_real(uniform_draw, "uniform draw")
     if not 0.0 <= uniform_draw < 1.0:
         raise ContestError(f"uniform draw must lie in [0, 1), got {uniform_draw}")
     shares = win_probabilities(investments)

@@ -25,13 +25,13 @@ in line, giving the floats of ``_horner`` and :func:`bisect`.
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import ContestError, ContestSpec, MoveSequence, _check_contest_numbers, _index
+from .core import (
+    ContestError, ContestSpec, MoveSequence, _check_contest_numbers, _finite_real, _index
+)
 
 __all__ = [
     "NoRootInUnitInterval",
@@ -232,13 +232,8 @@ def calibrate_jow(observed_mean: float, n: int, prize: float) -> float:
     prize what :class:`ContestSpec` takes as one, else :class:`ContestError`.
     """
     try:
-        valid = (
-            isinstance(observed_mean, numbers.Real)
-            and not isinstance(observed_mean, bool)
-            and math.isfinite(observed_mean)
-            and observed_mean > 0
-        )
-    except OverflowError:  # an int beyond floats
+        valid = _finite_real(observed_mean, "observed mean") > 0
+    except ContestError:
         valid = False
     if not valid:
         raise NonPositiveMean(

@@ -39,14 +39,13 @@ solved from X'X keep fewer than about six significant digits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _LAZY_EXPORTS
-from .core import ContestError, MoveSequence
+from .core import ContestError, MoveSequence, _finite_real
 from .simulate import SessionLog, _stored, _transpose
 
 __all__ = list(_LAZY_EXPORTS["stats"])
@@ -106,6 +105,17 @@ def _inverse(a: list[list[float]]) -> list[list[float]]:
     return a
 
 
+def _reals(value, name: str) -> np.ndarray:
+    """A statistic's data as an array of finite floats, else raise naming it ``name``."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # text, ragged, beyond floats
+        raise ContestError(f"{name} must hold real numbers: {exc}") from None
+    if not np.isfinite(array).all():
+        raise ContestError(f"{name} must be finite")
+    return array
+
+
 def _runs(keys: Sequence[np.ndarray]) -> np.ndarray | None:
     """Where each run of equal rows of ``keys`` (the last key most significant,
     as in ``np.lexsort``) starts, or None when the rows are out of order."""
@@ -142,11 +152,11 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     raises, when a column's part unexplained by the columns before it is at
     most 1e-10 of its sum of squares (module docstring). ``clusters`` holds
     one id per observation (ids that order), ``design`` is 1-d or 2-d with at
-    least one column, and ``y`` and ``design`` are finite, else
-    :class:`ContestError` is raised.
+    least one column, and ``y`` and ``design`` hold finite real numbers, else
+    :class:`ContestError` naming the argument is raised.
     """
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(design, dtype=float)
+    y = _reals(y, "y")
+    X = _reals(design, "design")
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2 or not X.shape[1]:
@@ -154,8 +164,6 @@ def cluster_ols(y, design, clusters) -> OLSFit:
     n, k = X.shape
     if y.shape != (n,):
         raise ContestError(f"y has shape {y.shape}, expected ({n},)")
-    if not (np.isfinite(y).all() and np.isfinite(X).all()):
-        raise ContestError("y and the design must be finite")
     if n <= k:
         raise RankDeficientDesign(f"{n} observations cannot identify {k} coefficients")
     bread = np.array(_inverse((X.T @ X).tolist()))
@@ -214,19 +222,16 @@ def wald_mean(values, clusters, hypothesized: float) -> WaldResult:
 
     The mean and SE are an intercept-only cluster OLS's (``_mean_se``), and
     the squared t-ratio is referred to chi-square(1). ``clusters`` holds one
-    id per value, the values are 1-d, ``hypothesized`` is a real number (not
-    a bool), and both are finite, else raise :class:`ContestError`; under 2
-    clusters raise :class:`TooFewClusters`.
+    id per value, the values are 1-d, and both they and ``hypothesized`` (not
+    a bool) are finite real numbers, else :class:`ContestError` naming the
+    argument is raised; under 2 clusters :class:`TooFewClusters`.
     Zero-variance samples are flagged degenerate: p = 1 when the mean
     matches the hypothesis (to float precision), else 0.
     """
-    values = np.asarray(values, dtype=float)
+    values = _reals(values, "values")
     if values.ndim != 1:
         raise ContestError(f"values has shape {values.shape}, expected 1-d")
-    if isinstance(hypothesized, bool) or not isinstance(hypothesized, numbers.Real):
-        raise ContestError(f"hypothesized must be a real number, got {hypothesized!r}")
-    if not (math.isfinite(hypothesized) and np.isfinite(values).all()):
-        raise ContestError("the values and the hypothesized mean must be finite")
+    _finite_real(hypothesized, "hypothesized")
     ids, codes = _codes(clusters, values.size)
     if ids.size < 2:
         raise TooFewClusters("clustered inference needs at least 2 clusters")
@@ -264,10 +269,10 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]]) -> JTResult:
     Two-sided p-value from the normal approximation with the tie-corrected
     null variance. The statistic is rank-based, hence invariant under any
     strictly increasing transform of the data. A group that is not a 1-d
-    sequence of at least one observation, or a non-finite observation,
-    raises :class:`ContestError`.
+    sequence of at least one finite real number raises :class:`ContestError`
+    naming it (``groups[i]``).
     """
-    arrays = [np.asarray(g, dtype=float) for g in groups]
+    arrays = [_reals(g, f"groups[{i}]") for i, g in enumerate(groups)]
     if len(arrays) < 3:
         raise TooFewGroups("the trend test needs at least 3 ordered groups")
     for i, a in enumerate(arrays):
@@ -277,8 +282,6 @@ def jonckheere_terpstra(groups: Sequence[Sequence[float]]) -> JTResult:
                 " at least one observation"
             )
     pooled = np.concatenate(arrays)
-    if not np.isfinite(pooled).all():
-        raise ContestError("every observation must be finite")
 
     statistic = _jt_statistic(arrays)
     sizes = np.array([a.size for a in arrays], dtype=float)

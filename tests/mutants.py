@@ -103,6 +103,41 @@ MUTANTS = [
         "an empty log's integer columns become int64 arrays, not float64",
     ),
     Mutant(
+        "stats-reals-finiteness-skipped", "stats.py",
+        "    if not np.isfinite(array).all():\n"
+        '        raise ContestError(f"{name} must be finite")\n',
+        "",
+        (
+            "tests/test_stats.py::test_non_finite_inputs_refused[wald-nan-value]",
+            "tests/test_stats.py::test_non_finite_inputs_refused[ols-inf-design]",
+            "tests/test_stats.py::test_non_finite_inputs_refused[jt-nan]",
+        ),
+        "a NaN or an infinity among a statistic's data gives numbers",
+    ),
+    Mutant(
+        "stats-reals-overflow-raw", "stats.py",
+        "except (TypeError, ValueError, OverflowError) as exc:",
+        "except (TypeError, ValueError) as exc:",
+        (
+            "tests/test_stats.py::test_not_real_numbers_refused[wald-value-beyond-floats]",
+            "tests/test_stats.py::test_not_real_numbers_refused[ols-y-beyond-floats]",
+            "tests/test_stats.py::test_not_real_numbers_refused[jt-group-beyond-floats]",
+        ),
+        "an integer beyond floats among a statistic's data escapes as a raw OverflowError",
+    ),
+    Mutant(
+        "stats-wald-hypothesis-by-float", "stats.py",
+        '_finite_real(hypothesized, "hypothesized")', "float(hypothesized)",
+        (
+            "tests/test_stats.py::test_non_finite_inputs_refused[wald-inf-hypothesis]",
+            "tests/test_stats.py::test_bad_shapes_and_types_refused[wald-true-hypothesis]",
+            "tests/test_stats.py::test_bad_shapes_and_types_refused[wald-text-hypothesis]",
+            "tests/test_stats.py::test_not_real_numbers_refused[wald-hypothesis-beyond-floats]",
+        ),
+        "wald_mean takes True, text and an infinite hypothesis, and an integer beyond"
+        " floats escapes as a raw OverflowError",
+    ),
+    Mutant(
         "simulate-store-never-stale", "simulate.py",
         "if store is None or self.records != store[0]:", "if store is None:",
         (
@@ -138,6 +173,42 @@ MUTANTS = [
         " apart from the closure walk it must match bit for bit",
     ),
     Mutant(
+        "behavior-eval-response-m1-unchecked", "behavior.py",
+        '    if m1.__class__ is not float:\n        _finite_real(m1, "m1")\n', "",
+        (
+            "tests/test_behavior.py::TestEvalResponse::test_inputs_not_finite_real_numbers_refused[text]",
+            "tests/test_behavior.py::TestEvalResponse::test_inputs_not_finite_real_numbers_refused[true]",
+        ),
+        "eval_response reads True as 1.0 and lets text escape as a raw TypeError",
+    ),
+    Mutant(
+        "behavior-eval-response-m2-unchecked", "behavior.py",
+        '        if m2.__class__ is not float:\n            _finite_real(m2, "m2")\n', "",
+        (
+            "tests/test_behavior.py::TestEvalResponse::test_inputs_not_finite_real_numbers_refused[text-m2]",
+            "tests/test_behavior.py::TestEvalResponse::test_inputs_not_finite_real_numbers_refused[int-beyond-floats-m2]",
+        ),
+        "eval_response lets an m2 of text escape as a raw TypeError",
+    ),
+    Mutant(
+        "cli-unknown-tests-taken", "cli.py",
+        "if unknown:  #", "if False:  #",
+        (
+            "tests/test_cli.py::TestAnalyze::test_unknown_test_exits_2",
+            "tests/test_cli.py::TestAnalyze::test_unknown_test_refused_before_any_log_is_read",
+        ),
+        "analyze skips an unknown test name instead of refusing it",
+    ),
+    Mutant(
+        "core-draw-winner-by-float", "core.py",
+        '_finite_real(uniform_draw, "uniform draw")', "float(uniform_draw)",
+        (
+            "tests/test_core.py::TestDrawWinner::test_draw_not_a_real_number_refused[true]",
+            "tests/test_core.py::TestDrawWinner::test_draw_not_a_real_number_refused[string]",
+        ),
+        "draw_winner takes text and reads True as 1.0",
+    ),
+    Mutant(
         "core-role-plan-before-off-by-one", "core.py",
         "before += count", "before += count - 1",
         (
@@ -153,6 +224,15 @@ MUTANTS = [
             "tests/test_core.py::TestRoundPayoffs::test_over_endowment_rejected",
         ),
         "an investment a hair above the endowment is paid a negative margin",
+    ),
+    Mutant(
+        "equilibrium-calibrate-zero-mean", "equilibrium.py",
+        '_finite_real(observed_mean, "observed mean") > 0',
+        '_finite_real(observed_mean, "observed mean") >= 0',
+        (
+            "tests/test_equilibrium.py::TestCalibrateJow::test_nonpositive_mean_rejected",
+        ),
+        "calibrate_jow clamps a mean of 0 to no joy of winning instead of refusing it",
     ),
     Mutant(
         "equilibrium-no-bisection", "equilibrium.py",
@@ -176,8 +256,9 @@ EQUIVALENT = [
         "the fast path only: operator.index returns an int winner unchanged",
     ),
     (
-        "core.py", "if uniform_draw.__class__ is not float and (", "if (",
-        "the fast path only: a float is a real number and not a bool",
+        "core.py", "if uniform_draw.__class__ is not float:", "if True:",
+        "the fast path only: a float is a real number and not a bool, and one"
+        " that is not finite is refused by the range test",
     ),
 ]
 

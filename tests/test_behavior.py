@@ -85,6 +85,31 @@ class TestEvalResponse:
         with pytest.raises(InputOutOfRange):
             eval_response(model, 10.0, 241.0)
 
+    @pytest.mark.parametrize(
+        "m1, m2, message",
+        [
+            ("a", None, "^m1 must be a real number, got 'a'"),
+            (None, None, "^m1 must be a real number, got None"),
+            (True, None, "^m1 must be a real number, got True"),
+            (10.0, "b", "^m2 must be a real number, got 'b'"),
+            (np.float64(math.nan), None, "^m1 must be finite, got nan"),
+            (10.0, 10**400, "^m2 must be finite, got an integer beyond floats"),
+        ],
+        ids=["text", "none", "true", "text-m2", "numpy-nan", "int-beyond-floats-m2"],
+    )
+    def test_inputs_not_finite_real_numbers_refused(self, m1, m2, message):
+        # text and None raised a raw TypeError, and True was read as 1.0
+        with pytest.raises(ContestError, match=message):
+            eval_response(ResponseModel(10.0, 0.5), m1, m2)
+
+    def test_inputs_of_other_real_types_taken(self):
+        # a float NaN fails the range test; an int or a numpy number is the
+        # float it equals
+        model = ResponseModel(10.0, 0.5, m2_coef=0.25)
+        with pytest.raises(InputOutOfRange):
+            eval_response(model, math.nan)
+        assert eval_response(model, 4, np.float64(2.0)) == eval_response(model, 4.0, 2.0)
+
     def test_noise_requires_rng_and_is_reproducible(self):
         model = ResponseModel(intercept=60.0, noise_sd=15.0)
         assert eval_response(model, 0.0) == 60.0  # no rng, no noise

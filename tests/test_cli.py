@@ -913,6 +913,17 @@ class TestAnalyze:
         )
         assert code == 2
 
+    def test_unknown_test_refused_before_any_log_is_read(self, capsys, tmp_path):
+        # a missing log exited 3 and never reported the bad test name
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(
+            capsys, "analyze", str(tmp_path / "ghost.json"), "--tests", "bogus",
+            "--out", str(out_dir),
+        )
+        assert code == 2
+        assert "unknown tests ['bogus']" in err
+        assert not out_dir.exists()
+
     def test_jt_needs_three_logs(self, capsys, spne_run, tmp_path):
         # the default tests include JT; the check runs before any file is written
         for n, (logs, tests) in enumerate(

@@ -555,8 +555,13 @@ NOT_FINITE_INPUTS = {
 @pytest.mark.parametrize("case", sorted(NOT_FINITE_INPUTS))
 def test_non_finite_inputs_refused(case):
     # a NaN or an infinity among the data or the hypothesis gave numbers
-    # (W = 0 against an infinite mean, NaN coefficients, a finite JT p)
-    with pytest.raises(ContestError, match="must be finite$"):
+    # (W = 0 against an infinite mean, NaN coefficients, a finite JT p); the
+    # hypothesis is checked by the rule for a real number, which names it
+    if case.endswith("-hypothesis"):
+        message = "^hypothesized must be finite, got "
+    else:
+        message = "must be finite$"
+    with pytest.raises(ContestError, match=message):
         NOT_FINITE_INPUTS[case]()
 
 
@@ -599,6 +604,40 @@ def test_bad_shapes_and_types_refused(case):
     with pytest.raises(ContestError) as caught:
         call()
     assert str(caught.value).startswith(message)
+
+
+BEYOND_FLOATS = 10**400
+NOT_REAL_NUMBERS = {
+    # each raised a raw ValueError or OverflowError, from numpy or math.isfinite
+    "wald-hypothesis-beyond-floats": (
+        lambda: wald_mean([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2], BEYOND_FLOATS), "hypothesized"
+    ),
+    "wald-text-values": (lambda: wald_mean(["x", "y"], [1, 2], 1.0), "values"),
+    "wald-ragged-values": (lambda: wald_mean([[1.0, 2.0], [3.0]], [1, 2], 1.0), "values"),
+    "wald-value-beyond-floats": (lambda: wald_mean([BEYOND_FLOATS, 1.0], [1, 2], 1.0), "values"),
+    "ols-text-y": (lambda: cluster_ols(["a", "b", "c"], [1.0, 2.0, 3.0], [1, 2, 3]), "y"),
+    "ols-text-design": (
+        lambda: cluster_ols([1.0, 2.0, 3.0], ["a", "b", "c"], [1, 2, 3]), "design"
+    ),
+    "ols-y-beyond-floats": (
+        lambda: cluster_ols([BEYOND_FLOATS, 1, 2], [1.0, 2.0, 3.0], [1, 2, 3]), "y"
+    ),
+    "jt-text-group": (lambda: jonckheere_terpstra([["a"], [1.0], [2.0]]), "groups[0]"),
+    "jt-ragged-group": (lambda: jonckheere_terpstra([[1.0, [2.0]], [1.0], [2.0]]), "groups[0]"),
+    "jt-group-beyond-floats": (
+        lambda: jonckheere_terpstra([[BEYOND_FLOATS], [1.0], [2.0]]), "groups[0]"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REAL_NUMBERS))
+def test_not_real_numbers_refused(case):
+    # each names the argument it refuses, and no huge value's digits
+    call, name = NOT_REAL_NUMBERS[case]
+    with pytest.raises(ContestError) as caught:
+        call()
+    assert str(caught.value).startswith(f"{name} must ")
+    assert str(BEYOND_FLOATS) not in str(caught.value)
 
 
 class TestPValueRanges:
