@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from . import _LAZY_EXPORTS
@@ -85,6 +86,15 @@ class ResponseModel:
         return value
 
 
+_normal_quantile = NormalDist().inv_cdf  # Wichura's AS241
+
+
+def _standard_normal(rng) -> float:
+    """A standard normal from one draw u of ``rng.random()``: the inverse
+    normal CDF at u, with u = 0 (whose quantile is -inf) read as 2**-54."""
+    return _normal_quantile(rng.random() or 2.0**-54)
+
+
 def eval_response(
     model: ResponseModel,
     m1: float,
@@ -99,9 +109,14 @@ def eval_response(
     For treatments with two first movers, callers pass ``m1`` as the average
     of the two observed first-stage investments. ``m1`` and ``m2`` (when
     given) lie in [0, endowment], else :class:`InputOutOfRange` is raised; one
-    that is not a float must first be a finite real number other than a bool,
-    else :class:`ContestError` is raised.
+    of them, or an ``endowment``, that is not a float must first be a finite
+    real number other than a bool, else :class:`ContestError` is raised.
+    With a positive ``noise_sd``, ``rng`` gives the noise as one standard
+    normal (:func:`_standard_normal`), so it needs only a ``random()``
+    method: a ``random.Random`` or a numpy ``Generator`` will do.
     """
+    if endowment.__class__ is not float:
+        _finite_real(endowment, "endowment")
     if m1.__class__ is not float:
         _finite_real(m1, "m1")
     if not 0.0 <= m1 <= endowment:
@@ -113,7 +128,7 @@ def eval_response(
             raise InputOutOfRange(f"m2={m2} outside [0, {endowment}]")
     value = model.mean_response(m1, m2)
     if rng is not None and model.noise_sd > 0.0:
-        value += model.noise_sd * rng.standard_normal()
+        value += model.noise_sd * _standard_normal(rng)
     return float(min(max(value, 0.0), endowment))
 
 
@@ -124,8 +139,12 @@ def turning_point(
 
     Returns -coef / (2 * quad_coef) when the quadratic term is negative and
     the vertex lies strictly inside (0, endowment); None otherwise (convex or
-    effectively linear responses have no interior peak).
+    effectively linear responses have no interior peak). An ``endowment``
+    that is not a float must be a finite real number other than a bool, else
+    :class:`ContestError` is raised.
     """
+    if endowment.__class__ is not float:
+        _finite_real(endowment, "endowment")
     if which == "m1":
         lin, quad = model.m1_coef, model.m1_sq_coef
     elif which == "m2":
@@ -384,8 +403,9 @@ def act(
     ``observed`` may be any sequence (``play_round`` passes a tuple) and
     must contain exactly the investments from strictly earlier stages, in
     player order; a stage the sequence lacks raises :class:`IndexError`. Any
-    randomness (responder noise) is drawn from ``rng``; deterministic
-    policies never touch it. The policy is resolved (:func:`_policy_rule`)
+    randomness (responder noise) is drawn from ``rng``, which needs only a
+    ``random()`` method (:func:`eval_response`); deterministic policies never
+    touch it. The policy is resolved (:func:`_policy_rule`)
     on the first call with this policy object, spec object and stage, and
     reused after that, so a session resolves each of its policies once; the
     number of earlier investments is read then from the sequence's role plan.

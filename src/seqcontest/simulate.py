@@ -4,19 +4,31 @@ A session runs fixed matching groups of 9 subjects (3 per player role) for a
 number of identical rounds. Each round every group is partitioned uniformly
 at random into 3 role-complete triads; triads play the contest with stages
 revealed in order, one winner is drawn per triad, and payoffs are booked.
-Every (group, session) pair owns its own counter-based random stream derived
-from the master seed, so logs are bit-identical across reruns and independent
-of scheduling.
+Every (session seed, group) pair owns its own random stream, so logs are
+bit-identical across reruns and independent of the order groups run in.
 
-Draw order. Each group's stream (Philox keyed on the session seed and the
-group index) is consumed in this order, and the order is part of the log
-format: a change to it changes every log written from a given seed.
+Draw order (``rng_layout`` 2, named in each log's meta). Group g (0-based)
+of a session seeded s draws from a ``random.Random`` seeded with the
+big-endian integer of the sha256 of ``f"group {s:x} {g:x}"``; :func:`run_batch`
+seeds replication r with the first 8 bytes of the sha256 of
+``f"replication {s:x} {r:x}"``, read the same way. Every draw is a function
+of one u = ``random()`` (a multiple of 2**-53 in [0, 1)), taken in this
+order, which is part of the log format:
 
-* Each round, in role order, one shuffle of the three subjects holding that
-  role (the draws of ``rng.permutation(3)``); triad k takes the k-th entry.
-* Then, per triad in order, one ``standard_normal`` per responder with
-  positive ``noise_sd``, in player order, and one ``random()`` that draws
-  the winner (:func:`seqcontest.core.draw_winner`).
+* each round, in role order, a Fisher-Yates shuffle of the role's three
+  subjects (:func:`_shuffle`: for i = 2, then 1, entry i swaps with entry
+  ``int(u * (i + 1))``); triad k takes the k-th entry of each;
+* then per triad, in player order, one normal per responder with positive
+  ``noise_sd``, ``NormalDist().inv_cdf(u)`` with u = 0 read as 2**-54, and
+  one u that draws the winner (:func:`seqcontest.core.draw_winner`).
+
+So a round takes 6 + 3 * (n + 1) uniforms for n noisy responders per triad,
+a count the config fixes. Python documents that ``random()`` keeps its
+sequence for a given seed. ``inv_cdf`` (Wichura's AS241, run in C) is a
+rational function of u for |u - 0.5| <= 0.425 and takes ``sqrt`` and the
+platform libm's ``log`` in the tails, so a noisy investment can differ in its
+last bits between platforms. Logs from before layout 2 (numpy's Philox
+streams, layout 1) name no ``rng_layout`` and read back as they are.
 
 Each triad is one :func:`play_round`, which walks the players in order of
 play, one step each, along the move sequence's role plan
@@ -71,17 +83,16 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import json
 import math
 import operator
 import os
+import random
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import _LAZY_EXPORTS
 from .core import (
@@ -89,6 +100,7 @@ from .core import (
     ContestSpec,
     MoveSequence,
     _check_schema,
+    _is_whole,
     _json_bool,
     _json_number,
     _known_keys,
@@ -253,6 +265,8 @@ class SessionConfig:
 class SessionLog:
     """All round records of one session plus the metadata to interpret them.
 
+    ``rng_layout`` is the draw order (module docstring) the records were
+    played in: its meta's for a log read back, 1 where the meta names none.
     Its column store (module docstring) is not a field, so ``==``, ``repr``,
     ``replace``, copies and pickles do not see it.
     """
@@ -263,6 +277,7 @@ class SessionLog:
     integer_rounding: bool
     seed: int
     records: list[RoundRecord] = field(default_factory=list)
+    rng_layout: int = 2
 
     _store = None  # (copy of records, {column name: column})
 
@@ -285,7 +300,7 @@ class SessionLog:
 def play_round(
     policies: Sequence[BehaviorPolicy],
     spec: ContestSpec,
-    rng: np.random.Generator,
+    rng,
     *,
     integer_rounding: bool = False,
     group: int = 1,
@@ -296,7 +311,9 @@ def play_round(
     """Play one triad through all stages, draw the winner, book payoffs.
 
     Stage t actors observe exactly the investments from stages before t.
-    ``rng`` is consumed as the module docstring sets out for one triad.
+    ``rng`` needs only a ``random()`` method returning a float in [0, 1) (a
+    ``random.Random`` or a numpy ``Generator``), and is consumed as the module
+    docstring sets out for one triad.
     """
     seq = spec.sequence
     plan = _role_plan(seq.stages)
@@ -317,7 +334,7 @@ def play_round(
         investments.append(x)
         heads.append((group, round_number, triad, int(subject), stage, slot, m1, m2, x))
 
-    winner = draw_winner(investments, float(rng.random()))
+    winner = draw_winner(investments, rng.random())
     payoffs = round_payoffs(spec, investments, winner)
     records = []  # a loop, which is faster than a comprehension before Python 3.12
     for i, (head, paid) in enumerate(zip(heads, payoffs)):
@@ -326,14 +343,22 @@ def play_round(
     return records
 
 
-def _group_rng(seed: int, group_index: int) -> np.random.Generator:
-    # counter-based Philox keyed on (seed, group): reproducible regardless of
-    # execution order across groups
-    import numpy as np  # here, so that importing the package does not load it
+def _hashed(name: str, seed: int, index: int) -> bytes:
+    # hex spells an int of any size
+    return hashlib.sha256(f"{name} {seed:x} {index:x}".encode()).digest()
 
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(group_index,)))
-    )
+
+def _group_rng(seed: int, group_index: int) -> random.Random:
+    """Group ``group_index``'s stream (module docstring)."""
+    return random.Random(int.from_bytes(_hashed("group", seed, group_index), "big"))
+
+
+def _shuffle(order: list, uniform: Callable[[], float]) -> None:
+    """Fisher-Yates on draws u of ``uniform()`` in [0, 1) (module
+    docstring); ``int(u * (i + 1))`` is at most i."""
+    for i in range(len(order) - 1, 0, -1):
+        j = int(uniform() * (i + 1))
+        order[i], order[j] = order[j], order[i]
 
 
 def run_session(config: SessionConfig) -> SessionLog:
@@ -367,7 +392,7 @@ def run_session(config: SessionConfig) -> SessionLog:
         for round_number in range(1, config.rounds + 1):
             matching = list(map(list, role_subjects))
             for order in matching:
-                rng.shuffle(order)
+                _shuffle(order, rng.random)
             # triad k takes the k-th subject of each role
             for triad, subjects in enumerate(zip(*matching), start=1):
                 extend(
@@ -404,10 +429,7 @@ def _repeated(values, each: int, times: int) -> array:
 
 
 def _derived_seed(seed: int, replication: int) -> int:
-    import numpy as np
-
-    stream = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
-    return int(stream.generate_state(1, dtype=np.uint64)[0])
+    return int.from_bytes(_hashed("replication", seed, replication)[:8], "big")
 
 
 def run_batch(
@@ -482,16 +504,27 @@ def _session_values(session: SessionConfig | SessionLog) -> dict:
     }
 
 
+def _rng_layout(value) -> int:
+    if not (_is_whole(value) and value in (1, 2)):
+        raise ContestError(f"rng_layout must be 1 or 2, got {value!r}")
+    return value
+
+
 def _log_meta(log: SessionLog) -> dict:
-    return {"schema": 1, "sequence": list(log.sequence.stages), **_session_values(log)}
+    stages, layout = list(log.sequence.stages), _rng_layout(log.rng_layout)
+    return {"schema": 1, "sequence": stages, **_session_values(log), "rng_layout": layout}
 
 
 def _log_from_meta(meta: Mapping, records: list[RoundRecord]) -> SessionLog:
     _check_schema(meta, "log")
-    if meta.keys() != _META_KEYS:
-        raise ContestError(f"the meta keys must be {sorted(_META_KEYS)}, got {sorted(meta)}")
+    if meta.keys() - {"rng_layout"} != _META_KEYS:
+        raise ContestError(
+            f"the meta keys must be {sorted(_META_KEYS)}, and may include rng_layout,"
+            f" got {sorted(meta)}"
+        )
     spec, run = _session(meta, "sequence")
-    return SessionLog(spec=spec, **run, records=records)
+    layout = _rng_layout(meta.get("rng_layout", 1))  # none before layout 2
+    return SessionLog(spec=spec, **run, records=records, rng_layout=layout)
 
 
 def _check_finite(columns) -> None:
@@ -643,8 +676,9 @@ def load_log(path) -> SessionLog:
     The meta holds exactly schema (1), sequence (stage counts, JSON
     integers) and the session parameters of ``_SESSION_PARAMETERS``, each
     checked as a session config's is, with no default for a missing one
-    (:func:`session_config_from_dict`). Every record has exactly
-    the 11 log columns, as JSON keys or CSV cells (blank CSV lines are
+    (:func:`session_config_from_dict`), and rng_layout, the JSON integer 1
+    or 2 (a log written before layout 2 names none: it reads as 1). Every
+    record has exactly the 11 log columns, as JSON keys or CSV cells (blank CSV lines are
     skipped), each checked column by column (``_COLUMNS``), with every float
     cell finite. A CSV cell is read as a JSON number (an empty m1 or m2 as
     null), so ``+1``, ``07``, ``.5``, ``1_0``, a space or a non-ASCII digit

@@ -36,8 +36,6 @@ ALLOWED = {
         " three-player treatments only, and no analyze test reads a log of another",
     ("cli.py", "sys.exit(main())"):
         "runs only as python -m seqcontest.cli, which tests start as a subprocess",
-    ("simulate.py", "import numpy as np"):
-        "under TYPE_CHECKING, for the annotations alone",
 }
 
 

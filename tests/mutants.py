@@ -164,6 +164,70 @@ MUTANTS = [
         "a stage's later players observe the investments of the same stage",
     ),
     Mutant(
+        "simulate-shuffle-sattolo", "simulate.py",
+        "j = int(uniform() * (i + 1))", "j = int(uniform() * i)",
+        (
+            "tests/test_simulate.py::TestLayoutTwoDraws::test_the_six_orders_come_out_equally_often",
+            "tests/test_simulate.py::TestLayoutTwoDraws::test_fisher_yates_at_the_largest_uniform_keeps_j_at_i",
+            "tests/test_simulate.py::TestGoldenStream::test_play_round_is_one_triad_of_the_session",
+        ),
+        "each shuffle of three is a random cycle (Sattolo's algorithm): two of the"
+        " six matchings never occur",
+    ),
+    Mutant(
+        "simulate-group-stream-without-group", "simulate.py",
+        '_hashed("group", seed, group_index)', '_hashed("group", seed, 0)',
+        (
+            "tests/test_simulate.py::TestLayoutTwoDraws::test_seeds_are_the_documented_hashes",
+            "tests/test_simulate.py::TestLayoutTwoDraws::test_each_group_and_replication_draws_its_own_stream",
+            "tests/test_simulate.py::TestGoldenStream::test_log_digest[spne-1-2]",
+        ),
+        "every matching group of a session draws the same stream",
+    ),
+    Mutant(
+        "simulate-derived-seed-without-replication", "simulate.py",
+        '_hashed("replication", seed, replication)', '_hashed("replication", seed, 0)',
+        (
+            "tests/test_simulate.py::TestLayoutTwoDraws::test_seeds_are_the_documented_hashes",
+            "tests/test_simulate.py::TestLayoutTwoDraws::test_each_group_and_replication_draws_its_own_stream",
+            "tests/test_simulate.py::TestRunBatch::test_replications_have_distinct_streams",
+        ),
+        "every replication of a config replays the same session",
+    ),
+    Mutant(
+        "behavior-normal-zero-unguarded", "behavior.py",
+        "rng.random() or 2.0**-54", "rng.random()",
+        (
+            "tests/test_simulate.py::TestLayoutTwoDraws::test_normal_transform[zero]",
+        ),
+        "a noisy response whose uniform is 0 raises StatisticsError instead of"
+        " taking a normal draw",
+    ),
+    Mutant(
+        "behavior-eval-response-endowment-unchecked", "behavior.py",
+        '    if endowment.__class__ is not float:\n        _finite_real(endowment, "endowment")\n'
+        "    if m1.__class__ is not float:",
+        "    if m1.__class__ is not float:",
+        (
+            "tests/test_behavior.py::TestEvalResponse::test_endowment_not_a_finite_real_number_refused[text]",
+            "tests/test_behavior.py::TestEvalResponse::test_endowment_not_a_finite_real_number_refused[true]",
+        ),
+        "eval_response reads an endowment of True as 1.0 and lets text escape as a"
+        " raw TypeError",
+    ),
+    Mutant(
+        "behavior-turning-point-endowment-unchecked", "behavior.py",
+        '    if endowment.__class__ is not float:\n        _finite_real(endowment, "endowment")\n'
+        '    if which == "m1":',
+        '    if which == "m1":',
+        (
+            "tests/test_behavior.py::TestTurningPoint::test_endowment_not_a_real_number_refused[text]",
+            "tests/test_behavior.py::TestTurningPoint::test_endowment_not_a_real_number_refused[true]",
+        ),
+        "turning_point reads an endowment of True as 1.0 and lets text escape as a"
+        " raw TypeError",
+    ),
+    Mutant(
         "behavior-m2-squared-regrouped", "behavior.py",
         "q2 * m * m", "q2 * (m * m)",
         (

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -110,6 +111,42 @@ class TestEvalResponse:
             eval_response(model, math.nan)
         assert eval_response(model, 4, np.float64(2.0)) == eval_response(model, 4.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "endowment, message",
+        [
+            ("a", "^endowment must be a real number, got 'a'"),
+            (True, "^endowment must be a real number, got True"),
+            (None, "^endowment must be a real number, got None"),
+            (np.float64(math.inf), "^endowment must be finite, got inf"),
+            (10**400, "^endowment must be finite, got an integer beyond floats"),
+        ],
+        ids=["text", "true", "none", "numpy-inf", "int-beyond-floats"],
+    )
+    def test_endowment_not_a_finite_real_number_refused(self, endowment, message):
+        # text raised a raw TypeError, and True was read as 1.0, clamping a
+        # response of 10.5 to 1.0
+        with pytest.raises(ContestError, match=message):
+            eval_response(ResponseModel(10.0, 0.5), 1.0, endowment=endowment)
+
+    def test_endowment_of_other_real_types_taken(self):
+        model = ResponseModel(10.0, 0.5)
+        assert eval_response(model, 1.0, endowment=240) == 10.5
+        assert eval_response(model, 1.0, endowment=np.float32(5)) == 5.0
+
+    def test_noise_is_one_inverse_cdf_draw(self):
+        # one random() per noisy response, through the inverse normal CDF:
+        # any object with a random() method serves, a numpy Generator too
+        class Fixed:
+            def random(self):
+                return 0.975
+
+        model = ResponseModel(intercept=60.0, noise_sd=10.0)
+        assert eval_response(model, 0.0, rng=Fixed()) == 60.0 + 10.0 * 1.9599639845400536
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        expected = 60.0 + 10.0 * NormalDist().inv_cdf(twin.random())
+        assert eval_response(model, 0.0, rng=rng) == expected
+        assert rng.random() == twin.random()
+
     def test_noise_requires_rng_and_is_reproducible(self):
         model = ResponseModel(intercept=60.0, noise_sd=15.0)
         assert eval_response(model, 0.0) == 60.0  # no rng, no noise
@@ -152,6 +189,15 @@ class TestTurningPoint:
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
             turning_point(ResponseModel(intercept=1.0), "m3")
+
+    @pytest.mark.parametrize("endowment", ["a", True], ids=["text", "true"])
+    def test_endowment_not_a_real_number_refused(self, endowment):
+        # text raised a raw TypeError, and True was read as 1.0
+        model = ResponseModel(intercept=10.0, m2_coef=0.2, m2_sq_coef=-0.001)
+        message = f"^endowment must be a real number, got {endowment!r}"
+        with pytest.raises(ContestError, match=message):
+            turning_point(model, "m2", endowment)
+        assert turning_point(model, "m2", 240) == pytest.approx(100.0)
 
 
 def two_leader_foc(model, p_eff):

@@ -76,8 +76,8 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_solve_leaves_numpy_unloaded():
-    # numpy is loaded by simulate, analyze and the statistics; importing the
-    # package and solving, in every output form, must not load it
+    # numpy is loaded by analyze and the statistics; importing the package
+    # and solving, in every output form, must not load it
     code = (
         "import seqcontest, seqcontest.cli, sys\n"
         "for extra in ([], ['--format', 'json'], ['--calibrate-from', '60']):\n"
@@ -141,6 +141,27 @@ def test_solve_out_leaves_numpy_and_stats_unloaded(tmp_path):
     )
     assert fresh_python(code) == ["[]"]
     assert out.read_text().startswith("sequence (1,2) ")
+
+
+def test_simulate_leaves_numpy_unloaded(tmp_path):
+    # the simulator draws from the package's own stdlib streams: simulating
+    # both presets in both formats, and a batch of replications in process,
+    # loads no numpy
+    code = (
+        "import sys, seqcontest.cli\n"
+        "from seqcontest.simulate import run_batch, session_config_from_dict\n"
+        "for preset in ('spne_all_treatments', 'empirical_preemption'):\n"
+        "    out = " + repr(str(tmp_path)) + " + '/' + preset\n"
+        "    argv = ['simulate', '--config', preset, '--out', out, '--format', 'both']\n"
+        "    assert seqcontest.cli.main(argv) == 0\n"
+        "entry = {'treatment': [1, 2], 'groups': 2, 'rounds': 3, 'policies':"
+        " [{'kind': 'optimizing-leader'}, {'kind': 'responder', 'noise_sd': 10.0},"
+        " {'kind': 'responder', 'noise_sd': 10.0}]}\n"
+        "logs = run_batch([session_config_from_dict(entry)], replications=2)\n"
+        "print(len(logs), sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    assert fresh_python(code)[-1] == "2 []"
+    assert len(list(tmp_path.glob("*/session*"))) == 2 * (4 + 3)
 
 
 def test_analyze_leaves_numpy_ma_unloaded(capsys, tmp_path):
@@ -816,6 +837,11 @@ BAD_META = {
     "schema-float": ("schema", 1.0),
     "unknown-key": ("grups", 3),
     "missing-key": ("groups", MISSING),
+    "rng_layout-3": ("rng_layout", 3),
+    "rng_layout-0": ("rng_layout", 0),
+    "rng_layout-true": ("rng_layout", True),
+    "rng_layout-float": ("rng_layout", 2.0),
+    "rng_layout-text": ("rng_layout", "2"),
 }
 
 
@@ -1250,21 +1276,21 @@ SOLVE_JSON_DIGESTS = {
 PRESET_DIGESTS = {
     "spne_all_treatments": {
         "session00_seq3.csv":
-            "c661c56a41eb11893a86fcf595b57c2b300a93b0e9702fa1023a219f83e99aae",
+            "7dcd487d5eaec615c9c154801e968cb940d4d35f0543467d211a4316ef879235",
         "session00_seq3.json":
-            "628916b81ce5b48fe54eb1df4d40514473f0bf382efd5dd20d383d0901bab25e",
+            "cc2cbca1ee4722a5d653b83b9dfc5d62d3db01bee92a2fe8c4d6df186b5c6041",
         "session01_seq1-2.csv":
-            "579c76363ee95e3e5f62d089a7f706c75ad44bf7b0ec076dbf7ea6d6ff2d41c2",
+            "b91079df5443446614b712f3e8a69b9277c26584bb59860035d54722f8b2e944",
         "session01_seq1-2.json":
-            "4e3a6512c3c2cfc25a7d6de0cd9887cc2ccbf906be23c348c58673595afa9a88",
+            "e514893a41dcea7d5a2c8d2d95a709b066bcb2d7b492ad2182555b2801d4ba40",
         "session02_seq2-1.csv":
-            "7f48c1868bc905bbb03debcb885e66989222dc312972ef30721b9f88e995ebee",
+            "6937ae033f6d7d41a4b72d3f0a0cb69cecfd2b013eaee32ffbf66ccd37e32103",
         "session02_seq2-1.json":
-            "2e7010add635543e42830b597e0b6a6a1d168f9ae55e5b99e951c5628f7183ad",
+            "b4cd87d7dc1b0ded626c261ddcc81378d3177f43a0da27542d274a4bbdede21b",
         "session03_seq1-1-1.csv":
-            "9e514d6baf3ae1c32c9ae32274c8dec6b6c663eb07edc23d41a4d75a826c7ff8",
+            "32c24e47d3795113d57e607a9aed6c6da679f7922066a8dc154696b0600fa8f8",
         "session03_seq1-1-1.json":
-            "d76c899e0286a7cc63e89da605b48e7ee166d0b6db1029719f20878b73e66ee6",
+            "d61350e7408fbf28ac1685c2279b1b086b3e2ec33406496c9aa0e8b1afc9fdf8",
         "summary.csv":
             "adc7bcf0f98151751662fbf71510bcb79b7972b955a3fb802931fbf57afe54d2",
         "trend.csv":
@@ -1276,17 +1302,17 @@ PRESET_DIGESTS = {
     },
     "empirical_preemption": {
         "session00_seq1-2.csv":
-            "1cb55cfbd930ded9283c27996acb1c9372d882770f751edbe096f12ddaab84d3",
+            "58823b2d7031fab1f3a54949a1f5481d6676f2251277bc22c2640e9051fed3aa",
         "session00_seq1-2.json":
-            "453871991b2c1a9a6e50a0042815b653d681934c46e09cb5595d1444873a7e90",
+            "3ab6cda5aa68f63482ddd3c764d8e7f7a888df8c650db433232c572616e359dd",
         "session01_seq2-1.csv":
-            "07c82cba2e89aafb97edf9dc8609ea69bb4dbcda641f6d5ed0e88bbbc2c0abc3",
+            "c96091e74281dfb1e174e52ca5e097be42867eedbc0d0e953f3de6d241c937df",
         "session01_seq2-1.json":
-            "bc152bbcd409415a8ed23a8c017a74961c95a99ce89fb329bef7b2d0982808af",
+            "7a186c5a57da25d5c846a30bb74a4e3f113651388e95bb9cf9c0b42158357434",
         "session02_seq1-1-1.csv":
-            "cadaa5f05711d465b9e1452727cfe50641def9661fdbbb2988da5ef102261d49",
+            "525fda1399dffafddbd506fac3cf67d366639fe2b995206bb9e3625216678655",
         "session02_seq1-1-1.json":
-            "c526335012d26cb629d57002e32aa802b67509c810acb34bc7109bc9080166b3",
+            "23041c2cc937eaa077c2ef9f6a96947c865fd7cd1ce83afb45a29e4ad9688e48",
         "summary.csv":
             "cafd40d1f70adabd124b3b7aa019f8af792d7196b9a2b614beda764e9e1085e1",
         "trend.csv":

@@ -3,13 +3,16 @@
 import copy
 import hashlib
 import json
+import math
 import pickle
+import random
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from seqcontest import behavior, simulate, stats
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
@@ -305,16 +308,28 @@ GOLDEN_SESSIONS = {
 # shuffle of three per role; per triad one normal per noisy responder in
 # player order, then one uniform for the winner) and the float arithmetic
 GOLDEN_DIGESTS = {
-    "spne-3": "6a0d7ed0e6d177c522aa68f2e328b7eb05767f7cf99b61ca15493b13ee5e12b5",
-    "spne-1-2": "08cbbfcfe649a833ece7ef601f70b959507cb37b564e95760bfbe4c999f3da62",
-    "spne-2-1": "7d5de51c7df2cc802445ed98b56e3fdef43dc13d39b33005d77c26d0072a0628",
-    "spne-1-1-1": "e07474d2f11839a89d2c08e0dc5e7bf6573b001e3db96b56a5a302764942010c",
-    "jow-spne-1-2": "89c1e8702f01fbf5f397dba9ecc183fa7cc9856d84b2a16914f95f3d7b69c193",
-    "linear-responder-1-1-1": "57d7ba05c0d5843e48c2ff34b093da7927e07802877705e34aa9a95b50acebe4",
-    "leader-rounded-1-2": "2a13327ae11a55d651ad6168d92e1aca8cc8117e667913ddffb0278293cca338",
-    "leader-rounded-1-1-1": "eb236eeb23acb8ac70f0ca591aa7b774a6c9205e4801c7ee6b2a81ae08e3e760",
-    "leaders-rounded-2-1": "d329457bfeb8ceab458b43741d3200a7b1e4d837faa421f5017427a1667f86f8",
-    "leader-noisy-1-2": "abe315b5afacb230ede1cb496aeadfe6a1f2a14030df9c72e5a9dbf4327cda42",
+    "spne-3": "c83c265b0aed1a9f7ebcc15dbce4945a00d9b42fc75c61ea0458e4a9880d281f",
+    "spne-1-2": "b10ee7e5673d3d073f66c7b7925f3ebb4a0c5c71c8e6228122b995e4d89c8485",
+    "spne-2-1": "88cd65c5784701cf13d0ee28e3aef8bef43a0f8e9fc748d03b5a9b8a6aa290ea",
+    "spne-1-1-1": "3843b03cc0f269ddfae45e3a8340f5a5060c72bed0bd00e84d2320a6c9299400",
+    "jow-spne-1-2": "74206feb1a94514bfba01fc5f80ff0d82858e079574fea828698cd69166ab3a2",
+    "linear-responder-1-1-1": "efbede7698de2e2682b47fcfafdf74733b28b44ef27d41c25b5ed02693066ef3",
+    "leader-rounded-1-2": "42c323fe8cd104bdfeea4888e777971124b3988989360f4686b20aadb0e21bbf",
+    "leader-rounded-1-1-1": "3b99b0184123aae86f4af9c29bd055e5b80dc34d37de13f7766a055c88277f20",
+    "leaders-rounded-2-1": "480f49a81190bb0abfce8be13015359fb2cbc3acd22a10dc537bfabc73f75431",
+    "leader-noisy-1-2": "3a4358f2a7e3c12b5c588375047689e03b2b3d083d9d4703faf49f4f1bdd02c1",
+}
+
+# sha256 of the investment column of each session of GOLDEN_SESSIONS without
+# noise, its floats spelt by float.__repr__ and joined by commas, recorded
+# under layout 1 (numpy's Philox streams): these policies invest the same
+# whatever the matching and the winners, so layout 2 leaves them as they were
+NOISELESS_INVESTMENT_DIGESTS = {
+    "spne-3": "bc3787998409aa7fe16f3989c4abaf95b76fdc33c60cd7a3faf316447b7da60f",
+    "spne-1-2": "8d3aace0c905306c4397bc7d48f6d0fb12ab37b11c24ff08903189d56143656b",
+    "spne-2-1": "f8c1f03df67676c64cbf6534e30ceec2a1a0d27ecbf0dbd4eded705e3ee846cf",
+    "spne-1-1-1": "63e3c3fdc15800f0079bb8983e83be77ff5d54eeca38af4ea772bfca54f9d013",
+    "jow-spne-1-2": "83c81e8b370da7db8b289db10aa553cff0129aab6f66b38d7c103202581f9b4b",
 }
 
 
@@ -330,9 +345,15 @@ class TestGoldenStream:
         export_log(run_session(session_config_from_dict(entry)), "json", path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[name]
 
+    @pytest.mark.parametrize("name", sorted(NOISELESS_INVESTMENT_DIGESTS))
+    def test_noiseless_investments_are_layout_ones(self, name):
+        column = ",".join(float.__repr__(r.investment) for r in golden_log(name).records)
+        assert hashlib.sha256(column.encode()).hexdigest() == NOISELESS_INVESTMENT_DIGESTS[name]
+
     def test_play_round_is_one_triad_of_the_session(self):
-        # play_round on a group's stream, after that round's shuffles, plays
-        # the first triad of the session exactly
+        # play_round on a group's stream, after that round's Fisher-Yates
+        # shuffles (written out here as the module docstring gives them),
+        # plays the first triad of the session exactly
         treatment, policies, extra = GOLDEN_SESSIONS["leader-rounded-1-1-1"]
         config = session_config_from_dict(
             {"treatment": treatment, "groups": 1, "rounds": 1, "seed": 11,
@@ -342,7 +363,9 @@ class TestGoldenStream:
         rng = _group_rng(11, 0)
         orders = [[0, 1, 2] for _ in range(3)]
         for order in orders:
-            rng.shuffle(order)
+            for i in (2, 1):
+                j = int(rng.random() * (i + 1))
+                order[i], order[j] = order[j], order[i]
         subjects = [1 + 3 * role + orders[role][0] for role in range(3)]
         records = play_round(
             config.policies, config.spec, rng,
@@ -434,6 +457,125 @@ class TestSessionLayout:
             assert each._columns() is each._columns()
             assert transposed.pop() is each.records and transposed == []
         assert seeded[1] == log and seeded[2] == log and others[0] == log
+
+
+class Fixed:
+    """A stream whose every ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestLayoutTwoDraws:
+    """The draws of rng_layout 2 (simulate's module docstring), each from
+    uniforms of one group's ``random.Random``. Every bound is fixed in
+    advance; the streams are those of session seed 0, group 0."""
+
+    N = 100_000
+    # the two-sided Kolmogorov-Smirnov critical value at the 0.1% level,
+    # sqrt(-ln(0.0005) / 2) / sqrt(N), about 0.00617
+    KS_CRITICAL = 1.9495 / math.sqrt(N)
+
+    def test_uniforms_and_normals_pass_kolmogorov_smirnov(self):
+        rng = _group_rng(0, 0)
+        uniforms = [rng.random() for _ in range(self.N)]
+        normals = [behavior._standard_normal(rng) for _ in range(self.N)]
+        assert sps.kstest(uniforms, "uniform").statistic < self.KS_CRITICAL
+        assert sps.kstest(normals, "norm").statistic < self.KS_CRITICAL
+
+    @pytest.mark.parametrize(
+        "u, normal",
+        [
+            (0.5, 0.0),
+            (0.8, 0.8416212335729144),  # the central rational function
+            (0.975, 1.9599639845400536),  # the near tail
+            (2**-53, -8.209536151601386),  # random()'s least positive value
+            (1 - 2**-53, 8.209536151601386),  # and its largest
+            (0.0, -8.292361075813595),  # read as 2**-54
+        ],
+        ids=["centre", "central", "near-tail", "least", "largest", "zero"],
+    )
+    def test_normal_transform(self, u, normal):
+        assert behavior._standard_normal(Fixed(u)) == normal
+
+    def test_fisher_yates_at_the_largest_uniform_keeps_j_at_i(self):
+        # u = 1 - 2**-53 gives j = int(u * (i + 1)) = i: every entry stays,
+        # and no index runs past the end
+        order = [0, 1, 2]
+        simulate._shuffle(order, Fixed(1 - 2**-53).random)
+        assert order == [0, 1, 2]
+        # u = 0 swaps each entry with the first: i = 2 with 0, then i = 1 with 0
+        simulate._shuffle(order, Fixed(0.0).random)
+        assert order == [1, 2, 0]
+
+    def test_the_six_orders_come_out_equally_often(self):
+        # 60,000 shuffles of three: the chi-square of the six counts (5
+        # degrees of freedom) stays below 20.515, its 0.1% critical value
+        rng = _group_rng(0, 0)
+        counts = Counter()
+        for _ in range(60_000):
+            order = [0, 1, 2]
+            simulate._shuffle(order, rng.random)
+            counts[tuple(order)] += 1
+        assert len(counts) == 6
+        assert sum((count - 10_000) ** 2 / 10_000 for count in counts.values()) < 20.515
+
+    def test_seeds_are_the_documented_hashes(self):
+        def hashed(text):
+            return hashlib.sha256(text.encode()).digest()
+
+        for seed in (0, 11, 2**200):
+            for group in (0, 1, 17):
+                key = int.from_bytes(hashed(f"group {seed:x} {group:x}"), "big")
+                assert _group_rng(seed, group).getstate() == random.Random(key).getstate()
+            for rep in (0, 1, 17):
+                derived = int.from_bytes(hashed(f"replication {seed:x} {rep:x}")[:8], "big")
+                assert simulate._derived_seed(seed, rep) == derived
+
+    def test_each_group_and_replication_draws_its_own_stream(self):
+        keys = [(seed, index) for seed in range(3) for index in range(3)]
+        assert len({_group_rng(*key).random() for key in keys}) == len(keys)
+        derived = {simulate._derived_seed(*key) for key in keys}
+        assert len(derived) == len(keys) and all(0 <= seed < 2**64 for seed in derived)
+
+
+class TestRngLayout:
+    """A log's meta names its draw order: 2 for a log from run_session, its
+    meta's for a log read back, and 1 where a meta names none."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_round_trip_keeps_the_layout(self, tmp_path, fmt):
+        log = golden_log("spne-1-2")
+        assert log.rng_layout == 2
+        export_log(log, fmt, tmp_path / f"log.{fmt}")
+        back = load_log(tmp_path / f"log.{fmt}")
+        assert back == log and back.rng_layout == 2
+
+    @pytest.mark.parametrize("layout", [1, None], ids=["one", "unnamed"])
+    def test_layout_one_logs_read_back_as_they_are(self, tmp_path, layout):
+        # every log written before layout 2 has no rng_layout in its meta
+        export_log(golden_log("spne-1-2"), "json", tmp_path / "log.json")
+        payload = json.loads((tmp_path / "log.json").read_text())
+        if layout is None:
+            del payload["meta"]["rng_layout"]
+        else:
+            payload["meta"]["rng_layout"] = layout
+        (tmp_path / "old.json").write_text(json.dumps(payload))
+        old = load_log(tmp_path / "old.json")
+        assert old.rng_layout == 1 and old.records == golden_log("spne-1-2").records
+        # and it is written back as layout 1
+        export_log(old, "json", tmp_path / "again.json")
+        assert json.loads((tmp_path / "again.json").read_text())["meta"]["rng_layout"] == 1
+
+    def test_writer_refuses_another_layout(self, tmp_path):
+        log = replace(golden_log("spne-1-2"), rng_layout=3)
+        with pytest.raises(ContestError, match=re.escape("rng_layout must be 1 or 2, got 3")):
+            export_log(log, "json", tmp_path / "log.json")
+        assert not any(tmp_path.iterdir())
+
 
 class TestRunBatch:
     def test_replications_have_distinct_streams(self):

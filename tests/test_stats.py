@@ -1099,7 +1099,9 @@ class TestColumnMemo:
         analysis(log)
         assert repr(log) == text and log == twin
         names = [f.name for f in dataclasses.fields(type(log))]
-        assert names == ["spec", "groups", "rounds", "integer_rounding", "seed", "records"]
+        assert names == [
+            "spec", "groups", "rounds", "integer_rounding", "seed", "records", "rng_layout"
+        ]
         # the statistics set no attribute on a log: its store is run_session's
         assert list(vars(log)) == [*names, "_store"]
         assert replace(log)._store is None
