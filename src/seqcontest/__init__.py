@@ -20,10 +20,12 @@ _LAZY_EXPORTS = {
         "BehaviorPolicy", "eval_response", "turning_point", "optimal_first_mover", "act",
         "default_response_models", "load_response_models", "policy_from_config",
     ),
+    "log": (
+        "BadGroupComposition", "NotASessionLog", "RoundRecord", "SessionLog", "export_log",
+        "load_log",
+    ),
     "simulate": (
-        "BadGroupComposition", "NotASessionLog", "RoundRecord", "SessionConfig",
-        "SessionLog", "play_round", "run_session", "run_batch", "export_log", "load_log",
-        "session_config_from_dict",
+        "SessionConfig", "play_round", "run_session", "run_batch", "session_config_from_dict",
     ),
     "stats": (
         "RankDeficientDesign", "TooFewClusters", "TooFewGroups", "EmptyLog", "OLSFit",

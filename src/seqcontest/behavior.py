@@ -30,6 +30,7 @@ from .core import (
     _in_digits,
     _json_number,
     _known_keys,
+    _observation_inputs,
     _sequence_in_digits,
 )
 from .equilibrium import bisect, solve_spne
@@ -337,21 +338,6 @@ def _leader_optimum(spec: ContestSpec, model_items: tuple, joy_of_winning: float
     ).investment
 
 
-def _observation_inputs(
-    sequence: MoveSequence, stage: int, observed: Sequence[float]
-) -> tuple[float | None, float | None]:
-    """Map raw prior investments to the (m1, m2) inputs of a response model
-    at a stage after the first (stage-1 players observe nothing).
-
-    m1 averages the first-stage investments (a single value in one-leader
-    treatments); m2 is the second-stage investment, present only at stage 3.
-    """
-    k1 = sequence.stages[0]
-    m1 = math.fsum(observed[:k1]) / k1  # statistics.fmean, without its overhead
-    m2 = observed[k1] if stage >= 3 else None
-    return m1, m2
-
-
 def _policy_rule(policy: BehaviorPolicy, spec: ContestSpec, stage: int):
     """What ``policy`` plays at ``stage`` of ``spec``, resolved once into plain
     data that :func:`act` evaluates.
@@ -474,9 +460,9 @@ def load_response_models(path) -> dict[MoveSequence, dict[int, ResponseModel]]:
     with open(path, encoding="utf-8") as fh:
         try:
             return _parse_model_tree(json.load(fh))
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
-            # bad JSON, a file, model map or stage key of the wrong shape or
-            # type, or a model the parser refuses
+        except (AttributeError, LookupError, RecursionError, TypeError, ValueError) as exc:
+            # bad or too deeply nested JSON, a file, model map or stage key of
+            # the wrong shape or type, or a model the parser refuses
             raise ContestError(
                 f"malformed response-model file {os.fspath(path)}: {type(exc).__name__}: {exc}"
             ) from exc

@@ -6,7 +6,7 @@ with the command, package version, output file names and wall clock. A
 each session's seed (``master_seed``; replications derive theirs from it); an
 ``analyze`` one holds null for both and names no input log or hash (ROADMAP
 item 5). A run's files, the manifest included, go through one all-or-none
-write (:func:`seqcontest.simulate.write_files`): each is written once under a
+write (:func:`seqcontest.log.write_files`): each is written once under a
 temp name and renamed into place once, after all of them are written, so a
 failed run leaves the files already in its output directory as they were.
 
@@ -46,7 +46,7 @@ def _write_outputs(out_dir: str, files, t0: float, command: str, config=None, se
     all or none; return the exit code. ``files`` is read one pair at a time,
     as each text is written, so a generator of pairs holds one text at a time.
     """
-    from .simulate import write_files
+    from .log import write_files
 
     names = []
 
@@ -98,7 +98,7 @@ def _number(text: str) -> float:
             value = _json_number(json.loads(text), "value")
             if math.isfinite(value):  # false for NaN, Infinity and 1e400
                 return value
-    except (ValueError, OverflowError):  # OverflowError: float() of a huge integer
+    except (OverflowError, RecursionError, ValueError):  # float() of a huge integer, deep JSON
         pass
     raise argparse.ArgumentTypeError(f"must be a finite number in JSON's grammar, got {text!r}")
 
@@ -154,7 +154,7 @@ def cmd_solve(args) -> int:
         # stdout carries only the JSON, which records joy_of_winning itself
         print(banner, file=sys.stderr)
     if args.out:
-        from .simulate import write_files  # a solve to stdout does not load simulate
+        from .log import write_files  # a solve to stdout does not load the log module
 
         try:
             write_files([(args.out, text)])
@@ -191,7 +191,8 @@ def _csv_label(sequence) -> str:
 def cmd_simulate(args) -> int:
     from dataclasses import replace
 
-    from .simulate import _count, _log_texts, run_batch, session_config_from_dict
+    from .log import _count, _log_texts
+    from .simulate import run_batch, session_config_from_dict
 
     t0 = time.time()
     try:
@@ -207,7 +208,7 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             configs = [replace(cfg, seed=args.seed + i) for i, cfg in enumerate(configs)]
         replications = _count(raw.get("replications", 1), "replications")
-    except (TypeError, ValueError) as exc:  # ContestError and JSONDecodeError are ValueErrors
+    except (RecursionError, TypeError, ValueError) as exc:  # ContestError, bad or too deep JSON
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
     except OSError as exc:
@@ -280,7 +281,7 @@ def cmd_analyze(args) -> int:
 
     # imported here, so that solve loads neither module: stats loads numpy
     from . import stats as st
-    from .simulate import NotASessionLog, load_log
+    from .log import NotASessionLog, load_log
 
     t0 = time.time()
     logs, notes = [], []

@@ -149,6 +149,21 @@ def _role_plan(stages: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     return tuple(plan)
 
 
+def _observation_inputs(
+    sequence: MoveSequence, stage: int, observed: Sequence[float]
+) -> tuple[float | None, float | None]:
+    """Map raw prior investments to the (m1, m2) inputs of a response model
+    at a stage after the first (stage-1 players observe nothing).
+
+    m1 averages the first-stage investments (a single value in one-leader
+    treatments); m2 is the second-stage investment, present only at stage 3.
+    """
+    k1 = sequence.stages[0]
+    m1 = math.fsum(observed[:k1]) / k1  # statistics.fmean, without its overhead
+    m2 = observed[k1] if stage >= 3 else None
+    return m1, m2
+
+
 def _finite_real(value, name: str):
     """``value``, which must be a finite real number other than a bool, else
     :class:`ContestError` names it ``name``. This is the one rule for a real

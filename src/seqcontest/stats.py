@@ -8,7 +8,7 @@ matching-group means with the normal approximation (tie-corrected variance).
 
 The record-level summaries (triad totals, treatment summaries, the round
 trend, matching-group means) read the group, round, triad, stage and
-investment columns of a log's column store (``seqcontest.simulate`` module
+investment columns of a log's column store (``seqcontest.log`` module
 docstring) and compute on them as arrays. That store is the log's: this
 module seeds, cuts and replaces none. Each column becomes an array on first
 use (``_array``), kept in that store in the column's place, and so does one
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _LAZY_EXPORTS
 from .core import ContestError, MoveSequence, _finite_real
-from .simulate import SessionLog, _stored, _transpose
+from .log import SessionLog, _columns
 
 __all__ = list(_LAZY_EXPORTS["stats"])
 
@@ -362,13 +362,6 @@ def _triads(columns: dict) -> tuple:
         n_rounds = len(set(keys[1][first].tolist()))
         columns["_triads"] = (ids, codes, totals, keys[2][first], n_rounds)
     return columns["_triads"]
-
-
-def _columns(log_or_records) -> dict:
-    """The column store of a log, or a new one of an iterable of records."""
-    if isinstance(log_or_records, SessionLog):
-        return log_or_records._columns()
-    return _stored(_transpose(log_or_records))
 
 
 def last_rounds(log: SessionLog, k: int) -> SessionLog:

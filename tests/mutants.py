@@ -138,21 +138,32 @@ MUTANTS = [
         " floats escapes as a raw OverflowError",
     ),
     Mutant(
-        "simulate-store-never-stale", "simulate.py",
-        "if store is None or self.records != store[0]:", "if store is None:",
+        "log-store-never-stale", "log.py",
+        "if log_or_records._store is None or log_or_records.records != log_or_records._store[0]:",
+        "if log_or_records._store is None:",
         (
             "tests/test_stats.py::TestColumnMemo::test_statistics_follow_edits_to_the_records",
         ),
         "statistics read a seeded store after the records were edited",
     ),
     Mutant(
-        "simulate-load-log-seeds-nothing", "simulate.py",
-        "        log._store = (log.records[:], _stored(columns))\n", "",
+        "log-load-log-seeds-nothing", "log.py",
+        "return _seed_store(log, _stored(columns))", "return log",
         (
             "tests/test_simulate.py::TestSessionLayout::test_which_logs_are_seeded",
             "tests/test_stats.py::TestColumnMemo::test_each_column_is_read_once",
         ),
         "a read-back log reads its records again instead of its checked columns",
+    ),
+    Mutant(
+        "log-load-log-recursion-raw", "log.py",
+        "except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:",
+        "except (AttributeError, KeyError, TypeError, ValueError) as exc:",
+        (
+            "tests/test_cli.py::test_json_nested_too_deeply_is_bad_input[json-log]",
+            "tests/test_cli.py::test_json_nested_too_deeply_is_bad_input[csv-log]",
+        ),
+        "a log nesting JSON too deeply escapes load_log as a raw RecursionError",
     ),
     Mutant(
         "simulate-every-slot-observes", "simulate.py",
@@ -228,6 +239,15 @@ MUTANTS = [
         " raw TypeError",
     ),
     Mutant(
+        "behavior-models-recursion-raw", "behavior.py",
+        "except (AttributeError, LookupError, RecursionError, TypeError, ValueError) as exc:",
+        "except (AttributeError, LookupError, TypeError, ValueError) as exc:",
+        (
+            "tests/test_cli.py::test_json_nested_too_deeply_is_bad_input[response-models]",
+        ),
+        "a response-model file nesting JSON too deeply raises a raw RecursionError",
+    ),
+    Mutant(
         "behavior-m2-squared-regrouped", "behavior.py",
         "q2 * m * m", "q2 * (m * m)",
         (
@@ -262,6 +282,34 @@ MUTANTS = [
             "tests/test_cli.py::TestAnalyze::test_unknown_test_refused_before_any_log_is_read",
         ),
         "analyze skips an unknown test name instead of refusing it",
+    ),
+    Mutant(
+        "cli-analyze-imports-engine", "cli.py",
+        "    from .log import NotASessionLog, load_log\n",
+        "    from .log import NotASessionLog\n    from .simulate import load_log\n",
+        (
+            "tests/test_cli.py::test_analyze_leaves_the_engine_unloaded[json]",
+            "tests/test_cli.py::test_analyze_leaves_the_engine_unloaded[csv]",
+        ),
+        "analyze reads its logs through simulate and so loads the session engine",
+    ),
+    Mutant(
+        "cli-config-recursion-raw", "cli.py",
+        "except (RecursionError, TypeError, ValueError) as exc:",
+        "except (TypeError, ValueError) as exc:",
+        (
+            "tests/test_cli.py::test_json_nested_too_deeply_is_bad_input[config]",
+        ),
+        "a config nesting JSON too deeply escapes simulate as a raw RecursionError",
+    ),
+    Mutant(
+        "cli-number-recursion-raw", "cli.py",
+        "except (OverflowError, RecursionError, ValueError):",
+        "except (OverflowError, ValueError):",
+        (
+            "tests/test_cli.py::test_json_nested_too_deeply_is_bad_input[calibrate-from]",
+        ),
+        "a command-line number nesting JSON too deeply escapes as a raw RecursionError",
     ),
     Mutant(
         "core-draw-winner-by-float", "core.py",

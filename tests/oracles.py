@@ -38,8 +38,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from seqcontest.behavior import PreemptionResult, _observation_inputs, act
-from seqcontest.core import ContestError, ContestSpec, draw_winner, round_payoffs
+from seqcontest.behavior import PreemptionResult, act
+from seqcontest.core import (
+    ContestError, ContestSpec, _observation_inputs, draw_winner, round_payoffs
+)
 from seqcontest.equilibrium import (
     _GRID_POINTS,
     _ROOT_TOL,
@@ -48,7 +50,7 @@ from seqcontest.equilibrium import (
     _horner,
     bisect,
 )
-from seqcontest.simulate import BadGroupComposition, RoundRecord
+from seqcontest.log import BadGroupComposition, RoundRecord
 from seqcontest.stats import OLSFit, TooFewGroups, TreatmentSummary, WaldResult
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,11 @@ import pytest
 
 import seqcontest
 from seqcontest import stats
-from seqcontest.behavior import EquilibriumPolicy
+from seqcontest.behavior import EquilibriumPolicy, load_response_models
 from seqcontest.cli import _build_parser, main
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
-from seqcontest.simulate import (
-    CSV_COLUMNS,
-    CSV_META_PREFIX,
-    SessionConfig,
-    SessionLog,
-    export_log,
-    load_log,
-    run_batch,
-    run_session,
-)
+from seqcontest.log import CSV_COLUMNS, CSV_META_PREFIX, SessionLog, export_log, load_log
+from seqcontest.simulate import SessionConfig, run_batch, run_session
 
 
 def run_cli(capsys, *argv):
@@ -103,7 +95,7 @@ def test_outcome_functions_leave_numpy_unloaded():
 
 
 def test_import_and_solve_load_only_the_solver():
-    # behavior, simulate and stats (and numpy, which stats loads) resolve on
+    # behavior, log, simulate and stats (and numpy, which stats loads) resolve on
     # first use, and the solver's value types are not dataclasses, so neither
     # importing the package nor solving loads any of them, dataclasses or inspect
     code = (
@@ -126,21 +118,51 @@ def test_import_and_solve_load_only_the_solver():
     assert [line for line in lines if line.startswith("loaded ")] == [
         f"loaded {solver!r}", *[f"loaded {with_cli!r}"] * 3
     ]
-    assert lines[-1] == "seqcontest.behavior seqcontest.simulate seqcontest.simulate"
+    assert lines[-1] == "seqcontest.behavior seqcontest.log seqcontest.simulate"
+
+
+# what the session engine loads and neither reading nor writing a file needs
+ENGINE = ["decimal", "fractions", "hashlib", "seqcontest.behavior", "seqcontest.simulate",
+          "statistics"]
+
+
+def added_modules(argv) -> list[str]:
+    """The modules of ``ENGINE``, numpy's and ``seqcontest.stats`` that
+    ``main(argv)`` adds to a fresh interpreter. It counts from a snapshot taken
+    first, because a site ``.pth`` file can load modules (``tempfile``, and so
+    ``random``) before any code runs."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import seqcontest.cli\n"
+        f"assert seqcontest.cli.main({argv!r}) == 0\n"
+        f"watched = {ENGINE!r} + ['seqcontest.stats']\n"
+        "print(sorted(m for m in set(sys.modules) - before"
+        " if m in watched or m.split('.')[0] == 'numpy'))\n"
+    )
+    return ast.literal_eval(fresh_python(code)[-1])
 
 
 def test_solve_out_leaves_numpy_and_stats_unloaded(tmp_path):
-    # solve --out writes through simulate's one writer, which loads behavior
-    # and simulate but neither the statistics nor numpy
+    # solve --out writes through the log module's one writer, which loads
+    # neither the session engine, the statistics nor numpy
     out = tmp_path / "solution.txt"
-    code = (
-        "import sys, seqcontest.cli\n"
-        f"assert seqcontest.cli.main(['solve', '--seq', '1,2', '--out', {str(out)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'numpy' or m == 'seqcontest.stats'))\n"
-    )
-    assert fresh_python(code) == ["[]"]
+    assert added_modules(["solve", "--seq", "1,2", "--out", str(out)]) == []
     assert out.read_text().startswith("sequence (1,2) ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_analyze_leaves_the_engine_unloaded(capsys, tmp_path, fmt):
+    # reading logs needs the log module and core, not the session engine
+    runs = tmp_path / "runs"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--config", "spne_all_treatments", "--seed", "3",
+        "--out", str(runs), "--format", fmt,
+    )
+    assert code == 0
+    logs = sorted(str(p) for p in runs.glob(f"session*.{fmt}"))
+    added = added_modules(["analyze", *logs, "--out", str(tmp_path / "analysis")])
+    assert "seqcontest.stats" in added and not set(ENGINE) & set(added)
 
 
 def test_simulate_leaves_numpy_unloaded(tmp_path):
@@ -843,6 +865,43 @@ BAD_META = {
     "rng_layout-float": ("rng_layout", 2.0),
     "rng_layout-text": ("rng_layout", "2"),
 }
+
+# JSON nested past any recursion limit: json raises RecursionError on it
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "case", ["json-log", "csv-log", "config", "calibrate-from", "response-models"]
+)
+def test_json_nested_too_deeply_is_bad_input(capsys, tmp_path, case):
+    # every JSON read takes a RecursionError as malformed input: the CLI exits
+    # 2 and writes nothing, and a file reader raises ContestError naming it
+    path, out = tmp_path / "deep", tmp_path / "out"
+    if case == "response-models":
+        path.write_text(DEEP_JSON)
+        pattern = f"^malformed response-model file {re.escape(str(path))}: RecursionError: "
+        with pytest.raises(ContestError, match=pattern):
+            load_response_models(path)
+        return
+    if case == "calibrate-from":
+        argv = ["solve", "--seq", "1,2", "--calibrate-from", "[" * 5000]
+        message = "argument --calibrate-from: must be a finite number in JSON's grammar"
+    elif case == "config":
+        path.write_text('{"schema": 1, "sessions": ' + DEEP_JSON + "}")
+        argv = ["simulate", "--config", str(path), "--out", str(out)]
+        message = "error: invalid config: maximum recursion depth exceeded"
+    else:
+        path = path.with_suffix(".json" if case == "json-log" else ".csv")
+        header = CSV_META_PREFIX + DEEP_JSON + "\n" + ",".join(CSV_COLUMNS) + "\n"
+        path.write_text(DEEP_JSON if case == "json-log" else header)
+        argv = ["analyze", str(path), "--out", str(out)]
+        message = f"error: bad log file: malformed log {path}: RecursionError: "
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a bad option value
+        code = exc.code
+    assert code == 2 and message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestAnalyze:

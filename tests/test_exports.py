@@ -25,7 +25,7 @@ ORACLE_NAMES = [
 
 
 def test_library_modules_found():
-    assert {"core", "equilibrium", "behavior", "simulate", "stats", "cli"} <= set(MODULES)
+    assert {"core", "equilibrium", "behavior", "log", "simulate", "stats", "cli"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -36,7 +36,7 @@ def test_every_listed_name_exists(name):
 
 
 def test_top_level_exports_are_listed_where_defined():
-    # behavior, simulate and stats resolve on first use, so their names are
+    # behavior, log, simulate and stats resolve on first use, so their names are
     # looked up too
     exports = dict(vars(seqcontest))
     exports.update((attr, getattr(seqcontest, attr)) for attr in seqcontest.__all__)
@@ -61,7 +61,7 @@ def test_oracles_are_not_library_names():
     assert not exposed
 
 
-REEXPORTED = ["core", "equilibrium", "behavior", "simulate", "stats"]
+REEXPORTED = ["core", "equilibrium", "behavior", "log", "simulate", "stats"]
 
 
 @pytest.mark.parametrize("name", REEXPORTED)

@@ -15,6 +15,7 @@ import pytest
 from scipy import stats as sps
 
 from seqcontest import behavior, simulate, stats
+from seqcontest import log as log_module
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import (
     EmpiricalResponder,
@@ -25,16 +26,18 @@ from seqcontest.behavior import (
     eval_response,
 )
 from seqcontest.equilibrium import solve_spne
-from seqcontest.simulate import (
+from seqcontest.log import (
     CSV_COLUMNS,
     BadGroupComposition,
     NotASessionLog,
     RoundRecord,
-    SessionConfig,
     SessionLog,
-    _group_rng,
     export_log,
     load_log,
+)
+from seqcontest.simulate import (
+    SessionConfig,
+    _group_rng,
     play_round,
     run_batch,
     run_session,
@@ -416,13 +419,13 @@ class TestSessionLayout:
     def test_layout_is_the_record_walk(self, name):
         # 2 groups, 4 rounds and 3 triads, so no two of them line up
         log = golden_log(name, rounds=4)
-        layout = dict(log._columns())
+        layout = dict(log_module._columns(log))
         assert sorted(layout) == sorted(LAYOUT_COLUMNS)
         for column, typecode in LAYOUT_COLUMNS.items():
             assert layout[column].typecode == typecode
             assert layout[column].tolist() == [getattr(r, column) for r in log.records]
         # as stats reads them: the arrays and dtypes of the record walk, bit for bit
-        laid_out, walked = log._columns(), stats._columns(log.records)
+        laid_out, walked = log_module._columns(log), log_module._columns(log.records)
         for column in LAYOUT_COLUMNS:
             got, want = stats._array(laid_out, column), stats._array(walked, column)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
@@ -441,12 +444,12 @@ class TestSessionLayout:
             stats.last_rounds(log, 2),
         ]
         transposed = []
-        transpose = simulate._transpose
+        transpose = log_module._transpose
         monkeypatch.setattr(
-            simulate, "_transpose", lambda rows: transposed.append(rows) or transpose(rows)
+            log_module, "_transpose", lambda rows: transposed.append(rows) or transpose(rows)
         )
         for each in seeded:
-            columns = each._columns()
+            columns = log_module._columns(each)
             assert sorted(columns) == sorted(LAYOUT_COLUMNS)
             for name in LAYOUT_COLUMNS:
                 assert list(columns[name]) == [getattr(r, name) for r in each.records]
@@ -454,7 +457,7 @@ class TestSessionLayout:
         assert transposed == []
         for each in others:
             assert each._store is None
-            assert each._columns() is each._columns()
+            assert log_module._columns(each) is log_module._columns(each)
             assert transposed.pop() is each.records and transposed == []
         assert seeded[1] == log and seeded[2] == log and others[0] == log
 

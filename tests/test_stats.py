@@ -21,12 +21,11 @@ from scipy import stats as sps
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import EquilibriumPolicy
 from seqcontest.equilibrium import solve_spne
-from seqcontest import simulate, stats
+from seqcontest import log as log_module
+from seqcontest import stats
+from seqcontest.log import RoundRecord, export_log, load_log
 from seqcontest.simulate import (
-    RoundRecord,
     SessionConfig,
-    export_log,
-    load_log,
     run_batch,
     run_session,
     session_config_from_dict,
@@ -951,12 +950,12 @@ class TestColumnMemo:
     def test_statistics_follow_edits_to_the_records(self, tmp_path):
         for source in LOG_SOURCES:
             log = sourced_log(source, tmp_path)
-            store = log._columns()
+            store = log_module._columns(log)
             analysis(log)
             for _ in edits(log):
                 # the seeded store is dropped after any edit
-                assert log._columns() is not store
-                store = log._columns()
+                assert log_module._columns(log) is not store
+                store = log_module._columns(log)
                 fresh = replace(log, records=list(log.records))
                 assert analysis(log) == analysis(fresh)
 
@@ -1034,10 +1033,10 @@ class TestColumnMemo:
             return sorted(reads), len(transposed)
 
         loaded = [sourced_log("json", tmp_path), sourced_log("csv", tmp_path)]
-        asarray, transpose = np.asarray, simulate._transpose
+        asarray, transpose = np.asarray, log_module._transpose
         monkeypatch.setattr(np, "asarray", counted)
         monkeypatch.setattr(
-            simulate, "_transpose", lambda rows: transposed.append(rows) or transpose(rows)
+            log_module, "_transpose", lambda rows: transposed.append(rows) or transpose(rows)
         )
         log = spne_log((1, 2), groups=2, rounds=3)
         # run_session's and load_log's columns become arrays once: group,
@@ -1071,14 +1070,14 @@ class TestColumnMemo:
         log = spne_log((1, 2), groups=2, rounds=3)
         analysis(log)
         log.records[0] = replace(log.records[0], group=2)
-        assert stats._array(stats._columns(log), "group")[0] == 2
+        assert stats._array(log_module._columns(log), "group")[0] == 2
         assert analysis(log) == analysis(replace(log, records=list(log.records)))
 
     def test_handed_out_columns_cannot_change_the_layout(self, tmp_path):
         for source in LOG_SOURCES:
             log = sourced_log(source, tmp_path)
-            layout = {name: list(column) for name, column in log._columns().items()}
-            columns = stats._columns(log)
+            layout = {name: list(column) for name, column in log_module._columns(log).items()}
+            columns = log_module._columns(log)
             for name in layout:
                 with pytest.raises(ValueError, match="read-only"):
                     stats._array(columns, name)[0] = 99
@@ -1115,11 +1114,11 @@ class TestColumnMemo:
         if offset:
             log = replace(log, records=[replace(r, round=r.round + offset) for r in log.records])
         transposed = []
-        transpose = simulate._transpose
+        transpose = log_module._transpose
         monkeypatch.setattr(
-            simulate, "_transpose", lambda rows: transposed.append(rows) or transpose(rows)
+            log_module, "_transpose", lambda rows: transposed.append(rows) or transpose(rows)
         )
-        log._columns()
+        log_module._columns(log)
         transposed.clear()
         for k in (2, 3, 4, np.int64(2), 10**30):
             cut = last_rounds(log, k)
