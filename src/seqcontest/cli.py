@@ -75,18 +75,29 @@ def _write_outputs(out_dir: str, files, t0: float, command: str, config=None, se
     return 0
 
 
+# a refused value is quoted in its first _QUOTED characters, then its length,
+# so that a long one does not flood the error line
+_QUOTED = 32
+
+
+def _quoted(text: str) -> str:
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+
+
 # whole numbers on the command line are ASCII digits, as each count of --seq
 def _positive_int(text: str) -> int:
     if not _in_digits(text):
         raise argparse.ArgumentTypeError(
-            f"must be a whole number of at least 1 in digits, got {text!r}"
+            f"must be a whole number of at least 1 in digits, got {_quoted(text)}"
         )
     return int(text)
 
 
 def _seed(text: str) -> int:
     if text != "0" and not _in_digits(text):
-        raise argparse.ArgumentTypeError(f"must be a whole number in digits, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a whole number in digits, got {_quoted(text)}")
     return int(text)
 
 
@@ -100,13 +111,15 @@ def _number(text: str) -> float:
                 return value
     except (OverflowError, RecursionError, ValueError):  # float() of a huge integer, deep JSON
         pass
-    raise argparse.ArgumentTypeError(f"must be a finite number in JSON's grammar, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"must be a finite number in JSON's grammar, got {_quoted(text)}"
+    )
 
 
 def _significance_level(text: str) -> float:
     value = _number(text)
     if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {_quoted(text)}")
     return value
 
 
@@ -181,7 +194,7 @@ def _resolve_config(name: str) -> tuple[dict, str]:
     bundled = resources.files("seqcontest.presets").joinpath(name + ".json")
     if bundled.is_file():
         return json.loads(bundled.read_text(encoding="utf-8")), f"preset:{name}"
-    raise ContestError(f"config {name!r} is neither a file nor a bundled preset")
+    raise ContestError("neither a file nor a bundled preset")
 
 
 def _csv_label(sequence) -> str:
@@ -195,6 +208,7 @@ def cmd_simulate(args) -> int:
     from .simulate import run_batch, session_config_from_dict
 
     t0 = time.time()
+    config_name = args.config  # until a bundled preset is found under it
     try:
         raw, config_name = _resolve_config(args.config)
         if not isinstance(raw, dict):
@@ -209,7 +223,7 @@ def cmd_simulate(args) -> int:
             configs = [replace(cfg, seed=args.seed + i) for i, cfg in enumerate(configs)]
         replications = _count(raw.get("replications", 1), "replications")
     except (RecursionError, TypeError, ValueError) as exc:  # ContestError, bad or too deep JSON
-        print(f"error: invalid config: {exc}", file=sys.stderr)
+        print(f"error: invalid config: {config_name}: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)

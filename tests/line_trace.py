@@ -28,9 +28,6 @@ PACKAGE = os.path.join(ROOT, "src", "seqcontest")
 
 # (module file, stripped line text) -> why no test runs it in process
 ALLOWED = {
-    ("__init__.py", 'return importlib.import_module(f".{name}", __name__)'):
-        "a submodule named as an attribute before its import; every test imports"
-        " the submodules it uses, which binds them first",
     ("cli.py", 'row += " " * 18'):
         "a summary table of logs with different player counts; run_session plays"
         " three-player treatments only, and no analyze test reads a log of another",

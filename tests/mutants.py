@@ -166,6 +166,26 @@ MUTANTS = [
         "a log nesting JSON too deeply escapes load_log as a raw RecursionError",
     ),
     Mutant(
+        "log-load-log-plain-tuples", "log.py",
+        "list(map(tuple.__new__, repeat(RoundRecord), zip(*columns)))", "list(zip(*columns))",
+        (
+            "tests/test_cli.py::test_read_back_logs_are_round_records_without_numpy",
+        ),
+        "a read-back log's records are plain tuples, which equal RoundRecords but"
+        " have no fields",
+    ),
+    Mutant(
+        "log-float-cell-twelve-digits", "log.py",
+        "_FLOAT = _Column(frozenset({float}), _json_number, float.__repr__)",
+        '_FLOAT = _Column(frozenset({float}), _json_number, "%.12g".__mod__)',
+        (
+            "tests/test_stats.py::test_read_back_logs_give_the_same_statistics[spne_all_treatments-json]",
+            "tests/test_stats.py::test_read_back_logs_give_the_same_statistics[empirical_preemption-csv]",
+        ),
+        "investments and payoffs are written in 12 digits, so a read-back log's"
+        " statistics are not those of the log in process",
+    ),
+    Mutant(
         "simulate-every-slot-observes", "simulate.py",
         "if slot == 1 and stage > 1:", "if stage > 1:",
         (
@@ -310,6 +330,35 @@ MUTANTS = [
             "tests/test_cli.py::test_json_nested_too_deeply_is_bad_input[calibrate-from]",
         ),
         "a command-line number nesting JSON too deeply escapes as a raw RecursionError",
+    ),
+    Mutant(
+        "cli-config-name-dropped", "cli.py",
+        'f"error: invalid config: {config_name}: {exc}"', 'f"error: invalid config: {exc}"',
+        (
+            "tests/test_cli.py::TestSessionParameterRules::test_config_exits_2[groups=0]",
+            "tests/test_cli.py::TestSimulate::test_missing_config_exits_2",
+            "tests/test_cli.py::test_json_nested_too_deeply_is_bad_input[config]",
+        ),
+        "a bad config's error does not say which config",
+    ),
+    Mutant(
+        "cli-quote-not-cut", "cli.py",
+        "if len(text) <= _QUOTED:", "if True:",
+        (
+            "tests/test_cli.py::test_long_refused_value_is_cut[calibrate-from]",
+            "tests/test_cli.py::test_long_refused_value_is_cut[seed]",
+            "tests/test_cli.py::test_long_refused_value_is_cut[last-rounds]",
+            "tests/test_cli.py::test_long_refused_value_is_cut[alpha]",
+        ),
+        "a refused command-line value is quoted whole, however long",
+    ),
+    Mutant(
+        "init-lazy-module-unresolved", "__init__.py",
+        "if name in _LAZY_EXPORTS:", "if False:",
+        (
+            "tests/test_exports.py::test_lazy_module_names_resolve_to_the_module[stats]",
+        ),
+        "a submodule named as a package attribute before its import raises AttributeError",
     ),
     Mutant(
         "core-draw-winner-by-float", "core.py",

@@ -165,6 +165,30 @@ def test_analyze_leaves_the_engine_unloaded(capsys, tmp_path, fmt):
     assert "seqcontest.stats" in added and not set(ENGINE) & set(added)
 
 
+def test_read_back_logs_are_round_records_without_numpy(capsys, tmp_path):
+    # load_log builds RoundRecords in plain Python, from JSON and CSV alike,
+    # and dataclasses.replace keeps their type
+    runs = tmp_path / "runs"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--config", "empirical_preemption", "--seed", "7",
+        "--out", str(runs), "--format", "both",
+    )
+    assert code == 0
+    paths = sorted(str(p) for p in runs.glob("session*"))
+    code = (
+        "import dataclasses, sys\n"
+        "from seqcontest.log import RoundRecord, load_log\n"
+        f"for path in {paths!r}:\n"
+        "    records = load_log(path).records\n"
+        "    moved = dataclasses.replace(records[0], investment=1.0)\n"
+        "    print(len(records) > 0 and all(type(r) is RoundRecord for r in records),"
+        " type(moved) is RoundRecord, moved.investment)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    assert len(paths) == 6
+    assert fresh_python(code) == ["True True 1.0"] * 6 + ["[]"]
+
+
 def test_simulate_leaves_numpy_unloaded(tmp_path):
     # the simulator draws from the package's own stdlib streams: simulating
     # both presets in both formats, and a batch of replications in process,
@@ -425,11 +449,10 @@ class TestSimulate:
         assert leaders == pytest.approx([83.11] * len(leaders), abs=0.05)
 
     def test_missing_config_exits_2(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "simulate", "--config", str(tmp_path / "nope.json")
-        )
+        missing = tmp_path / "nope.json"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(missing))
         assert code == 2
-        assert "error" in err
+        assert err == f"error: invalid config: {missing}: neither a file nor a bundled preset\n"
 
     def test_config_directory_exits_3(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -615,7 +638,7 @@ class TestSimulate:
         out_dir = tmp_path / "out"
         code, out, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(out_dir))
         assert code == 2
-        assert err.startswith("error: invalid config: ")
+        assert err.startswith(f"error: invalid config: {bad}: ")
         assert detail in err
         assert not out
         assert not out_dir.exists()
@@ -889,7 +912,7 @@ def test_json_nested_too_deeply_is_bad_input(capsys, tmp_path, case):
     elif case == "config":
         path.write_text('{"schema": 1, "sessions": ' + DEEP_JSON + "}")
         argv = ["simulate", "--config", str(path), "--out", str(out)]
-        message = "error: invalid config: maximum recursion depth exceeded"
+        message = f"error: invalid config: {path}: maximum recursion depth exceeded"
     else:
         path = path.with_suffix(".json" if case == "json-log" else ".csv")
         header = CSV_META_PREFIX + DEEP_JSON + "\n" + ",".join(CSV_COLUMNS) + "\n"
@@ -902,6 +925,28 @@ def test_json_nested_too_deeply_is_bad_input(capsys, tmp_path, case):
         code = exc.code
     assert code == 2 and message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (["solve", "--seq", "1,2"], "--calibrate-from", "[" * 5000),
+        (["simulate", "--config", "spne_all_treatments"], "--seed", "x" * 5000),
+        (["analyze", "log.json"], "--last-rounds", "0" * 5000),
+        (["analyze", "log.json"], "--alpha", "0." + "0" * 4997 + "1"),
+    ],
+    ids=["calibrate-from", "seed", "last-rounds", "alpha"],
+)
+def test_long_refused_value_is_cut(capsys, argv, flag, text):
+    # the error names the option and quotes the value's first characters
+    # and its length, not all 5,000 characters
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, text])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    line = err.splitlines()[-1]
+    assert f"argument {flag}: " in line and line.endswith("... (5000 characters)")
+    assert max(map(len, err.splitlines())) < 200 and not out
 
 
 class TestAnalyze:
@@ -1503,7 +1548,7 @@ class TestSessionParameterRules:
         bad.write_text(json.dumps(raw))
         out_dir = tmp_path / "out"
         code, out, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(out_dir))
-        assert (code, out, err) == (2, "", f"error: invalid config: {message}\n")
+        assert (code, out, err) == (2, "", f"error: invalid config: {bad}: {message}\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -89,6 +89,13 @@ def test_lazy_names_are_the_module_public_names(name):
     assert {name, *module.__all__} <= set(dir(seqcontest))
 
 
+@pytest.mark.parametrize("name", sorted(seqcontest._LAZY_EXPORTS))
+def test_lazy_module_names_resolve_to_the_module(name):
+    # called directly: once a submodule is imported, the package binds it
+    # and attribute lookup no longer reaches __getattr__
+    assert seqcontest.__getattr__(name) is importlib.import_module(f"seqcontest.{name}")
+
+
 def test_star_import_binds_every_public_name():
     # a fresh process, in which no lazy module has been imported yet
     src = os.path.dirname(os.path.dirname(seqcontest.__file__))

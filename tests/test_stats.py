@@ -943,6 +943,26 @@ def sourced_log(source, tmp_path):
     return load_log(path)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_read_back_logs_give_the_same_statistics(preset_run, fmt, tmp_path):
+    # analyze's numbers, the Wald tests against the equilibrium and the JT
+    # trend across treatments included, are those of the logs in process
+    def statistics(logs):
+        walds = [
+            wald_mean(*triad_totals(log), solve_spne(log.spec.without_joy()).scaled_aggregate)
+            for log in logs
+        ]
+        jt = jonckheere_terpstra([group_aggregate_means(log) for log in logs])
+        return [analysis(log) for log in logs], exact([treatment_summary(logs), walds, jt])
+
+    paths = [tmp_path / f"session{i}.{fmt}" for i in range(len(preset_run))]
+    for log, path in zip(preset_run, paths):
+        export_log(log, fmt, path)
+    back = [load_log(path) for path in paths]
+    assert back == preset_run
+    assert statistics(back) == statistics(preset_run)
+
+
 class TestColumnMemo:
     """A log keeps the columns its statistics read in its column store, while
     its records stay the same objects in the same order."""
