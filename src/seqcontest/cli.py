@@ -33,6 +33,7 @@ from .core import (
     _in_digits,
     _json_number,
     _known_keys,
+    _quoted,
     _sequence_in_digits,
 )
 from .equilibrium import calibrate_jow, solve_spne
@@ -75,30 +76,18 @@ def _write_outputs(out_dir: str, files, t0: float, command: str, config=None, se
     return 0
 
 
-# a refused value is quoted in its first _QUOTED characters, then its length,
-# so that a long one does not flood the error line
-_QUOTED = 32
-
-
-def _quoted(text: str) -> str:
-    if len(text) <= _QUOTED:
-        return repr(text)
-    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
-
-
 # whole numbers on the command line are ASCII digits, as each count of --seq
-def _positive_int(text: str) -> int:
-    if not _in_digits(text):
-        raise argparse.ArgumentTypeError(
-            f"must be a whole number of at least 1 in digits, got {_quoted(text)}"
-        )
-    return int(text)
+def _positive_int(text: str, rule: str = "a whole number of at least 1 in digits") -> int:
+    try:
+        if _in_digits(text):
+            return int(text)
+    except ValueError:  # beyond int()'s limit on digits
+        rule = f"a whole number of at most {sys.get_int_max_str_digits()} digits"
+    raise argparse.ArgumentTypeError(f"must be {rule}, got {_quoted(text)}")
 
 
 def _seed(text: str) -> int:
-    if text != "0" and not _in_digits(text):
-        raise argparse.ArgumentTypeError(f"must be a whole number in digits, got {_quoted(text)}")
-    return int(text)
+    return 0 if text == "0" else _positive_int(text, "a whole number in digits")
 
 
 # numbers on the command line follow JSON's grammar, as a config's do; float()

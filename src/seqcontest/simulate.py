@@ -37,12 +37,13 @@ play, one step each, along the move sequence's role plan
 its stage, derived once per sequence and also read by ``run_session``'s
 stage column and by ``act``). When a stage after the first starts, the
 investments it observes are taken as one tuple and its (m1, m2) read once
-(stage 1 observes nothing: both are None). Each player's record cells up
-to its investment are built as it acts, and its won and payoff cells once
-the winner is drawn and payoffs are booked. Its ``act`` calls
-resolve a policy (``behavior._policy_rule``) only on the first call for that
-policy, spec and stage, so a session resolves its policies once; only
-responder noise and the winner draw touch the stream inside a triad.
+(stage 1 observes nothing: both are None). The triad's investments are
+checked once (``core._as_investments``) for ``draw_winner`` and
+``round_payoffs``; then each record's eleven cells are built in one tuple.
+The ``act`` calls resolve a policy (``behavior._policy_rule``) only on the
+first call for that policy, spec and stage, so a session resolves its
+policies once; only responder noise and the winner draw touch the stream
+inside a triad.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from typing import Callable, Mapping, Sequence
 
 from . import _LAZY_EXPORTS
 from .core import (
-    ContestError, ContestSpec, _known_keys, _observation_inputs, _role_plan, draw_winner,
-    round_payoffs,
+    ContestError, ContestSpec, _as_investments, _index, _known_keys, _observation_inputs,
+    _role_plan, draw_winner, round_payoffs,
 )
 from .behavior import BehaviorPolicy, act, policy_from_config
 # export_log and load_log, out of __all__: the benchmark harness calls them as simulate's
@@ -108,17 +109,23 @@ def play_round(
     Stage t actors observe exactly the investments from stages before t.
     ``rng`` needs only a ``random()`` method returning a float in [0, 1) (a
     ``random.Random`` or a numpy ``Generator``), and is consumed as the module
-    docstring sets out for one triad.
+    docstring sets out for one triad. An id that is not a whole number
+    (``core._index``) raises :class:`ContestError` naming its argument.
     """
     seq = spec.sequence
     plan = _role_plan(seq.stages)
     if len(policies) != len(plan) or len(subjects) != len(plan):
         raise BadGroupComposition("one policy and one subject id per player slot")
+    group = group if group.__class__ is int else _index(group, "group")
+    round_number = (round_number if round_number.__class__ is int
+                    else _index(round_number, "round_number"))
+    triad = triad if triad.__class__ is int else _index(triad, "triad")
 
     investments: list[float] = []
     observed, m1, m2 = (), None, None  # what stage 1 observes
-    heads = []  # each record's cells up to its investment, in player order
+    roles = []  # each player's subject, stage, slot, m1 and m2 cells
     for policy, subject, (stage, slot, _) in zip(policies, subjects, plan):
+        subject = subject if subject.__class__ is int else _index(subject, "each of subjects")
         if slot == 1 and stage > 1:  # a later stage observes every investment so far
             observed = tuple(investments)
             m1, m2 = _observation_inputs(seq, stage, observed)
@@ -127,14 +134,16 @@ def play_round(
             # lab rule: whole points only; round half to even, then clamp
             x = float(min(max(round(x), 0), int(spec.endowment)))
         investments.append(x)
-        heads.append((group, round_number, triad, int(subject), stage, slot, m1, m2, x))
+        roles.append((subject, stage, slot, m1, m2))
 
-    winner = draw_winner(investments, rng.random())
-    payoffs = round_payoffs(spec, investments, winner)
+    checked = _as_investments(investments)
+    winner = draw_winner(checked, rng.random())
+    payoffs = round_payoffs(spec, checked, winner)
     records = []  # a loop, which is faster than a comprehension before Python 3.12
-    for i, (head, paid) in enumerate(zip(heads, payoffs)):
-        # built in C from its cells, in CSV_COLUMNS order
-        records.append(tuple.__new__(RoundRecord, head + (i == winner, paid)))
+    for i, ((subject, stage, slot, m1, m2), x, paid) in enumerate(zip(roles, checked, payoffs)):
+        # a record is built in C from its cells, in CSV_COLUMNS order
+        cells = (group, round_number, triad, subject, stage, slot, m1, m2, x, i == winner, paid)
+        records.append(tuple.__new__(RoundRecord, cells))
     return records
 
 
@@ -177,31 +186,24 @@ def run_session(config: SessionConfig) -> SessionLog:
     policies, spec, rounding = config.policies, config.spec, config.integer_rounding
     for g in range(config.groups):
         rng = _group_rng(config.seed, g)
+        uniform, group = rng.random, g + 1
         # the subject ids of each role; shuffling them draws what shuffling
         # their indices would
         first = g * n * SUBJECTS_PER_ROLE + 1
         role_subjects = [
-            range(first + r * SUBJECTS_PER_ROLE, first + (r + 1) * SUBJECTS_PER_ROLE)
+            list(range(first + r * SUBJECTS_PER_ROLE, first + (r + 1) * SUBJECTS_PER_ROLE))
             for r in range(n)
         ]
         for round_number in range(1, config.rounds + 1):
-            matching = list(map(list, role_subjects))
+            matching = list(map(list.copy, role_subjects))
             for order in matching:
-                _shuffle(order, rng.random)
+                _shuffle(order, uniform)
             # triad k takes the k-th subject of each role
             for triad, subjects in enumerate(zip(*matching), start=1):
-                extend(
-                    play_round(
-                        policies,
-                        spec,
-                        rng,
-                        integer_rounding=rounding,
-                        group=g + 1,
-                        round_number=round_number,
-                        triad=triad,
-                        subjects=subjects,
-                    )
-                )
+                extend(play_round(
+                    policies, spec, rng, integer_rounding=rounding, group=group,
+                    round_number=round_number, triad=triad, subjects=subjects,
+                ))
     # each record's group, round, triad, stage and investment, in the order
     # played above
     per_round = SUBJECTS_PER_ROLE * n  # records of one group's round

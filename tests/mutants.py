@@ -206,6 +206,34 @@ MUTANTS = [
         " six matchings never occur",
     ),
     Mutant(
+        "simulate-play-round-unchecked-list", "simulate.py",
+        "    checked = _as_investments(investments)\n", "    checked = investments\n",
+        (
+            "tests/test_simulate.py::TestTracedCallStructure::test_calls_per_triad_round[spne-1-2]",
+            "tests/test_simulate.py::TestTracedCallStructure::test_calls_per_triad_round[leader-noisy-1-2]",
+        ),
+        "play_round hands on the unchecked list, so each triad's investments are"
+        " checked twice",
+    ),
+    Mutant(
+        "simulate-triad-id-unchecked", "simulate.py",
+        '    triad = triad if triad.__class__ is int else _index(triad, "triad")\n', "",
+        (
+            "tests/test_simulate.py::TestPlayRound::test_ids_not_whole_numbers_refused[triad-text]",
+        ),
+        "play_round records a triad id of text, which the log writer refuses later",
+    ),
+    Mutant(
+        "simulate-subject-id-unchecked", "simulate.py",
+        "subject if subject.__class__ is int else", "subject if True else",
+        (
+            "tests/test_simulate.py::TestPlayRound::test_ids_not_whole_numbers_refused[subject-float]",
+            "tests/test_simulate.py::TestPlayRound::test_ids_not_whole_numbers_refused[subject-bool]",
+            "tests/test_simulate.py::TestPlayRound::test_ids_of_other_integer_types_recorded_as_ints",
+        ),
+        "play_round records a subject id of 1.7 or True, and a numpy integer as it is",
+    ),
+    Mutant(
         "simulate-group-stream-without-group", "simulate.py",
         '_hashed("group", seed, group_index)', '_hashed("group", seed, 0)',
         (
@@ -342,15 +370,37 @@ MUTANTS = [
         "a bad config's error does not say which config",
     ),
     Mutant(
-        "cli-quote-not-cut", "cli.py",
-        "if len(text) <= _QUOTED:", "if True:",
+        "core-quote-not-cut", "core.py",
+        'if len(text) > _QUOTED else ""', 'if False else ""',
         (
             "tests/test_cli.py::test_long_refused_value_is_cut[calibrate-from]",
             "tests/test_cli.py::test_long_refused_value_is_cut[seed]",
             "tests/test_cli.py::test_long_refused_value_is_cut[last-rounds]",
             "tests/test_cli.py::test_long_refused_value_is_cut[alpha]",
+            "tests/test_cli.py::test_long_refused_seq_is_cut[not-counts]",
         ),
         "a refused command-line value is quoted whole, however long",
+    ),
+    Mutant(
+        "cli-digits-beyond-int-raw", "cli.py",
+        "    except ValueError:  # beyond int()'s limit on digits\n",
+        "    except ArithmeticError:  # beyond int()'s limit on digits\n",
+        (
+            "tests/test_cli.py::test_long_refused_value_is_cut[seed-beyond-int-digits]",
+            "tests/test_cli.py::test_long_refused_value_is_cut[last-rounds-beyond-int-digits]",
+        ),
+        "a --seed or --last-rounds of more digits than int() reads is quoted whole by"
+        " argparse",
+    ),
+    Mutant(
+        "core-seq-digits-beyond-int-raw", "core.py",
+        "    except ValueError:  # a count beyond int()'s limit on digits\n",
+        "    except ArithmeticError:  # a count beyond int()'s limit on digits\n",
+        (
+            "tests/test_cli.py::test_long_refused_seq_is_cut[count-beyond-int-digits]",
+        ),
+        "solve --seq with a count of more digits than int() reads ends in a raw"
+        " ValueError traceback",
     ),
     Mutant(
         "init-lazy-module-unresolved", "__init__.py",
@@ -380,11 +430,23 @@ MUTANTS = [
     ),
     Mutant(
         "core-endowment-tolerance", "core.py",
-        "if max(x) > endowment:", "if max(x) > endowment + 1e-9:",
+        "if value > endowment:", "if value > endowment + 1e-9:",
         (
             "tests/test_core.py::TestRoundPayoffs::test_over_endowment_rejected",
         ),
         "an investment a hair above the endowment is paid a negative margin",
+    ),
+    Mutant(
+        "core-checked-shortcut-any-tuple", "core.py",
+        "if investments.__class__ is _Checked:", "if isinstance(investments, tuple):",
+        (
+            "tests/test_core.py::TestCheckedInvestments::test_unchecked_investments_refused[tuple-negative-win_probabilities]",
+            "tests/test_core.py::TestCheckedInvestments::test_unchecked_investments_refused[tuple-nan-round_payoffs]",
+            "tests/test_core.py::TestCheckedInvestments::test_unchecked_investments_refused[foreign-tuple-inf-draw_winner]",
+            "tests/test_core.py::TestCheckedInvestments::test_unchecked_investments_refused[foreign-tuple-bool-round_payoffs]",
+        ),
+        "a plain tuple or any tuple subclass passes the outcome functions unchecked:"
+        " negative, NaN, infinite and bool investments are taken",
     ),
     Mutant(
         "equilibrium-calibrate-zero-mean", "equilibrium.py",

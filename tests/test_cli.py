@@ -934,8 +934,14 @@ def test_json_nested_too_deeply_is_bad_input(capsys, tmp_path, case):
         (["simulate", "--config", "spne_all_treatments"], "--seed", "x" * 5000),
         (["analyze", "log.json"], "--last-rounds", "0" * 5000),
         (["analyze", "log.json"], "--alpha", "0." + "0" * 4997 + "1"),
+        # digits, but more of them than int() reads
+        (["simulate", "--config", "spne_all_treatments"], "--seed", "1" * 5000),
+        (["analyze", "log.json"], "--last-rounds", "1" * 5000),
     ],
-    ids=["calibrate-from", "seed", "last-rounds", "alpha"],
+    ids=[
+        "calibrate-from", "seed", "last-rounds", "alpha", "seed-beyond-int-digits",
+        "last-rounds-beyond-int-digits",
+    ],
 )
 def test_long_refused_value_is_cut(capsys, argv, flag, text):
     # the error names the option and quotes the value's first characters
@@ -947,6 +953,24 @@ def test_long_refused_value_is_cut(capsys, argv, flag, text):
     line = err.splitlines()[-1]
     assert f"argument {flag}: " in line and line.endswith("... (5000 characters)")
     assert max(map(len, err.splitlines())) < 200 and not out
+
+
+@pytest.mark.parametrize(
+    "seq, message",
+    [
+        ("1" * 5000, f"--seq holds a stage count of more than {sys.get_int_max_str_digits()}"
+                     " digits, got '111"),
+        ("1," * 2500, "--seq must be stage counts in digits joined by commas, got '1,1"),
+    ],
+    ids=["count-beyond-int-digits", "not-counts"],
+)
+def test_long_refused_seq_is_cut(capsys, seq, message):
+    # a count int() cannot read is refused as bad input, not a traceback,
+    # and the refusal quotes the value cut, as an option's value is
+    code, out, err = run_cli(capsys, "solve", "--seq", seq)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {message}") and err.endswith("... (5000 characters)\n")
+    assert len(err.splitlines()) == 1 and len(err) < 200
 
 
 class TestAnalyze:

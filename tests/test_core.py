@@ -16,6 +16,7 @@ from seqcontest.core import (
     MoveSequence,
     NegativeInvestment,
     NonPositiveStageCount,
+    _as_investments,
     draw_winner,
     round_payoffs,
     win_probabilities,
@@ -50,6 +51,39 @@ REAL_NUMBERS = {
     "int": [240, 20, 0],
     "np.float64": [np.float64(240.1), np.float64(86.188), np.float64(0.1)],
     "Fraction": [Fraction(2401, 10), Fraction(1, 3), Fraction(2, 7)],
+}
+
+
+class Foreign(tuple):
+    """A tuple subclass from outside core."""
+
+
+# containers that hold investments, none of them core's checked tuple; a
+# float array cannot hold a bool, an object array can
+CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "float-array": np.array,
+    "object-array": lambda values: np.array(values, dtype=object),
+    "foreign-tuple": Foreign,
+}
+# an entry that makes investments [10.0, entry, 5.0] refused, and the refusal
+BAD_ENTRIES = {
+    "negative": (-1.0, NegativeInvestment),
+    "nan": (math.nan, ContestError),
+    "inf": (math.inf, ContestError),
+    "bool": (True, ContestError),
+}
+UNCHECKED = [
+    pytest.param(container, entry, id=f"{container}-{entry}")
+    for container in CONTAINERS
+    for entry in BAD_ENTRIES
+    if (container, entry) != ("float-array", "bool")  # a float array holds True as 1.0
+]
+OUTCOMES = {
+    "win_probabilities": win_probabilities,
+    "draw_winner": lambda x: draw_winner(x, 0.5),
+    "round_payoffs": lambda x: round_payoffs(ContestSpec(MoveSequence((3,))), x, 0),
 }
 
 
@@ -472,3 +506,34 @@ class TestRoundPayoffs:
             winner = int(rng.integers(0, 3))
             payoffs = np.asarray(round_payoffs(self.spec, x, winner))
             assert payoffs.sum() == pytest.approx(3 * 240 + 240 - x.sum(), abs=1e-9)
+
+
+class TestCheckedInvestments:
+    """Each outcome function checks its investments unless core has checked
+    them already (a triad's are checked once in play_round)."""
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("container, entry", UNCHECKED)
+    def test_unchecked_investments_refused(self, container, entry, outcome):
+        value, error = BAD_ENTRIES[entry]
+        investments = CONTAINERS[container]([10.0, value, 5.0])
+        with pytest.raises(error) as exc:
+            OUTCOMES[outcome](investments)
+        if error is NegativeInvestment:
+            expected = "investments must be nonnegative, got [10.0, -1.0, 5.0]"
+        else:
+            expected = (
+                "investments must be a nonempty 1-d sequence of finite real numbers, not"
+                f" bools, with a finite sum, got {investments!r}"
+            )
+        assert type(exc.value) is error and str(exc.value) == expected
+
+    def test_checked_investments_pass_through(self):
+        checked = _as_investments([10, 0.5, 5.0])
+        assert list(checked) == [10.0, 0.5, 5.0] and all(type(v) is float for v in checked)
+        assert isinstance(checked, tuple) and _as_investments(checked) is checked
+        for container in CONTAINERS.values():
+            investments = container([10, 0.5, 5.0])
+            assert _as_investments(investments) is not investments
+            for outcome in OUTCOMES.values():
+                assert outcome(investments) == outcome(checked)

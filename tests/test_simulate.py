@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from seqcontest import behavior, simulate, stats
+from seqcontest import behavior, core, simulate, stats
 from seqcontest import log as log_module
 from seqcontest.core import ContestError, ContestSpec, MoveSequence
 from seqcontest.behavior import (
@@ -120,6 +120,40 @@ class TestPlayRound:
                 (EquilibriumPolicy(),) * 3, ContestSpec(SEQ_111), np.random.default_rng(6),
                 subjects=(1, 2),
             )
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ({"group": 2.5}, "group must be a whole number, got 2.5"),
+            ({"group": True}, "group must be a whole number, got True"),
+            ({"round_number": "3"}, "round_number must be a whole number, got '3'"),
+            ({"triad": "x"}, "triad must be a whole number, got 'x'"),
+            ({"subjects": (1.7, 2, 3)}, "each of subjects must be a whole number, got 1.7"),
+            ({"subjects": (1, True, 3)}, "each of subjects must be a whole number, got True"),
+            ({"subjects": (1, 2, "3")}, "each of subjects must be a whole number, got '3'"),
+        ],
+        ids=["group-float", "group-bool", "round-text", "triad-text", "subject-float",
+             "subject-bool", "subject-text"],
+    )
+    def test_ids_not_whole_numbers_refused(self, ids, message):
+        with pytest.raises(ContestError) as exc:
+            play_round(
+                (EquilibriumPolicy(),) * 3, ContestSpec(SEQ_111), np.random.default_rng(6), **ids
+            )
+        assert str(exc.value) == message
+
+    def test_ids_of_other_integer_types_recorded_as_ints(self):
+        policies, spec = (EquilibriumPolicy(),) * 3, ContestSpec(SEQ_111)
+        expected = play_round(
+            policies, spec, random.Random(7), group=2, round_number=5, triad=3,
+            subjects=(4, 13, 22),
+        )
+        records = play_round(
+            policies, spec, random.Random(7), group=np.int64(2), round_number=np.int64(5),
+            triad=np.uint8(3), subjects=(np.uint8(4), np.int64(13), 22),
+        )
+        assert records == expected
+        assert all(type(cell) is int for r in records for cell in r[:4])
 
     @pytest.mark.parametrize("integer_rounding", [False, True], ids=["floats", "rounded"])
     @pytest.mark.parametrize("stages", [(2,), (1, 3), (2, 1, 3), (1, 1, 1, 1)], ids=str)
@@ -395,6 +429,50 @@ class TestGoldenStream:
         log = run_session(config)
         assert len(log.records) == 54
         assert calls == [(policy, stage) for stage, policy in enumerate(config.policies, 1)]
+
+
+class TestTracedCallStructure:
+    """Per triad-round, ``run_session`` makes each public call the benchmark's
+    tracer wraps, at the module names the callers look up (``simulate``'s
+    ``play_round``, ``act``, ``draw_winner`` and ``round_payoffs``, ``core``'s
+    ``win_probabilities``), once per triad or player, and checks the triad's
+    investments once. The per-layer figures are read from these calls."""
+
+    @pytest.mark.parametrize(
+        "name", ["spne-1-2", "leader-noisy-1-2", "leader-rounded-1-1-1", "leaders-rounded-2-1"]
+    )
+    def test_calls_per_triad_round(self, name, monkeypatch):
+        expected = golden_log(name)
+        calls = Counter()
+
+        def counted(module, attr, counts=lambda args, result: True):
+            original = getattr(module, attr)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                calls[attr] += counts(args, result)
+                return result
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        for attr in ("play_round", "act", "draw_winner", "round_payoffs"):
+            counted(simulate, attr)
+        counted(core, "win_probabilities")
+        # a check builds a new checked tuple; checked investments pass through as they are
+        check = core._as_investments
+        for module in (core, simulate):
+            if getattr(module, "_as_investments", None) is check:
+                counted(module, "_as_investments", lambda args, result: result is not args[0])
+
+        log = golden_log(name)
+        triad_rounds = len(log.records) // 3
+        assert triad_rounds == 2 * 3 * 3
+        assert calls == {
+            "play_round": triad_rounds, "act": 3 * triad_rounds, "draw_winner": triad_rounds,
+            "win_probabilities": triad_rounds, "round_payoffs": triad_rounds,
+            "_as_investments": triad_rounds,
+        }
+        assert log == expected
 
 
 def golden_log(name, **changes):
